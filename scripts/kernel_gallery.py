@@ -16,11 +16,10 @@ from rws import (
     LogDensity,
     ShiftedGammaKernel,
     ShiftedPoissonKernel,
-    kernel_alpha_star,
-    rho_of_kernel,
+    UnsupportedVariantError,
     spectrum_from_rho,
 )
-from rws.fileio import write_density_csv, write_spectrum_csv
+from rws.fileio import write_columns
 
 GALLERY = [
     ("gaussian", GaussianKernel(m=1.0, sigma=0.5)),
@@ -40,11 +39,11 @@ def main(argv=None):
         curve = spectrum_from_rho(LogDensity.from_kernel(kernel), grid_step=args.grid_step)
         sub = os.path.join(args.out, name)
         os.makedirs(sub, exist_ok=True)
-        write_density_csv(os.path.join(sub, "rho.csv"), curve.h_grid, rho_of_kernel(kernel, curve.h_grid))
-        write_spectrum_csv(os.path.join(sub, "spectrum.csv"), curve)
-        if isinstance(kernel, (ShiftedGammaKernel, ShiftedPoissonKernel)):
-            astar = f"{kernel_alpha_star(kernel):+.6f}"
-        else:
+        write_columns(os.path.join(sub, "rho.csv"), "alpha,rho", curve.h_grid, kernel.rho(curve.h_grid))
+        write_columns(os.path.join(sub, "spectrum.csv"), "h,d", curve.h_grid, curve.d_values)
+        try:
+            astar = f"{kernel.alpha_star():+.6f}"
+        except UnsupportedVariantError:
             astar = "n/a"
         print(f"{name:9s} h in [{curve.h_min:.4f}, {curve.h_max:.4f}]  alpha* = {astar}")
     print(f"wrote CSV pairs under {args.out}/")

@@ -23,7 +23,7 @@ from rws import (
     forward_dwt,
     synthesize,
 )
-from rws.fileio import write_estimate_csv, write_signal, write_spectrum_csv
+from rws.fileio import write_columns, write_estimate_csv, write_signal
 
 
 def target(h):
@@ -59,7 +59,7 @@ def main(argv=None):
 
     os.makedirs(args.out, exist_ok=True)
     write_signal(os.path.join(args.out, "signal.rws"), x)
-    write_spectrum_csv(os.path.join(args.out, "target.csv"), curve)
+    write_columns(os.path.join(args.out, "target.csv"), "h,d", curve.h_grid, curve.d_values)
     write_estimate_csv(os.path.join(args.out, "estimates.csv"), sp)
 
     h = sp.h_grid

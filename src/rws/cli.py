@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, FormatError, MathValidityError
+from .errors import ConfigError, FormatError, MathValidityError, UnsupportedVariantError
 from .estimation import analyze_pyramid
 from .spectra import (
     GaussianKernel,
@@ -32,8 +32,6 @@ from .spectra import (
     ShiftedPoissonKernel,
     check_admissible,
     curve_from_function,
-    kernel_alpha_star,
-    rho_of_kernel,
     spectrum_from_rho,
 )
 from .synthesis import synthesize, validate_config
@@ -61,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--grid-step", type=float, default=0.005, help="h grid step (default: 0.005)")
 
     k = sub.add_parser("kernel", help="tabulate a kernel density and its spectrum")
-    k.add_argument("variant", help="gaussian | gamma | poisson | dirac")
+    k.add_argument("variant", help=" | ".join(fileio.KERNELS))
     k.add_argument("params", nargs="*", help="kernel parameters as key=value")
     k.add_argument("--out", default=".", help="output directory (default: .)")
     k.add_argument("--grid-step", type=float, default=0.005, help="h grid step (default: 0.005)")
@@ -172,20 +170,20 @@ def _parse_cli_params(pairs) -> dict:
 def cmd_kernel(args) -> int:
     t0 = time.perf_counter()
     _check_positive(args.grid_step, "--grid-step")
-    kernel = fileio.build_kernel(args.variant, _parse_cli_params(args.params))
+    params = _parse_cli_params(args.params)
+    kernel = fileio.build_kernel(args.variant, params)
     curve = spectrum_from_rho(LogDensity.from_kernel(kernel), grid_step=args.grid_step)
-    rho = rho_of_kernel(kernel, curve.h_grid)
     os.makedirs(args.out, exist_ok=True)
-    fileio.write_density_csv(os.path.join(args.out, "rho.csv"), curve.h_grid, rho)
-    fileio.write_spectrum_csv(os.path.join(args.out, "spectrum.csv"), curve)
-    if isinstance(kernel, (ShiftedGammaKernel, ShiftedPoissonKernel)):
-        astar = kernel_alpha_star(kernel)
-        astar_text = f"{astar:.12g}"
-    else:
-        astar = None
+    fileio.write_columns(os.path.join(args.out, "rho.csv"), "alpha,rho",
+                         curve.h_grid, kernel.rho(curve.h_grid))
+    fileio.write_columns(os.path.join(args.out, "spectrum.csv"), "h,d",
+                         curve.h_grid, curve.d_values)
+    try:
+        astar_text = f"{kernel.alpha_star():.12g}"
+    except UnsupportedVariantError:
         astar_text = "n/a"
     items = [("command", "kernel"), ("variant", args.variant)]
-    items += sorted((k, v) for k, v in _parse_cli_params(args.params).items())
+    items += sorted(params.items())
     items += [
         ("alpha_star", astar_text),
         ("h_min", curve.h_min),
@@ -244,15 +242,13 @@ def _check_perfect_reconstruction():
 
 
 def _check_kernel_maxima():
-    from .spectra import kernel_rho_peak
-
     for kernel in _SELFTEST_KERNELS:
-        peak = kernel_rho_peak(kernel)
-        at_peak = float(rho_of_kernel(kernel, peak))
+        peak = kernel.peak()
+        at_peak = kernel.rho(peak)
         if abs(at_peak - 1.0) > 1e-9:
             return f"{type(kernel).__name__}: rho(peak) = {at_peak!r}, expected 1"
         scan = peak + np.linspace(-0.01, 0.01, 201)
-        top = float(np.max(rho_of_kernel(kernel, scan)))
+        top = float(np.max(kernel.rho(scan)))
         if top > 1.0 + 1e-9:
             return f"{type(kernel).__name__}: rho exceeds 1 near its peak ({top!r})"
     return None

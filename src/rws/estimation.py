@@ -50,11 +50,6 @@ class AlphaField:
         return cls(J=pyramid.J, levels=levels)
 
 
-def count_exceedances(field: AlphaField, j: int, alpha: float) -> int:
-    """N_j(alpha): coefficients at scale j with exponent <= alpha."""
-    return int(np.searchsorted(field.levels[j], alpha, side="right"))
-
-
 @dataclass
 class LambdaCurve:
     alpha_grid: np.ndarray
@@ -252,7 +247,6 @@ class AnalysisResult:
     lambda_curve: LambdaCurve
     closed_curve: LambdaCurve
     tau_curve: TauCurve
-    q_c: float
     spectrum: EstimatedSpectrum
 
 
@@ -319,6 +313,5 @@ def analyze_pyramid(
         lambda_curve=lam,
         closed_curve=closed,
         tau_curve=tau,
-        q_c=q_c,
         spectrum=spectrum,
     )

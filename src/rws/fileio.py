@@ -18,6 +18,7 @@ skipped and unknown keys are rejected rather than ignored.
 import math
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -65,20 +66,6 @@ def _read_text(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not a text file") from None
-
-
-def _rows(path: str, text: str, n_cols: int):
-    """Yield (line_number, cells) for data rows of a comment-headed CSV."""
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != n_cols:
-            raise FormatError(
-                f"{path}:{ln}: expected {n_cols} comma-separated fields, got {len(cells)}"
-            )
-        yield ln, cells
 
 
 # ---------------------------------------------------------------------------
@@ -137,90 +124,66 @@ def read_signal(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spectra and densities
+# CSV tables
 
-def write_spectrum_csv(path: str, curve: SpectrumCurve) -> None:
-    lines = ["# h,d"]
-    for h, d in zip(curve.h_grid, curve.d_values):
-        lines.append(f"{_format_cell(h)},{_format_cell(d)}")
+def write_columns(path: str, header: str, *cols) -> None:
+    """Comment-headed CSV with one row per grid point; header is "a,b,..."."""
+    # Python floats format faster than numpy scalars, to the same text
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in cols))
+    lines = [f"# {header}"] + [",".join(map(_format_cell, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
-def read_spectrum_csv(path: str) -> SpectrumCurve:
-    text = _read_text(path)
-    hs, ds = [], []
-    for ln, cells in _rows(path, text, 2):
-        h = _parse_cell(cells[0], math.nan, path, ln)
-        if not math.isfinite(h):
-            raise FormatError(f"{path}:{ln}: h cell must be a finite number")
-        hs.append(h)
-        ds.append(_parse_cell(cells[1], math.nan, path, ln))
-    if not hs:
+def _read_two_columns(path: str, name: str, absent: float):
+    """(x, y) of a two-column CSV; x must be finite, positive and strictly
+    increasing, and an empty y cell reads as ``absent``."""
+    xs, ys = [], []
+    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != 2:
+            raise FormatError(f"{path}:{ln}: expected 2 comma-separated fields, got {len(cells)}")
+        x = _parse_cell(cells[0], math.nan, path, ln)
+        if not math.isfinite(x):
+            raise FormatError(f"{path}:{ln}: {name} cell must be a finite number")
+        xs.append(x)
+        ys.append(_parse_cell(cells[1], absent, path, ln))
+    if not xs:
         raise FormatError(f"{path}: no data rows")
-    h = np.array(hs)
-    d = np.array(ds)
-    if h[0] <= 0 or np.any(np.diff(h) <= 0):
-        raise FormatError(f"{path}: h column must be positive and strictly increasing")
+    x = np.array(xs)
+    if x[0] <= 0 or np.any(np.diff(x) <= 0):
+        raise FormatError(f"{path}: {name} column must be positive and strictly increasing")
+    return x, np.array(ys)
+
+
+def read_spectrum_csv(path: str) -> SpectrumCurve:
+    h, d = _read_two_columns(path, "h", math.nan)
     if not np.any(~np.isnan(d)):
         raise FormatError(f"{path}: every d cell is empty")
     return curve_from_samples(h, d)
 
 
-def write_density_csv(path: str, alpha: np.ndarray, rho: np.ndarray) -> None:
-    lines = ["# alpha,rho"]
-    for a, r in zip(alpha, rho):
-        lines.append(f"{_format_cell(a)},{_format_cell(r)}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def read_density_csv(path: str) -> LogDensity:
-    text = _read_text(path)
-    al, rl = [], []
-    for ln, cells in _rows(path, text, 2):
-        a = _parse_cell(cells[0], math.nan, path, ln)
-        if not math.isfinite(a):
-            raise FormatError(f"{path}:{ln}: alpha cell must be a finite number")
-        al.append(a)
-        rl.append(_parse_cell(cells[1], -math.inf, path, ln))
-    if not al:
-        raise FormatError(f"{path}: no data rows")
-    a = np.array(al)
-    if a[0] <= 0 or np.any(np.diff(a) <= 0):
-        raise FormatError(f"{path}: alpha column must be positive and strictly increasing")
-    return LogDensity.from_samples(a, np.array(rl))
+    return LogDensity.from_samples(*_read_two_columns(path, "alpha", -math.inf))
 
 
 # ---------------------------------------------------------------------------
 # estimation bundle
 
 def write_lambda_csv(path: str, raw, closed) -> None:
-    lines = ["# alpha,lambda,closed_lambda,residual"]
-    for a, lam, bar, res in zip(
-        raw.alpha_grid, raw.values, closed.values, raw.residuals
-    ):
-        lines.append(
-            f"{_format_cell(a)},{_format_cell(lam)},{_format_cell(bar)},{_format_cell(res)}"
-        )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_columns(path, "alpha,lambda,closed_lambda,residual",
+                  raw.alpha_grid, raw.values, closed.values, raw.residuals)
 
 
 def write_tau_csv(path: str, tau) -> None:
-    lines = ["# q,tau,residual"]
-    for q, t, res in zip(tau.q_grid, tau.values, tau.residuals):
-        lines.append(f"{_format_cell(q)},{_format_cell(t)},{_format_cell(res)}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_columns(path, "q,tau,residual", tau.q_grid, tau.values, tau.residuals)
 
 
 def write_estimate_csv(path: str, spectrum) -> None:
-    lines = ["# h,d2,d1"]
-    for h, d2, d1 in zip(spectrum.h_grid, spectrum.d2, spectrum.d1):
-        lines.append(f"{_format_cell(h)},{_format_cell(d2)},{_format_cell(d1)}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_columns(path, "h,d2,d1", spectrum.h_grid, spectrum.d2, spectrum.d1)
 
 
 def write_key_values(path: str, items) -> None:
@@ -239,14 +202,7 @@ def write_key_values(path: str, items) -> None:
 # ---------------------------------------------------------------------------
 # configs
 
-KERNEL_PARAM_NAMES = {
-    "gaussian": ("m", "sigma"),
-    "gamma": ("alpha0", "nu", "beta"),
-    "poisson": ("alpha0", "c"),
-    "dirac": ("H",),
-}
-
-_KERNEL_CLASSES = {
+KERNELS = {
     "gaussian": GaussianKernel,
     "gamma": ShiftedGammaKernel,
     "poisson": ShiftedPoissonKernel,
@@ -254,19 +210,24 @@ _KERNEL_CLASSES = {
 }
 
 
+def _kernel_params(name: str) -> tuple:
+    """Parameter names of a kernel variant, in declaration order."""
+    if name not in KERNELS:
+        known = ", ".join(sorted(KERNELS))
+        raise ConfigError(f"unknown kernel variant {name!r} (known: {known})")
+    return tuple(f.name for f in fields(KERNELS[name]))
+
+
 def build_kernel(name: str, params: dict):
     """Instantiate a kernel from its variant name and parameter dict."""
-    if name not in KERNEL_PARAM_NAMES:
-        known = ", ".join(sorted(KERNEL_PARAM_NAMES))
-        raise ConfigError(f"unknown kernel variant {name!r} (known: {known})")
-    needed = KERNEL_PARAM_NAMES[name]
+    needed = _kernel_params(name)
     missing = [p for p in needed if p not in params]
     if missing:
         raise ConfigError(f"kernel {name} is missing parameters: {', '.join(missing)}")
     extra = [p for p in params if p not in needed]
     if extra:
         raise ConfigError(f"kernel {name} does not take: {', '.join(extra)}")
-    return _KERNEL_CLASSES[name](**{p: float(params[p]) for p in needed})
+    return KERNELS[name](**{p: float(params[p]) for p in needed})
 
 
 def parse_key_values(text: str, path: str = "<config>") -> dict:
@@ -337,10 +298,7 @@ def load_synthesis_config(path: str):
         if "kernel" not in raw:
             raise ConfigError(f"{path}: mode=kernel needs a kernel variant")
         name = raw.pop("kernel")
-        if name not in KERNEL_PARAM_NAMES:
-            known = ", ".join(sorted(KERNEL_PARAM_NAMES))
-            raise ConfigError(f"{path}: unknown kernel variant {name!r} (known: {known})")
-        params = {p: _take_float(raw, p, path) for p in KERNEL_PARAM_NAMES[name]}
+        params = {p: _take_float(raw, p, path) for p in _kernel_params(name)}
         source = build_kernel(name, params)
         resolved.append(("kernel", name))
         resolved.extend(sorted(params.items()))

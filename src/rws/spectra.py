@@ -19,18 +19,24 @@ with h_max = 1/sup_{a>0} rho(a)/a and h_min the infimum of {rho >= 0}.
 The sup is a running maximum over evaluation points, no interpolation.
 
 Closed-form densities come from four kernel families used for
-self-similar cascade models: gaussian, shifted gamma, shifted poisson,
-and dirac (exact monofractal).  Each has a validity threshold
-guaranteeing rho < 0 near 0; for the gamma and poisson families the
-threshold alpha* is the largest root of a transcendental equation and
-is solved by bracketed root-finding.
+self-similar cascade models: gaussian, shifted gamma, shifted poisson
+(the log-Poisson cascade) and dirac (exact monofractal).  Each family is
+a frozen dataclass deriving from ``Kernel`` and carries its own
+formulas as methods: the density ``rho`` and its derivative
+``rho_prime``, the ``peak`` where rho = 1, the validity check
+``validate``, the left edge ``h_min`` of {rho >= 0}, and the scale-j
+exponent law of the self-similarity semigroup (``scale_cap``,
+``scale_quantile``).  The validity threshold guarantees rho < 0 near 0;
+for the gamma and poisson families it is ``alpha_star``, the largest
+root of a transcendental equation, solved by bracketed root-finding.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import gammaincc, gammaincinv, ndtr, ndtri
 
 from .errors import (
     EmptySpectrumError,
@@ -51,62 +57,122 @@ _DEFAULT_STEP = 0.005
 # ---------------------------------------------------------------------------
 # kernel laws
 
-@dataclass(frozen=True)
-class GaussianKernel:
-    """rho(a) = 1 - log2(e) (a-m)^2 / (2 sigma^2); valid iff m > sigma*sqrt(2 ln 2)."""
-
-    m: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class ShiftedGammaKernel:
-    """rho(a) = 1 + nu log2(a-a0) - beta log2(e) (a-a0) + nu log2(beta e / nu)
-    for a > a0, -inf otherwise; valid iff a0 > alpha*(nu, beta)."""
-
-    alpha0: float
-    nu: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class ShiftedPoissonKernel:
-    """rho(a) = 1 - c log2(e) + (a-a0) log2(c e / (a-a0)) for a > a0,
-    -inf otherwise; valid iff a0 > alpha*(c)."""
-
-    alpha0: float
-    c: float
-
-
-@dataclass(frozen=True)
-class DiracKernel:
-    """Monofractal law: rho = 1 at a = H, -inf elsewhere."""
-
-    H: float
-
-
-KERNEL_VARIANTS = (GaussianKernel, ShiftedGammaKernel, ShiftedPoissonKernel, DiracKernel)
-
-
 def gaussian_threshold(sigma: float) -> float:
     """Smallest admissible mean for a gaussian kernel of width sigma."""
     return sigma * math.sqrt(2.0 * math.log(2.0))
 
 
-def kernel_alpha_star(kernel) -> float:
-    """Largest (negative) root of the kernel's validity equation.
+class Kernel:
+    """Base of the kernel families; subclasses supply ``_rho`` (on an
+    array), ``rho_prime``, ``peak``, ``validate``, ``h_min``,
+    ``scale_cap`` and ``scale_quantile``.  Scale-j laws have p_inf = 0:
+    kernels produce no zero coefficients."""
 
-    Shifted gamma:    1 + nu log2(-a) + beta log2(e) a + nu log2(beta e/nu) = 0
-    Shifted poisson:  1 - c log2(e) - a log2(c e / (-a)) = 0
+    def rho(self, alpha):
+        """Upper logarithmic density (vectorized; -inf allowed; a scalar
+        argument gives a float)."""
+        out = self._rho(np.asarray(alpha, dtype=np.float64))
+        return out if out.shape else float(out)
 
-    Both equations attain the value 1 at their interior maximum, so the
-    largest root is bracketed between that maximizer and 0 (gamma, and
-    poisson with c > ln 2) or lies beyond it (poisson with c <= ln 2,
-    where the equation has a single root).  Solved with Brent's method
-    to machine precision.
-    """
-    if isinstance(kernel, ShiftedGammaKernel):
-        nu, beta = kernel.nu, kernel.beta
+    def alpha_star(self) -> float:
+        raise UnsupportedVariantError(
+            f"alpha* is defined for the shifted gamma and shifted poisson families, "
+            f"not {type(self).__name__}"
+        )
+
+
+class _ShiftedKernel(Kernel):
+    """Families supported on (alpha0, inf): rho = -inf at and left of
+    alpha0, valid iff alpha0 > alpha*; subclasses supply
+    ``_rho_shifted(t)`` for t = a - alpha0 > 0 and ``alpha_star``."""
+
+    def _rho(self, a):
+        t = a - self.alpha0
+        out = np.full(a.shape, -np.inf)
+        pos = t > 0
+        out[pos] = self._rho_shifted(t[pos])
+        return out
+
+    def validate(self) -> None:
+        if not self.alpha0 > self.alpha_star():
+            params = ", ".join(f.name for f in fields(self) if f.name != "alpha0")
+            raise KernelValidityError(f"alpha0 <= alpha*({params})")
+
+    def h_min(self) -> float:
+        """Left zero of rho, bracketed from just inside alpha0 to the peak."""
+        peak = self.peak()
+        lo = self.alpha0 + (peak - self.alpha0) * 1e-12
+        while self.rho(lo) >= 0.0:
+            lo = self.alpha0 + (lo - self.alpha0) / 2.0
+        return brentq(self.rho, lo, peak, xtol=1e-15, rtol=8.9e-16)
+
+
+@dataclass(frozen=True)
+class GaussianKernel(Kernel):
+    """rho(a) = 1 - log2(e) (a-m)^2 / (2 sigma^2); valid iff m > sigma*sqrt(2 ln 2).
+
+    Scale j: Normal(m, sigma^2/j) conditioned on alpha > 0."""
+
+    m: float
+    sigma: float
+
+    def _rho(self, a):
+        return 1.0 - LOG2E * (a - self.m) ** 2 / (2.0 * self.sigma**2)
+
+    def rho_prime(self, a):
+        return -LOG2E * (a - self.m) / self.sigma**2
+
+    def peak(self) -> float:
+        return self.m
+
+    def validate(self) -> None:
+        if self.sigma <= 0:
+            raise KernelValidityError("sigma <= 0")
+        if not self.m > gaussian_threshold(self.sigma):
+            raise KernelValidityError("m <= sigma*sqrt(2 ln 2)")
+
+    def h_min(self) -> float:
+        return self.m - gaussian_threshold(self.sigma)
+
+    def scale_cap(self, j: int) -> float:
+        return self.m + 12.0 * self.sigma / math.sqrt(j)
+
+    def scale_quantile(self, j: int, u):
+        s = self.sigma / math.sqrt(j)
+        z0 = ndtr(-self.m / s)          # one-draw conditioning on alpha > 0
+        return self.m + s * ndtri(z0 + u * (1.0 - z0))
+
+
+@dataclass(frozen=True)
+class ShiftedGammaKernel(_ShiftedKernel):
+    """rho(a) = 1 + nu log2(a-a0) - beta log2(e) (a-a0) + nu log2(beta e / nu)
+    for a > a0, -inf otherwise; valid iff a0 > alpha*(nu, beta).
+
+    Scale j: alpha0 + Gamma(j nu, beta)/j."""
+
+    alpha0: float
+    nu: float
+    beta: float
+
+    def _rho_shifted(self, t):
+        const = 1.0 + self.nu * math.log2(self.beta * math.e / self.nu)
+        return const + self.nu * np.log2(t) - self.beta * LOG2E * t
+
+    def rho_prime(self, a):
+        t = a - self.alpha0
+        return self.nu / (t * math.log(2.0)) - self.beta * LOG2E
+
+    def peak(self) -> float:
+        return self.alpha0 + self.nu / self.beta
+
+    def alpha_star(self) -> float:
+        """Largest root of 1 + nu log2(-a) + beta log2(e) a + nu log2(beta e/nu) = 0.
+
+        The equation attains 1 at its maximizer -nu/beta, so the root is
+        bracketed between that point and 0; Brent's method to machine
+        precision.
+        """
+        nu, beta = self.nu, self.beta
         if nu <= 0 or beta <= 0:
             raise KernelValidityError("nu <= 0 or beta <= 0")
 
@@ -119,8 +185,45 @@ def kernel_alpha_star(kernel) -> float:
             hi /= 2.0
         return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
-    if isinstance(kernel, ShiftedPoissonKernel):
-        c = kernel.c
+    def scale_cap(self, j: int) -> float:
+        mean = self.nu / self.beta
+        sd = math.sqrt(self.nu / j) / self.beta
+        return self.alpha0 + mean + 12.0 * sd
+
+    def scale_quantile(self, j: int, u):
+        x = gammaincinv(j * self.nu, u) / self.beta
+        return self.alpha0 + x / j
+
+
+@dataclass(frozen=True)
+class ShiftedPoissonKernel(_ShiftedKernel):
+    """rho(a) = 1 - c log2(e) + (a-a0) log2(c e / (a-a0)) for a > a0,
+    -inf otherwise; valid iff a0 > alpha*(c).
+
+    Scale j: alpha0 + Poisson(j c)/j."""
+
+    alpha0: float
+    c: float
+
+    def _rho_shifted(self, t):
+        return 1.0 - self.c * LOG2E + t * np.log2(self.c * math.e / t)
+
+    def rho_prime(self, a):
+        t = a - self.alpha0
+        return math.log2(self.c * math.e / t) - LOG2E
+
+    def peak(self) -> float:
+        return self.alpha0 + self.c
+
+    def alpha_star(self) -> float:
+        """Largest root of 1 - c log2(e) - a log2(c e / (-a)) = 0.
+
+        At a = -t the equation attains 1 at t = c.  For c > ln 2 the
+        largest root lies between 0 and that maximizer; for c <= ln 2 the
+        equation has a single root, beyond it.  Brent's method to machine
+        precision.
+        """
+        c = self.c
         if c <= 0:
             raise KernelValidityError("c <= 0")
 
@@ -139,98 +242,53 @@ def kernel_alpha_star(kernel) -> float:
             t = brentq(g, c, hi, xtol=1e-15, rtol=8.9e-16)
         return -t
 
-    raise UnsupportedVariantError(
-        f"alpha* is defined for the shifted gamma and shifted poisson families, "
-        f"not {type(kernel).__name__}"
-    )
+    def h_min(self) -> float:
+        if 1.0 - self.c * LOG2E >= 0.0:
+            return self.alpha0   # density already nonnegative at the shift point
+        return super().h_min()
+
+    def scale_cap(self, j: int) -> float:
+        return self.alpha0 + self.c + 12.0 * math.sqrt(self.c / j)
+
+    def scale_quantile(self, j: int, u):
+        mu = j * self.c
+        kmax = int(math.ceil(mu + 12.0 * math.sqrt(mu))) + 20
+        cdf = gammaincc(np.arange(1, kmax + 2, dtype=np.float64), mu)
+        k = np.searchsorted(cdf, u, side="left")
+        return self.alpha0 + k / j
+
+
+@dataclass(frozen=True)
+class DiracKernel(Kernel):
+    """Monofractal law: rho = 1 at a = H, -inf elsewhere; exactly H at every scale."""
+
+    H: float
+
+    def _rho(self, a):
+        return np.where(np.abs(a - self.H) <= 1e-12 * max(1.0, self.H), 1.0, -np.inf)
+
+    def peak(self) -> float:
+        return self.H
+
+    def validate(self) -> None:
+        if not self.H > 0:
+            raise KernelValidityError("H <= 0")
+
+    def h_min(self) -> float:
+        return self.H
+
+    def scale_cap(self, j: int) -> float:
+        return self.H
+
+    def scale_quantile(self, j: int, u):
+        return np.full(u.shape, self.H)
 
 
 def kernel_validity(kernel) -> None:
     """Raise KernelValidityError naming the violated threshold, if any."""
-    if isinstance(kernel, GaussianKernel):
-        if kernel.sigma <= 0:
-            raise KernelValidityError("sigma <= 0")
-        if not kernel.m > gaussian_threshold(kernel.sigma):
-            raise KernelValidityError("m <= sigma*sqrt(2 ln 2)")
-    elif isinstance(kernel, ShiftedGammaKernel):
-        if not kernel.alpha0 > kernel_alpha_star(kernel):
-            raise KernelValidityError("alpha0 <= alpha*(nu, beta)")
-    elif isinstance(kernel, ShiftedPoissonKernel):
-        if not kernel.alpha0 > kernel_alpha_star(kernel):
-            raise KernelValidityError("alpha0 <= alpha*(c)")
-    elif isinstance(kernel, DiracKernel):
-        if not kernel.H > 0:
-            raise KernelValidityError("H <= 0")
-    else:
+    if not isinstance(kernel, Kernel):
         raise UnsupportedVariantError(f"unknown kernel {type(kernel).__name__}")
-
-
-def rho_of_kernel(kernel, alpha):
-    """Evaluate the kernel's upper logarithmic density (vectorized; -inf allowed)."""
-    a = np.asarray(alpha, dtype=np.float64)
-    if isinstance(kernel, GaussianKernel):
-        out = 1.0 - LOG2E * (a - kernel.m) ** 2 / (2.0 * kernel.sigma**2)
-    elif isinstance(kernel, ShiftedGammaKernel):
-        t = a - kernel.alpha0
-        out = np.full(a.shape, -np.inf)
-        pos = t > 0
-        const = 1.0 + kernel.nu * math.log2(kernel.beta * math.e / kernel.nu)
-        out[pos] = (
-            const + kernel.nu * np.log2(t[pos]) - kernel.beta * LOG2E * t[pos]
-        )
-    elif isinstance(kernel, ShiftedPoissonKernel):
-        t = a - kernel.alpha0
-        out = np.full(a.shape, -np.inf)
-        pos = t > 0
-        out[pos] = (
-            1.0 - kernel.c * LOG2E + t[pos] * np.log2(kernel.c * math.e / t[pos])
-        )
-    elif isinstance(kernel, DiracKernel):
-        out = np.where(np.abs(a - kernel.H) <= 1e-12 * max(1.0, kernel.H), 1.0, -np.inf)
-    else:
-        raise UnsupportedVariantError(f"unknown kernel {type(kernel).__name__}")
-    return out if out.shape else float(out)
-
-
-def kernel_rho_peak(kernel) -> float:
-    """Location where the kernel density attains its maximum value 1."""
-    if isinstance(kernel, GaussianKernel):
-        return kernel.m
-    if isinstance(kernel, ShiftedGammaKernel):
-        return kernel.alpha0 + kernel.nu / kernel.beta
-    if isinstance(kernel, ShiftedPoissonKernel):
-        return kernel.alpha0 + kernel.c
-    if isinstance(kernel, DiracKernel):
-        return kernel.H
-    raise UnsupportedVariantError(f"unknown kernel {type(kernel).__name__}")
-
-
-def _rho_prime(kernel, a):
-    if isinstance(kernel, GaussianKernel):
-        return -LOG2E * (a - kernel.m) / kernel.sigma**2
-    if isinstance(kernel, ShiftedGammaKernel):
-        t = a - kernel.alpha0
-        return kernel.nu / (t * math.log(2.0)) - kernel.beta * LOG2E
-    if isinstance(kernel, ShiftedPoissonKernel):
-        t = a - kernel.alpha0
-        return math.log2(kernel.c * math.e / t) - LOG2E
-    raise UnsupportedVariantError(f"no derivative for {type(kernel).__name__}")
-
-
-def kernel_h_min(kernel) -> float:
-    """Left edge of the region where the kernel density is nonnegative."""
-    kernel_validity(kernel)
-    if isinstance(kernel, GaussianKernel):
-        return kernel.m - gaussian_threshold(kernel.sigma)
-    if isinstance(kernel, DiracKernel):
-        return kernel.H
-    peak = kernel_rho_peak(kernel)
-    if isinstance(kernel, ShiftedPoissonKernel) and 1.0 - kernel.c * LOG2E >= 0.0:
-        return kernel.alpha0   # density already nonnegative at the shift point
-    lo = kernel.alpha0 + (peak - kernel.alpha0) * 1e-12
-    while rho_of_kernel(kernel, lo) >= 0.0:
-        lo = kernel.alpha0 + (lo - kernel.alpha0) / 2.0
-    return brentq(lambda a: rho_of_kernel(kernel, a), lo, peak, xtol=1e-15, rtol=8.9e-16)
+    kernel.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +412,7 @@ class LogDensity:
         """Smallest alpha with rho(alpha) >= 0 (must be positive for a
         well-defined process: small coefficients must dominate at fine scales)."""
         if self.kernel is not None:
-            return kernel_h_min(self.kernel)
+            return self.kernel.h_min()
         nonneg = self.rho_values >= 0.0
         if not nonneg.any():
             raise EmptySpectrumError("log-density is negative everywhere")
@@ -391,22 +449,25 @@ def spectrum_from_rho(density: LogDensity, grid_step: float = _DEFAULT_STEP) -> 
             grid = _merge_points(_step_grid(4.0 * H, grid_step), [H])
             d = np.where(np.abs(grid - H) <= 1e-12 * max(1.0, H), 1.0, np.nan)
             return SpectrumCurve(h_grid=grid, d_values=d, h_min=H, h_max=H)
-        h_min = kernel_h_min(kernel)
+        h_min = kernel.h_min()
         if h_min <= 0:
             raise MathValidityError(
                 "log-density is nonnegative arbitrarily close to 0; no spectrum"
             )
-        peak = kernel_rho_peak(kernel)
+        peak = kernel.peak()
         # maximizer of rho(a)/a solves rho'(a) a = rho(a); bracketed by
-        # the left zero of rho (ratio rising) and the peak (ratio falling)
+        # the left zero of rho (ratio rising) and the peak (ratio falling).
+        # A shifted poisson with c <= ln 2 has h_min = alpha0, where rho is
+        # -inf and rho' undefined, so its bracket starts just inside.
+        lo = h_min if np.isfinite(kernel.rho(h_min)) else h_min + (peak - h_min) * 1e-12
         alpha_t = brentq(
-            lambda a: _rho_prime(kernel, a) * a - rho_of_kernel(kernel, a),
-            h_min, peak, xtol=1e-15, rtol=8.9e-16,
+            lambda a: kernel.rho_prime(a) * a - kernel.rho(a),
+            lo, peak, xtol=1e-15, rtol=8.9e-16,
         )
-        smax = float(rho_of_kernel(kernel, alpha_t)) / alpha_t
+        smax = kernel.rho(alpha_t) / alpha_t
         h_max = 1.0 / smax
         grid = _merge_points(_step_grid(4.0 * h_max, grid_step), [h_min, alpha_t, h_max])
-        rho = rho_of_kernel(kernel, grid)
+        vals = kernel.rho(grid)
     else:
         grid = density.alpha_grid
         rho = density.rho_values
@@ -430,17 +491,12 @@ def spectrum_from_rho(density: LogDensity, grid_step: float = _DEFAULT_STEP) -> 
         smax = float(np.max(ratios[finite]))
         h_max = 1.0 / smax
         grid = _merge_points(grid, [h_max])
-        rho = None  # re-evaluated below against the merged grid
-
-    # running maximum of rho/alpha over evaluation points <= h
-    if density.kernel is not None:
-        vals = rho_of_kernel(density.kernel, grid)
-    else:
         # merged grid differs from the density grid only by the inserted
         # h_max, whose running max is already the global one
         vals = np.full(grid.shape, -np.inf)
-        src = np.searchsorted(grid, density.alpha_grid)
-        vals[src] = density.rho_values
+        vals[np.searchsorted(grid, density.alpha_grid)] = rho
+
+    # running maximum of rho/alpha over evaluation points <= h
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(np.isfinite(vals), vals / grid, -np.inf)
     run = np.maximum.accumulate(ratios)

@@ -28,16 +28,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaincinv, ndtr, ndtri
 
 from .errors import AdmissibilityError, ConfigError, MathValidityError
 from .spectra import (
-    DiracKernel,
-    GaussianKernel,
-    KERNEL_VARIANTS,
+    Kernel,
     LogDensity,
-    ShiftedGammaKernel,
-    ShiftedPoissonKernel,
     SpectrumCurve,
     check_admissible,
     kernel_validity,
@@ -75,7 +70,7 @@ def validate_config(config: SynthesisConfig) -> None:
         report = check_admissible(src)
         if not report.valid:
             raise AdmissibilityError("; ".join(report.violations))
-    elif isinstance(src, KERNEL_VARIANTS):
+    elif isinstance(src, Kernel):
         kernel_validity(src)
     elif isinstance(src, FlatLaw):
         if not src.alpha0 > 0:
@@ -148,31 +143,18 @@ def flat_scale_law(alpha0: float, j: int) -> ScaleLawTable:
 def scale_law_from_kernel(kernel, j: int) -> ScaleLawTable:
     """Scale-j exponent law of a kernel under the self-similarity semigroup.
 
-    Closed forms: gaussian -> Normal(m, sigma^2/j) conditioned on
-    alpha > 0; shifted gamma -> alpha0 + Gamma(j nu, beta)/j; shifted
-    poisson -> alpha0 + Poisson(j c)/j; dirac -> exactly H.  All have
-    p_inf = 0 (no zero coefficients).
+    Each family's closed form lives on the kernel (``scale_cap`` and
+    ``scale_quantile``); all have p_inf = 0 (no zero coefficients).
     """
     if j < 1:
         raise MathValidityError("kernel scale laws are defined for j >= 1")
     kernel_validity(kernel)
-    if isinstance(kernel, GaussianKernel):
-        cap = kernel.m + 12.0 * kernel.sigma / math.sqrt(j)
-    elif isinstance(kernel, ShiftedGammaKernel):
-        mean = kernel.nu / kernel.beta
-        sd = math.sqrt(kernel.nu / j) / kernel.beta
-        cap = kernel.alpha0 + mean + 12.0 * sd
-    elif isinstance(kernel, ShiftedPoissonKernel):
-        cap = kernel.alpha0 + kernel.c + 12.0 * math.sqrt(kernel.c / j)
-    else:
-        cap = kernel.H
-    return ScaleLawTable(j=j, p_inf=0.0, kernel=kernel, alpha_cap=cap)
+    return ScaleLawTable(j=j, p_inf=0.0, kernel=kernel, alpha_cap=kernel.scale_cap(j))
 
 
 def sample_alphas(law: ScaleLawTable, uniforms) -> np.ndarray:
     """Map uniforms in [0, 1) to exponents (vectorized, deterministic)."""
     u = np.asarray(uniforms, dtype=np.float64)
-    j = law.j
     if law.kernel is None:
         out = np.full(u.shape, np.inf)
         mass = float(law.cdf[-1]) if law.cdf.size else 0.0
@@ -189,30 +171,7 @@ def sample_alphas(law: ScaleLawTable, uniforms) -> np.ndarray:
                 g1 = law.alpha_grid[idx]
                 out[finite] = g0 + (u[finite] - c0) * (g1 - g0) / (c1 - c0)
         return out
-    kernel = law.kernel
-    if isinstance(kernel, GaussianKernel):
-        s = kernel.sigma / math.sqrt(j)
-        z0 = ndtr(-kernel.m / s)          # one-draw conditioning on alpha > 0
-        alpha = kernel.m + s * ndtri(z0 + u * (1.0 - z0))
-    elif isinstance(kernel, ShiftedGammaKernel):
-        x = gammaincinv(j * kernel.nu, u) / kernel.beta
-        alpha = kernel.alpha0 + x / j
-    elif isinstance(kernel, ShiftedPoissonKernel):
-        mu = j * kernel.c
-        kmax = int(math.ceil(mu + 12.0 * math.sqrt(mu))) + 20
-        cdf = gammaincc(np.arange(1, kmax + 2, dtype=np.float64), mu)
-        k = np.searchsorted(cdf, u, side="left")
-        alpha = kernel.alpha0 + k / j
-    elif isinstance(kernel, DiracKernel):
-        alpha = np.full(u.shape, kernel.H)
-    else:
-        raise MathValidityError(f"unknown kernel {type(kernel).__name__}")
-    return np.minimum(alpha, law.alpha_cap)
-
-
-def sample_alpha(law: ScaleLawTable, rng: np.random.Generator) -> float:
-    """Draw one exponent (consumes exactly one uniform)."""
-    return float(sample_alphas(law, np.array([rng.random()]))[0])
+    return np.minimum(law.kernel.scale_quantile(law.j, u), law.alpha_cap)
 
 
 def uniform_field(seed: int, j: int, rows: int = 2) -> np.ndarray:
@@ -244,7 +203,7 @@ def generate_coefficients(config: SynthesisConfig) -> CoefficientPyramid:
         u = uniform_field(config.seed, j)
         signs = np.where(u[1] < 0.5, -1.0, 1.0)
         if j == 0:
-            if isinstance(source, KERNEL_VARIANTS):
+            if isinstance(source, Kernel):
                 levels.append(signs * 1.0)
             else:
                 levels.append(np.zeros(1))
@@ -259,9 +218,7 @@ def generate_coefficients(config: SynthesisConfig) -> CoefficientPyramid:
 def _source_h_max(source):
     if isinstance(source, SpectrumCurve):
         return source.h_max
-    if isinstance(source, DiracKernel):
-        return source.H
-    if isinstance(source, KERNEL_VARIANTS):
+    if isinstance(source, Kernel):
         return spectrum_from_rho(LogDensity.from_kernel(source)).h_max
     return None
 
@@ -280,13 +237,3 @@ def synthesize(config: SynthesisConfig) -> np.ndarray:
     pyramid = generate_coefficients(config)
     return inverse_dwt(pyramid, daubechies_filter(config.wavelet_order))
 
-
-def flat_rws(alpha0: float, J: int, seed: int = 0) -> CoefficientPyramid:
-    """Sparse constant-exponent pyramid: at scale j, each of the 2**j
-    coefficients is +-2**(-j*alpha0) with probability j * 2**(-j), else 0."""
-    if not alpha0 > 0:
-        raise MathValidityError("flat law needs alpha0 > 0")
-    if J < 1:
-        raise MathValidityError("J must be >= 1")
-    cfg = SynthesisConfig(J=J, source=FlatLaw(alpha0), seed=seed)
-    return generate_coefficients(cfg)

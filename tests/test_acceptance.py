@@ -3,6 +3,7 @@
 Run with -s to see the verdict lines on passing runs too.
 """
 
+import hashlib
 import math
 import time
 
@@ -21,11 +22,9 @@ from rws import (
     analyze_pyramid,
     curve_from_function,
     daubechies_filter,
-    flat_rws,
     forward_dwt,
+    generate_coefficients,
     inverse_dwt,
-    kernel_alpha_star,
-    rho_of_kernel,
     sample_alphas,
     scale_law_from_kernel,
     scale_law_from_spectrum,
@@ -113,10 +112,10 @@ def test_a04_kernel_density_maxima():
     ok = True
     for kernel, at in cases:
         scan = at + 1e-4 * np.arange(-500, 501)
-        vals = rho_of_kernel(kernel, scan)
+        vals = kernel.rho(scan)
         top = float(np.max(vals))
         where = float(scan[np.argmax(vals)])
-        peak_val = float(rho_of_kernel(kernel, at))
+        peak_val = kernel.rho(at)
         good = abs(peak_val - 1.0) <= 1e-9 and top <= 1.0 + 1e-9 and abs(where - at) <= 1e-4 + 1e-12
         ok = ok and good
         details.append(f"{type(kernel).__name__}: rho({at:g})={peak_val:.12f} argmax={where:g}")
@@ -132,14 +131,14 @@ def test_a05_threshold_roots():
     ]
     worst = 0.0
     for kernel in kernels:
-        a = kernel_alpha_star(kernel)
+        a = kernel.alpha_star()
         if isinstance(kernel, ShiftedGammaKernel):
             nu, beta = kernel.nu, kernel.beta
             res = 1.0 + nu * np.log2(-a) + beta * LOG2E * a + nu * np.log2(beta * np.e / nu)
         else:
             res = 1.0 - kernel.c * LOG2E - a * np.log2(kernel.c * np.e / (-a))
         worst = max(worst, abs(float(res)))
-    unit = kernel_alpha_star(ShiftedPoissonKernel(alpha0=0.3, c=1.0))
+    unit = ShiftedPoissonKernel(alpha0=0.3, c=1.0).alpha_star()
     near = abs(unit - (-0.090)) <= 1e-3
     frozen = abs(unit - ALPHA_STAR_POISSON_1) <= 1e-9
     ok = worst < 1e-10 and near and frozen
@@ -190,13 +189,14 @@ def test_a08_monofractal_end_to_end():
     tau_err = float(np.max(np.abs(res.tau_curve.values[band] - (0.8 * q[band] - 1.0))))
     sp = res.spectrum
     peak_h = float(sp.h_grid[np.nanargmax(sp.d2)])
-    q_c_err = abs(res.q_c - 1.25)
+    q_c = sp.meta["q_c"]
+    q_c_err = abs(q_c - 1.25)
     ok = tau_err <= 0.01 and abs(peak_h - 0.8) <= 0.05 and q_c_err <= 0.02
     report(
         "a08 monofractal H=0.8 end to end (J=18)",
         ok,
         f"tau_err={tau_err:.2e} (<=0.01), d2 peak at h={peak_h:.3f} (0.8+-0.05), "
-        f"q_c={res.q_c:.6f} (1.25+-0.02)",
+        f"q_c={q_c:.6f} (1.25+-0.02)",
     )
 
 
@@ -232,7 +232,10 @@ def test_a09_estimator_ordering_across_corpus():
 
 
 def test_a10_flat_generator_occupancy():
-    counts = [np.count_nonzero(flat_rws(0.7, 13, seed=s).levels[12]) for s in range(200)]
+    counts = [
+        np.count_nonzero(generate_coefficients(SynthesisConfig(J=13, source=FlatLaw(0.7), seed=s)).levels[12])
+        for s in range(200)
+    ]
     mean = float(np.mean(counts))
     p = 12.0 / 4096.0
     tol = 3.0 * math.sqrt(4096.0 * p * (1.0 - p) / 200.0)
@@ -264,3 +267,38 @@ def test_a12_synthesis_determinism(tmp_path):
     same_arrays = synthesize(c).tobytes() == synthesize(c).tobytes()
     ok = same_files and same_arrays
     report("a12 determinism", ok, f"byte-identical files: {same_files}, identical arrays: {same_arrays}")
+
+
+# sha256 of synthesize(SynthesisConfig(J=12, source, wavelet_order, seed=5))
+# as float64 bytes; any change to the exponent laws, the samplers or the
+# inverse transform shows up here.
+SYNTH_SHA256 = {
+    ("parabola", 3): "e4b22979a1931efd735d1e8e75da1493c6c16702e81c0c40d607b922b1333c46",
+    ("gaussian", 3): "1f4be5209d58ee25aacdda11551605e90bbea5891f385bc49991d00bdd352d62",
+    ("gamma", 3): "e700aeba5c923aa09d03a34a5469d6e98c10bd0ca27831b116c3e018064e78a2",
+    ("poisson", 3): "ddeefd0a2a2d2b1958624aa2e2f5f9f450a0c97e076c00d95f52a0dcc3211f6c",
+    ("dirac", 3): "4206b25d2a06d3e1abf075b81063a50d6221d8f326db1881e02a29f25207de8a",
+    ("flat", 3): "827bd2c895c33cb17cf827ea4b12bd99b07b65452502189b47e5e1421c036c41",
+    ("parabola", 10): "7b093908d8cc715fc419759cb47a555f827238d36f51da4262f38b820a0244ae",
+    ("gaussian", 10): "338a201c8e7f12a7df2f2ddecbf79b2ad07086cd7cc7aaec04a9b9ac1de71f79",
+    ("gamma", 10): "40825eb6f71f89c77b302a4848825804a89f487f70c1ee76cd0849a2c0465f3f",
+    ("poisson", 10): "71dd50cca50ac9f43536bf91eebdca23bd55be9ee10ef32b66b9ce5b1f1b968e",
+    ("dirac", 10): "69bb032dabd3c3aa7f4473a77e92f0491c2bc25f1b8bbb185f90de4b5caff15f",
+    ("flat", 10): "3ecab8dd9301ba354e403de8bfa911163d83a58e4bef31c632553282bb28a2fd",
+}
+
+DIGEST_SOURCES = {
+    "parabola": parabola_curve(),
+    "gaussian": GaussianKernel(m=1.0, sigma=0.5),
+    "gamma": ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
+    "poisson": ShiftedPoissonKernel(alpha0=0.0, c=1.0),
+    "dirac": DiracKernel(H=0.8),
+    "flat": FlatLaw(0.7),
+}
+
+
+@pytest.mark.parametrize(("source", "order"), sorted(SYNTH_SHA256))
+def test_a12_synthesis_digest(source, order):
+    cfg = SynthesisConfig(J=12, source=DIGEST_SOURCES[source], wavelet_order=order, seed=5)
+    got = hashlib.sha256(synthesize(cfg).tobytes()).hexdigest()
+    report(f"a12 digest {source} db{order}", got == SYNTH_SHA256[source, order], f"sha256={got}")

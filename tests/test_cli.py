@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from rws import cli, curve_from_function
+from rws import cli, check_admissible, curve_from_function
 from rws.fileio import (
     parse_key_values,
     read_signal,
     read_spectrum_csv,
+    write_columns,
     write_signal,
-    write_spectrum_csv,
 )
 
 
@@ -82,7 +82,7 @@ def test_synth_negative_seed_exits_2(tmp_path):
 
 def test_synth_inadmissible_spectrum_exits_3(tmp_path, capsys):
     bump = curve_from_function(lambda v: 1.0 - ((v - 1.0) / 0.5) ** 2, 0.5, 1.5)
-    write_spectrum_csv(str(tmp_path / "bump.csv"), bump)
+    write_columns(str(tmp_path / "bump.csv"), "h,d", bump.h_grid, bump.d_values)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("mode=spectrum\nspectrum_file=bump.csv\nJ=10\n")
     assert cli.main(["synth", str(cfg), "--out", str(tmp_path)]) == 3
@@ -168,6 +168,24 @@ def test_kernel_gaussian_has_no_threshold_root(tmp_path):
     assert cli.main(["kernel", "gaussian", "m=1.0", "sigma=0.5", "--out", str(out)]) == 0
     manifest = parse_key_values((out / "manifest.txt").read_text())
     assert manifest["alpha_star"] == "n/a"
+
+
+def test_kernel_poisson_small_c_with_positive_shift(tmp_path):
+    # c <= ln 2: rho is already positive just right of alpha0, so h_min is
+    # alpha0 itself and the rho(a)/a maximizer bracket must start inside it
+    out = tmp_path / "k"
+    assert cli.main(["kernel", "poisson", "alpha0=0.5", "c=0.6", "--out", str(out)]) == 0
+    curve = read_spectrum_csv(str(out / "spectrum.csv"))
+    report = check_admissible(curve)
+    assert report.valid, report.violations
+    manifest = parse_key_values((out / "manifest.txt").read_text())
+    assert abs(float(manifest["h_max"]) - 0.92174) < 1e-5
+    i_max = int(np.argmin(np.abs(curve.h_grid - curve.h_max)))
+    assert abs(curve.d_values[i_max] - 1.0) < 1e-9
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("mode=kernel\nkernel=poisson\nalpha0=0.5\nc=0.6\nJ=10\n")
+    assert cli.main(["synth", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert read_signal(str(tmp_path / "s" / "signal.rws")).size == 1024
 
 
 def test_kernel_invalid_parameters_exit_3(tmp_path, capsys):

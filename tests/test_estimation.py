@@ -8,17 +8,16 @@ from rws import (
     CoefficientPyramid,
     DegenerateLevelError,
     DiracKernel,
+    FlatLaw,
     InsufficientScalesError,
     LambdaCurve,
     SynthesisConfig,
     TauCurve,
     analyze_pyramid,
-    count_exceedances,
     critical_q,
     curve_from_function,
     default_q_grid,
     estimate_lambda,
-    flat_rws,
     generate_coefficients,
     large_deviation_spectrum,
     legendre_spectrum,
@@ -63,11 +62,15 @@ def test_field_drops_zeros_and_sorts():
 
 
 def test_counts_are_inclusive_at_the_threshold():
-    field = AlphaField(J=6, levels={j: np.array([0.4, 0.7, 0.7, 1.1]) for j in range(1, 6)})
-    assert count_exceedances(field, 3, 0.7) == 3
-    assert count_exceedances(field, 3, 0.7 - 1e-12) == 1
-    assert count_exceedances(field, 3, 0.3) == 0
-    assert count_exceedances(field, 3, 2.0) == 4
+    # N_j(alpha) counts exponents <= alpha: scale j holds one 0.4 and
+    # 2^j - 1 copies of 0.7, so log2 N_j grows with slope 1 at 0.7 exactly
+    # and slope 0 just below it; below 0.4 nothing is counted
+    levels = {j: np.r_[0.4, np.full(2**j - 1, 0.7)] for j in range(1, 12)}
+    lam = estimate_lambda(AlphaField(J=12, levels=levels), np.array([0.3, 0.7 - 1e-12, 0.7, 2.0]))
+    assert np.isnan(lam.values[0])
+    assert abs(lam.values[1]) < 1e-12
+    assert abs(lam.values[2] - 1.0) < 1e-12
+    assert abs(lam.values[3] - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +87,9 @@ def test_monofractal_lambda_is_exactly_one():
 
 
 def test_flat_count_slope_matches_expected_occupancy():
-    field = AlphaField.from_pyramid(flat_rws(0.7, 16, seed=3))
+    field = AlphaField.from_pyramid(
+        generate_coefficients(SynthesisConfig(J=16, source=FlatLaw(0.7), seed=3))
+    )
     lam = estimate_lambda(field, np.array([0.705]))
     assert abs(lam.values[0] - FLAT_COUNT_SLOPE) < 0.1
 
@@ -294,13 +299,12 @@ def test_pipeline_monofractal():
     peak = np.nanargmax(sp.d2)
     assert abs(sp.h_grid[peak] - 0.8) < 0.006
     assert abs(sp.d2[peak] - 1.0) < 0.01
-    assert abs(res.q_c - 1.25) < 1e-6
+    assert abs(sp.meta["q_c"] - 1.25) < 1e-6
     # absent below h_min and cut above the certified h_max
     assert np.isnan(sp.d2[np.searchsorted(sp.h_grid, 0.5)])
     assert np.isnan(sp.d2[np.searchsorted(sp.h_grid, 1.0)])
     assert abs(sp.meta["h_max"] - 0.8) < 0.006
     assert abs(sp.meta["h_min"] - 0.8) < 0.006
-    assert sp.meta["q_c"] == res.q_c
     assert sp.meta["scale_range"] == (4, 13)
 
 
@@ -320,7 +324,7 @@ def test_amplitude_scaling_leaves_tau_and_legendre_unchanged():
     res = analyze_pyramid(pyr, alpha_grid=grid)
     res2 = analyze_pyramid(rescale(pyr, [2.0] * pyr.J), alpha_grid=grid)
     assert np.max(np.abs(res.tau_curve.values - res2.tau_curve.values)) < 1e-9
-    assert abs(res.q_c - res2.q_c) < 1e-9
+    assert abs(res.spectrum.meta["q_c"] - res2.spectrum.meta["q_c"]) < 1e-9
     assert np.max(np.abs(res.spectrum.d1 - res2.spectrum.d1)) < 1e-8
     # count-based fits only drift a little
     h = res.spectrum.h_grid

@@ -23,10 +23,9 @@ from rws.fileio import (
     read_density_csv,
     read_signal,
     read_spectrum_csv,
-    write_density_csv,
+    write_columns,
     write_key_values,
     write_signal,
-    write_spectrum_csv,
 )
 
 
@@ -115,7 +114,7 @@ def test_spectrum_csv_roundtrip(tmp_path):
     d = np.array([np.nan, 0.0, 0.0625, 0.25, 0.5625, 1.0])
     curve = curve_from_samples(h, d)
     p = tmp_path / "curve.csv"
-    write_spectrum_csv(str(p), curve)
+    write_columns(str(p), "h,d", curve.h_grid, curve.d_values)
     back = read_spectrum_csv(str(p))
     assert np.allclose(back.h_grid, h, atol=1e-10)
     assert np.array_equal(np.isnan(back.d_values), np.isnan(d))
@@ -150,7 +149,7 @@ def test_density_csv_roundtrip(tmp_path):
     alpha = np.array([0.5, 1.0, 1.5])
     rho = np.array([-np.inf, 1.0, 0.5])
     p = tmp_path / "rho.csv"
-    write_density_csv(str(p), alpha, rho)
+    write_columns(str(p), "alpha,rho", alpha, rho)
     # -inf serializes as an empty cell and comes back as absent
     text = p.read_text()
     assert "0.5," in text.splitlines()[1]
@@ -237,10 +236,7 @@ def test_load_flat_config_with_wavelet_override(tmp_path):
 
 def test_load_spectrum_config_resolves_relative_path(tmp_path):
     h = np.linspace(0.5, 1.5, 21)
-    write_spectrum_csv(
-        str(tmp_path / "target.csv"),
-        curve_from_samples(h, (h - 0.5) ** 2),
-    )
+    write_columns(str(tmp_path / "target.csv"), "h,d", h, (h - 0.5) ** 2)
     p = tmp_path / "c.cfg"
     p.write_text("mode=spectrum\nspectrum_file=target.csv\nJ=10\n")
     cfg, resolved = load_synthesis_config(str(p))

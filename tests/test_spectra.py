@@ -18,11 +18,7 @@ from rws import (
     curve_from_function,
     curve_from_samples,
     gaussian_threshold,
-    kernel_alpha_star,
-    kernel_h_min,
-    kernel_rho_peak,
     kernel_validity,
-    rho_of_kernel,
     spectrum_from_rho,
 )
 
@@ -67,7 +63,7 @@ def test_gaussian_validity_threshold():
     ],
 )
 def test_alpha_star_frozen_values(kernel, expected):
-    got = kernel_alpha_star(kernel)
+    got = kernel.alpha_star()
     assert abs(got - expected) < 1e-12
 
 
@@ -84,7 +80,7 @@ def test_alpha_star_frozen_values(kernel, expected):
 )
 def test_alpha_star_is_a_root(kernel):
     # plug the returned threshold back into the defining equation
-    a = kernel_alpha_star(kernel)
+    a = kernel.alpha_star()
     assert a < 0
     if isinstance(kernel, ShiftedGammaKernel):
         nu, beta = kernel.nu, kernel.beta
@@ -96,9 +92,9 @@ def test_alpha_star_is_a_root(kernel):
 
 def test_alpha_star_rejects_other_variants():
     with pytest.raises(UnsupportedVariantError):
-        kernel_alpha_star(GaussianKernel(m=1.0, sigma=0.5))
+        GaussianKernel(m=1.0, sigma=0.5).alpha_star()
     with pytest.raises(UnsupportedVariantError):
-        kernel_alpha_star(DiracKernel(H=0.8))
+        DiracKernel(H=0.8).alpha_star()
 
 
 def test_gamma_validity_uses_threshold():
@@ -121,6 +117,11 @@ def test_poisson_validity_uses_threshold():
         kernel_validity(ShiftedPoissonKernel(alpha0=0.0, c=0.0))
 
 
+def test_validity_rejects_non_kernels():
+    with pytest.raises(UnsupportedVariantError, match="unknown kernel"):
+        kernel_validity(object())
+
+
 def test_dirac_validity():
     kernel_validity(DiracKernel(H=0.8))
     with pytest.raises(KernelValidityError, match="H <= 0"):
@@ -137,24 +138,24 @@ def test_dirac_validity():
     ],
 )
 def test_rho_peak_value_is_one(kernel):
-    peak = kernel_rho_peak(kernel)
-    assert abs(float(rho_of_kernel(kernel, peak)) - 1.0) < 1e-12
+    peak = kernel.peak()
+    assert abs(float(kernel.rho(peak)) - 1.0) < 1e-12
     scan = peak + np.linspace(-0.01, 0.01, 201)
-    assert float(np.max(rho_of_kernel(kernel, scan))) <= 1.0 + 1e-12
+    assert float(np.max(kernel.rho(scan))) <= 1.0 + 1e-12
 
 
 def test_rho_peak_locations():
-    assert kernel_rho_peak(GaussianKernel(m=1.3, sigma=0.4)) == 1.3
-    assert kernel_rho_peak(ShiftedGammaKernel(alpha0=0.2, nu=1.0, beta=4.0)) == 0.2 + 0.25
-    assert kernel_rho_peak(ShiftedPoissonKernel(alpha0=0.3, c=1.0)) == 1.3
-    assert kernel_rho_peak(DiracKernel(H=0.8)) == 0.8
+    assert GaussianKernel(m=1.3, sigma=0.4).peak() == 1.3
+    assert ShiftedGammaKernel(alpha0=0.2, nu=1.0, beta=4.0).peak() == 0.2 + 0.25
+    assert ShiftedPoissonKernel(alpha0=0.3, c=1.0).peak() == 1.3
+    assert DiracKernel(H=0.8).peak() == 0.8
 
 
 def test_rho_scalar_and_vector_forms():
     k = GaussianKernel(m=1.0, sigma=0.5)
-    v = rho_of_kernel(k, np.array([0.5, 1.0, 1.5]))
+    v = k.rho(np.array([0.5, 1.0, 1.5]))
     assert v.shape == (3,)
-    assert isinstance(rho_of_kernel(k, 1.0), float)
+    assert isinstance(k.rho(1.0), float)
     assert abs(v[1] - 1.0) < 1e-15
     assert abs(v[0] - v[2]) < 1e-15  # symmetric about the mean
 
@@ -163,15 +164,15 @@ def test_rho_is_minus_inf_left_of_shift():
     g = ShiftedGammaKernel(alpha0=0.5, nu=1.0, beta=3.0)
     p = ShiftedPoissonKernel(alpha0=0.5, c=1.0)
     for k in (g, p):
-        assert rho_of_kernel(k, 0.4) == -np.inf
-        assert rho_of_kernel(k, 0.5) == -np.inf
-        assert np.isfinite(rho_of_kernel(k, 0.6))
+        assert k.rho(0.4) == -np.inf
+        assert k.rho(0.5) == -np.inf
+        assert np.isfinite(k.rho(0.6))
 
 
 def test_kernel_h_min_gaussian_closed_form():
     k = GaussianKernel(m=1.0, sigma=0.5)
     expected = 1.0 - gaussian_threshold(0.5)
-    assert abs(kernel_h_min(k) - expected) < 1e-12
+    assert abs(k.h_min() - expected) < 1e-12
 
 
 def test_kernel_h_min_is_left_zero_of_rho():
@@ -179,15 +180,15 @@ def test_kernel_h_min_is_left_zero_of_rho():
         ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
         ShiftedPoissonKernel(alpha0=0.3, c=1.0),
     ):
-        hm = kernel_h_min(k)
-        assert abs(float(rho_of_kernel(k, hm))) < 1e-9
-        assert float(rho_of_kernel(k, hm - 1e-6)) < 0 or rho_of_kernel(k, hm - 1e-6) == -np.inf
+        hm = k.h_min()
+        assert abs(float(k.rho(hm))) < 1e-9
+        assert float(k.rho(hm - 1e-6)) < 0 or k.rho(hm - 1e-6) == -np.inf
 
 
 def test_kernel_h_min_poisson_small_c_is_shift_point():
     # density is already nonnegative at alpha0+ when c <= ln 2
     k = ShiftedPoissonKernel(alpha0=0.4, c=0.5)
-    assert kernel_h_min(k) == 0.4
+    assert k.h_min() == 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def test_spectrum_dominates_density():
     ):
         out = spectrum_from_rho(LogDensity.from_kernel(kernel))
         present = out.present()
-        rho = rho_of_kernel(kernel, out.h_grid[present])
+        rho = kernel.rho(out.h_grid[present])
         assert np.all(out.d_values[present] >= rho - 1e-9)
 
 
@@ -299,7 +300,7 @@ def test_spectrum_matches_dense_grid_construction():
     kernel = GaussianKernel(m=1.0, sigma=0.5)
     out = spectrum_from_rho(LogDensity.from_kernel(kernel))
     fine = np.arange(1, 12001) * 0.0005
-    ratios = rho_of_kernel(kernel, fine) / fine
+    ratios = kernel.rho(fine) / fine
     run = np.maximum.accumulate(ratios)
     d_fine = fine * run
     present = out.present()
@@ -355,7 +356,7 @@ def test_gamma_check_returns_first_nonnegative_alpha():
     assert d.gamma_check() == 0.6
     assert abs(
         LogDensity.from_kernel(GaussianKernel(m=1.0, sigma=0.5)).gamma_check()
-        - kernel_h_min(GaussianKernel(m=1.0, sigma=0.5))
+        - GaussianKernel(m=1.0, sigma=0.5).h_min()
     ) < 1e-15
     with pytest.raises(EmptySpectrumError):
         LogDensity.from_samples(a, np.array([-1.0, -1.0, -1.0])).gamma_check()

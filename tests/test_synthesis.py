@@ -16,7 +16,6 @@ from rws import (
     ShiftedPoissonKernel,
     SynthesisConfig,
     curve_from_function,
-    flat_rws,
     flat_scale_law,
     generate_coefficients,
     sample_alphas,
@@ -278,7 +277,7 @@ def test_synthesize_warns_when_target_exceeds_wavelet_regularity():
 
 
 def test_flat_rws_counts_and_magnitudes():
-    pyr = flat_rws(0.7, 13, seed=5)
+    pyr = generate_coefficients(SynthesisConfig(J=13, source=FlatLaw(0.7), seed=5))
     assert pyr.J == 13
     for j in (10, 11, 12):
         c = pyr.levels[j]
@@ -288,6 +287,4 @@ def test_flat_rws_counts_and_magnitudes():
         mean = j
         assert abs(nz.sum() - mean) < 6 * np.sqrt(mean) + 1
     with pytest.raises(MathValidityError):
-        flat_rws(-0.1, 10)
-    with pytest.raises(MathValidityError):
-        flat_rws(0.7, 0)
+        generate_coefficients(SynthesisConfig(J=10, source=FlatLaw(-0.1)))
