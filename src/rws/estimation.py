@@ -133,25 +133,18 @@ def upper_closure(curve: LambdaCurve) -> LambdaCurve:
     )
 
 
-def large_deviation_spectrum(closed: LambdaCurve, h_grid=None) -> np.ndarray:
-    """d2(h) = h * sup over alpha <= h of lambda_bar(alpha) / alpha.
+def large_deviation_spectrum(closed: LambdaCurve) -> np.ndarray:
+    """d2(h) = h * sup over alpha <= h of lambda_bar(alpha) / alpha, on
+    the closed curve's own alpha grid.
 
     Negative lambda_bar values participate (they only lower the sup),
     but a sup that ends negative leaves the point absent.
     """
     if not closed.closed:
         raise ValueError("large_deviation_spectrum expects the closed curve")
+    h = closed.alpha_grid
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = closed.values / closed.alpha_grid
-    run = np.fmax.accumulate(ratios)
-    if h_grid is None:
-        h = closed.alpha_grid
-        sup = run
-    else:
-        h = np.asarray(h_grid, dtype=np.float64)
-        idx = np.searchsorted(closed.alpha_grid, h, side="right") - 1
-        sup = np.where(idx >= 0, run[np.maximum(idx, 0)], np.nan)
-    with np.errstate(invalid="ignore"):
+        sup = np.fmax.accumulate(closed.values / h)
         d2 = h * sup
         d2 = np.where(np.isnan(sup) | (sup < 0), np.nan, d2)
     return d2
@@ -189,11 +182,11 @@ def structure_function(
     return TauCurve(q_grid=q, values=slope, residuals=rms, scale_range=(int(x[0]), int(x[-1])))
 
 
-def critical_q(curve: TauCurve, tol: float = 1e-8) -> float:
+def critical_q(curve: TauCurve) -> float:
     """Smallest zero of the piecewise-linear interpolant of tau(q).
 
     Scans ascending q for a sign change and bisects that segment down
-    to tol.  Without any sign change the smallest grid q is returned
+    to 1e-8.  Without any sign change the smallest grid q is returned
     with a warning (the zero lies outside the grid).
     """
     q = curve.q_grid
@@ -206,7 +199,7 @@ def critical_q(curve: TauCurve, tol: float = 1e-8) -> float:
             flo = float(t[i])
             slope = (float(t[i + 1]) - flo) / (hi - lo)
             f = lambda z: flo + slope * (z - lo)
-            while hi - lo > tol:
+            while hi - lo > 1e-8:
                 mid = 0.5 * (lo + hi)
                 if f(lo) * f(mid) <= 0.0:
                     hi = mid
@@ -267,7 +260,6 @@ def _default_alpha_grid(field: AlphaField, step: float) -> np.ndarray:
 def analyze_pyramid(
     pyramid: CoefficientPyramid,
     alpha_grid=None,
-    q_grid=None,
     scale_count: int = DEFAULT_SCALE_COUNT,
     grid_step: float = DEFAULT_GRID_STEP,
 ) -> AnalysisResult:
@@ -281,8 +273,6 @@ def analyze_pyramid(
     field_ = AlphaField.from_pyramid(pyramid)
     if alpha_grid is None:
         alpha_grid = _default_alpha_grid(field_, grid_step)
-    if q_grid is None:
-        q_grid = default_q_grid()
     lam = estimate_lambda(field_, alpha_grid, scale_count)
     closed = upper_closure(lam)
     d2 = large_deviation_spectrum(closed)
@@ -295,7 +285,7 @@ def analyze_pyramid(
     step = float(alpha_grid[1] - alpha_grid[0]) if len(alpha_grid) > 1 else grid_step
     if np.isfinite(h_max_est):
         d2 = np.where(closed.alpha_grid > h_max_est + 0.5 * step, np.nan, d2)
-    tau = structure_function(pyramid, q_grid, scale_count)
+    tau = structure_function(pyramid, default_q_grid(), scale_count)
     q_c = critical_q(tau)
     d1 = legendre_spectrum(tau, q_c, closed.alpha_grid)
     spectrum = EstimatedSpectrum(

@@ -26,7 +26,6 @@ from .errors import ConfigError, FormatError
 from .spectra import (
     DiracKernel,
     GaussianKernel,
-    LogDensity,
     ShiftedGammaKernel,
     ShiftedPoissonKernel,
     SpectrumCurve,
@@ -135,10 +134,10 @@ def write_columns(path: str, header: str, *cols) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _read_two_columns(path: str, name: str, absent: float):
-    """(x, y) of a two-column CSV; x must be finite, positive and strictly
-    increasing, and an empty y cell reads as ``absent``."""
-    xs, ys = [], []
+def read_spectrum_csv(path: str) -> SpectrumCurve:
+    """Two-column h,d CSV; h must be finite, positive and strictly
+    increasing, and an empty d cell reads as absent (NaN)."""
+    hs, ds = [], []
     for ln, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -146,28 +145,20 @@ def _read_two_columns(path: str, name: str, absent: float):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
             raise FormatError(f"{path}:{ln}: expected 2 comma-separated fields, got {len(cells)}")
-        x = _parse_cell(cells[0], math.nan, path, ln)
-        if not math.isfinite(x):
-            raise FormatError(f"{path}:{ln}: {name} cell must be a finite number")
-        xs.append(x)
-        ys.append(_parse_cell(cells[1], absent, path, ln))
-    if not xs:
+        h = _parse_cell(cells[0], math.nan, path, ln)
+        if not math.isfinite(h):
+            raise FormatError(f"{path}:{ln}: h cell must be a finite number")
+        hs.append(h)
+        ds.append(_parse_cell(cells[1], math.nan, path, ln))
+    if not hs:
         raise FormatError(f"{path}: no data rows")
-    x = np.array(xs)
-    if x[0] <= 0 or np.any(np.diff(x) <= 0):
-        raise FormatError(f"{path}: {name} column must be positive and strictly increasing")
-    return x, np.array(ys)
-
-
-def read_spectrum_csv(path: str) -> SpectrumCurve:
-    h, d = _read_two_columns(path, "h", math.nan)
-    if not np.any(~np.isnan(d)):
+    h = np.array(hs)
+    if h[0] <= 0 or np.any(np.diff(h) <= 0):
+        raise FormatError(f"{path}: h column must be positive and strictly increasing")
+    d = np.array(ds)
+    if np.all(np.isnan(d)):
         raise FormatError(f"{path}: every d cell is empty")
     return curve_from_samples(h, d)
-
-
-def read_density_csv(path: str) -> LogDensity:
-    return LogDensity.from_samples(*_read_two_columns(path, "alpha", -math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ self-similar cascade models: gaussian, shifted gamma, shifted poisson
 a frozen dataclass deriving from ``Kernel`` and carries its own
 formulas as methods: the density ``rho`` and its derivative
 ``rho_prime``, the ``peak`` where rho = 1, the validity check
-``validate``, the left edge ``h_min`` of {rho >= 0}, and the scale-j
-exponent law of the self-similarity semigroup (``scale_cap``,
+``validate``, the left edge ``h_min`` of {rho >= 0}, ``ratio_max``
+(the maximizer alpha_t of rho(a)/a and h_max, solved once for both
+``spectrum_from_rho`` and the synthesis regularity warning), and the
+scale-j exponent law of the self-similarity semigroup (``scale_cap``,
 ``scale_quantile``).  The validity threshold guarantees rho < 0 near 0;
 for the gamma and poisson families it is ``alpha_star``, the largest
 root of a transcendental equation, solved by bracketed root-finding.
@@ -73,6 +75,29 @@ class Kernel:
         argument gives a float)."""
         out = self._rho(np.asarray(alpha, dtype=np.float64))
         return out if out.shape else float(out)
+
+    def ratio_max(self):
+        """(alpha_t, h_max): the maximizer of rho(a)/a and h_max = 1/max rho(a)/a.
+
+        Expects a valid kernel.  Raises MathValidityError when rho is
+        nonnegative arbitrarily close to 0, which leaves no spectrum.
+        """
+        h_min = self.h_min()
+        if h_min <= 0:
+            raise MathValidityError(
+                "log-density is nonnegative arbitrarily close to 0; no spectrum"
+            )
+        peak = self.peak()
+        # the maximizer solves rho'(a) a = rho(a); bracketed by the left
+        # zero of rho (ratio rising) and the peak (ratio falling).  A
+        # shifted poisson with c <= ln 2 has h_min = alpha0, where rho is
+        # -inf and rho' undefined, so its bracket starts just inside.
+        lo = h_min if np.isfinite(self.rho(h_min)) else h_min + (peak - h_min) * 1e-12
+        alpha_t = brentq(
+            lambda a: self.rho_prime(a) * a - self.rho(a),
+            lo, peak, xtol=1e-15, rtol=8.9e-16,
+        )
+        return alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
 
     def alpha_star(self) -> float:
         raise UnsupportedVariantError(
@@ -277,6 +302,9 @@ class DiracKernel(Kernel):
     def h_min(self) -> float:
         return self.H
 
+    def ratio_max(self):
+        return self.H, self.H
+
     def scale_cap(self, j: int) -> float:
         return self.H
 
@@ -444,30 +472,13 @@ def spectrum_from_rho(density: LogDensity, grid_step: float = _DEFAULT_STEP) -> 
     if density.kernel is not None:
         kernel = density.kernel
         kernel_validity(kernel)
-        if isinstance(kernel, DiracKernel):
-            H = kernel.H
-            grid = _merge_points(_step_grid(4.0 * H, grid_step), [H])
-            d = np.where(np.abs(grid - H) <= 1e-12 * max(1.0, H), 1.0, np.nan)
-            return SpectrumCurve(h_grid=grid, d_values=d, h_min=H, h_max=H)
         h_min = kernel.h_min()
-        if h_min <= 0:
-            raise MathValidityError(
-                "log-density is nonnegative arbitrarily close to 0; no spectrum"
-            )
-        peak = kernel.peak()
-        # maximizer of rho(a)/a solves rho'(a) a = rho(a); bracketed by
-        # the left zero of rho (ratio rising) and the peak (ratio falling).
-        # A shifted poisson with c <= ln 2 has h_min = alpha0, where rho is
-        # -inf and rho' undefined, so its bracket starts just inside.
-        lo = h_min if np.isfinite(kernel.rho(h_min)) else h_min + (peak - h_min) * 1e-12
-        alpha_t = brentq(
-            lambda a: kernel.rho_prime(a) * a - kernel.rho(a),
-            lo, peak, xtol=1e-15, rtol=8.9e-16,
-        )
-        smax = kernel.rho(alpha_t) / alpha_t
-        h_max = 1.0 / smax
+        alpha_t, h_max = kernel.ratio_max()
         grid = _merge_points(_step_grid(4.0 * h_max, grid_step), [h_min, alpha_t, h_max])
         vals = kernel.rho(grid)
+        if isinstance(kernel, DiracKernel):   # exact d = 1 and h_min = H; no rounded ratios
+            d = np.where(vals == 1.0, 1.0, np.nan)
+            return SpectrumCurve(h_grid=grid, d_values=d, h_min=h_min, h_max=h_max)
     else:
         grid = density.alpha_grid
         rho = density.rho_values

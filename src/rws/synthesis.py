@@ -32,11 +32,10 @@ import numpy as np
 from .errors import AdmissibilityError, ConfigError, MathValidityError
 from .spectra import (
     Kernel,
-    LogDensity,
     SpectrumCurve,
     check_admissible,
     kernel_validity,
-    spectrum_from_rho,
+    spectrum_from_rho,  # unused here; perfbench/tracing.py hooks it in this module
 )
 from .wavelet import CoefficientPyramid, daubechies_filter, inverse_dwt
 
@@ -66,17 +65,10 @@ def validate_config(config: SynthesisConfig) -> None:
     if not isinstance(config.seed, int) or config.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     src = config.source
-    if isinstance(src, SpectrumCurve):
-        report = check_admissible(src)
-        if not report.valid:
-            raise AdmissibilityError("; ".join(report.violations))
-    elif isinstance(src, Kernel):
-        kernel_validity(src)
-    elif isinstance(src, FlatLaw):
-        if not src.alpha0 > 0:
-            raise ConfigError("flat law needs alpha0 > 0")
-    else:
-        raise ConfigError(f"unknown synthesis source {type(src).__name__}")
+    law, _, _ = _source_parts(src)
+    if isinstance(src, FlatLaw) and not src.alpha0 > 0:
+        raise ConfigError("flat law needs alpha0 > 0")
+    law(1)  # building the scale-1 law validates spectrum and kernel sources
 
 
 @dataclass(eq=False)
@@ -174,59 +166,53 @@ def sample_alphas(law: ScaleLawTable, uniforms) -> np.ndarray:
     return np.minimum(law.kernel.scale_quantile(law.j, u), law.alpha_cap)
 
 
-def uniform_field(seed: int, j: int, rows: int = 2) -> np.ndarray:
-    """(rows, 2**j) uniforms from the Philox stream keyed by (seed, j)."""
+def uniform_field(seed: int, j: int) -> np.ndarray:
+    """(2, 2**j) uniforms from the Philox stream keyed by (seed, j)."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, j], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((rows, 2**j))
+    return gen.random((2, 2**j))
 
 
-def _law_for_scale(source, j: int):
+def _source_parts(source):
+    """(law, c00, h_max) of a synthesis source; the one place that
+    dispatches on its type.
+
+    ``law(j)`` builds the scale-j exponent law.  ``c00`` is |C[0][0]|:
+    scale 0 is degenerate, the j-weighted laws of spectrum and flat
+    sources carry no mass there, while kernel laws reduce to the
+    convolution identity.  ``h_max()`` is the largest exponent of the
+    target (None for a flat law); kernels solve for it only on demand.
+    """
     if isinstance(source, SpectrumCurve):
-        return scale_law_from_spectrum(source, j)
+        return (lambda j: scale_law_from_spectrum(source, j)), 0.0, lambda: source.h_max
+    if isinstance(source, Kernel):
+        return (lambda j: scale_law_from_kernel(source, j)), 1.0, lambda: source.ratio_max()[1]
     if isinstance(source, FlatLaw):
-        return flat_scale_law(source.alpha0, j)
-    return scale_law_from_kernel(source, j)
+        return (lambda j: flat_scale_law(source.alpha0, j)), 0.0, lambda: None
+    raise ConfigError(f"unknown synthesis source {type(source).__name__}")
 
 
 def generate_coefficients(config: SynthesisConfig) -> CoefficientPyramid:
-    """Draw the full coefficient pyramid (coarse_mean = 0).
-
-    Scale 0 is degenerate: the j-weighted laws carry no mass there, so
-    spectrum and flat sources put C[0][0] = 0, while kernel laws reduce
-    to the convolution identity and give |C[0][0]| = 1.
-    """
-    J = config.J
-    source = config.source
+    """Draw the full coefficient pyramid (coarse_mean = 0); |C[0][0]| is
+    1 for kernel sources and 0 otherwise."""
+    law, c00, _ = _source_parts(config.source)
     levels = []
-    for j in range(J):
+    for j in range(config.J):
         u = uniform_field(config.seed, j)
         signs = np.where(u[1] < 0.5, -1.0, 1.0)
         if j == 0:
-            if isinstance(source, Kernel):
-                levels.append(signs * 1.0)
-            else:
-                levels.append(np.zeros(1))
+            levels.append(signs * c00)
             continue
-        law = _law_for_scale(source, j)
-        alpha = sample_alphas(law, u[0])
+        alpha = sample_alphas(law(j), u[0])
         mag = np.where(np.isinf(alpha), 0.0, np.exp2(-j * alpha))
         levels.append(signs * mag)
-    return CoefficientPyramid(J=J, levels=levels, coarse_mean=0.0)
-
-
-def _source_h_max(source):
-    if isinstance(source, SpectrumCurve):
-        return source.h_max
-    if isinstance(source, Kernel):
-        return spectrum_from_rho(LogDensity.from_kernel(source)).h_max
-    return None
+    return CoefficientPyramid(J=config.J, levels=levels, coarse_mean=0.0)
 
 
 def synthesize(config: SynthesisConfig) -> np.ndarray:
     """Generate coefficients and reconstruct the sampled path."""
     validate_config(config)
-    h_max = _source_h_max(config.source)
+    h_max = _source_parts(config.source)[2]()
     if h_max is not None and h_max > config.wavelet_order - 1:
         warnings.warn(
             f"target h_max {h_max:.3g} exceeds the regularity guarantee of "
@@ -236,4 +222,3 @@ def synthesize(config: SynthesisConfig) -> np.ndarray:
         )
     pyramid = generate_coefficients(config)
     return inverse_dwt(pyramid, daubechies_filter(config.wavelet_order))
-

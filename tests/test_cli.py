@@ -1,5 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,48 @@ def test_kernel_poisson_small_c_with_positive_shift(tmp_path):
     cfg.write_text("mode=kernel\nkernel=poisson\nalpha0=0.5\nc=0.6\nJ=10\n")
     assert cli.main(["synth", str(cfg), "--out", str(tmp_path / "s")]) == 0
     assert read_signal(str(tmp_path / "s" / "signal.rws")).size == 1024
+
+
+# sha256 of (rho.csv, spectrum.csv) at the default grid step
+KERNEL_CSV_DIGESTS = {
+    ("gaussian", "m=1", "sigma=0.5"): (
+        "7be9b708ee417aa8866f5d500b73c00c1f82dac9c5885e9bc8aa72dec0d5ea35",
+        "4c904532d2d02097d405f5305954497495fad68d90051e0cccced4e78db011ac",
+    ),
+    ("gamma", "alpha0=0.1", "nu=1.5", "beta=4"): (
+        "8c09f5c174c58b92a89fd2782df7bd19bb6bccfa2523cd8d8887fe20ceba1ba0",
+        "101e60aff5ee7f1077f2bec7a3e0109272c389c2ec196b67a09e356a439492e6",
+    ),
+    ("poisson", "alpha0=0.3", "c=1"): (
+        "474c74baef4973bb8136bc39bbb00207c1454be8964380953d10801a255f1fac",
+        "31372a6df5a29ce13d5bc1c6815f8790bd8afbff62213fa55aec7899d44cfb47",
+    ),
+    ("poisson", "alpha0=0.5", "c=0.6"): (
+        "0a9b13054628540e59aa02032082fbab21548eb91fef1b8f90f689b248cab3db",
+        "a057fd38732772bfe704373d5cceec320fbf55e948a2d47d5347282772992048",
+    ),
+    ("dirac", "H=0.7"): (
+        "6e57a5993d1bc37f90d3701684d04c7aded1419363f805ca9ddcf6accb6eed27",
+        "cadf88a9012dd820ca5340ffd2dbb0c7ccd68f875ec5d6d4e14723b379a85e54",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(KERNEL_CSV_DIGESTS), ids=lambda a: "-".join(a))
+def test_kernel_csv_digest(args, tmp_path):
+    out = tmp_path / "k"
+    assert cli.main(["kernel", *args, "--out", str(out)]) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("rho.csv", "spectrum.csv"))
+    assert got == KERNEL_CSV_DIGESTS[args]
+
+
+def test_synth_kernel_density_reaching_zero_exits_3(tmp_path, capsys):
+    # a valid kernel whose density is nonnegative arbitrarily close to 0
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("mode=kernel\nkernel=poisson\nalpha0=0\nc=0.5\nJ=10\n")
+    assert cli.main(["synth", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "close to 0" in capsys.readouterr().err
 
 
 def test_kernel_invalid_parameters_exit_3(tmp_path, capsys):

@@ -188,20 +188,6 @@ def test_all_negative_closure_yields_absent_spectrum():
     assert np.all(np.isnan(large_deviation_spectrum(closed)))
 
 
-def test_large_deviation_explicit_h_grid():
-    closed = LambdaCurve(
-        alpha_grid=np.array([0.5, 1.0]),
-        values=np.array([0.5, 1.0]),
-        residuals=np.zeros(2),
-        scale_range=(6, 15),
-        closed=True,
-    )
-    d2 = large_deviation_spectrum(closed, h_grid=np.array([0.3, 0.75, 1.5]))
-    assert np.isnan(d2[0])  # left of the tabulated grid
-    assert abs(d2[1] - 0.75 * 1.0) < 1e-12
-    assert abs(d2[2] - 1.5 * 1.0) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # structure functions
 

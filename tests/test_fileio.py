@@ -20,7 +20,6 @@ from rws.fileio import (
     build_kernel,
     load_synthesis_config,
     parse_key_values,
-    read_density_csv,
     read_signal,
     read_spectrum_csv,
     write_columns,
@@ -131,6 +130,9 @@ def test_spectrum_csv_validation(tmp_path):
     p.write_text("0.5,0.1\n0.5,0.2\n")
     with pytest.raises(FormatError, match="increasing"):
         read_spectrum_csv(str(p))
+    p.write_text("-1,0.5\n1,0.5\n")
+    with pytest.raises(FormatError, match="positive"):
+        read_spectrum_csv(str(p))
     p.write_text("0.5,\n0.7,\n")
     with pytest.raises(FormatError, match="every d cell is empty"):
         read_spectrum_csv(str(p))
@@ -143,30 +145,6 @@ def test_spectrum_csv_validation(tmp_path):
     p.write_text("0.5,zebra\n")
     with pytest.raises(FormatError, match="zebra"):
         read_spectrum_csv(str(p))
-
-
-def test_density_csv_roundtrip(tmp_path):
-    alpha = np.array([0.5, 1.0, 1.5])
-    rho = np.array([-np.inf, 1.0, 0.5])
-    p = tmp_path / "rho.csv"
-    write_columns(str(p), "alpha,rho", alpha, rho)
-    # -inf serializes as an empty cell and comes back as absent
-    text = p.read_text()
-    assert "0.5," in text.splitlines()[1]
-    back = read_density_csv(str(p))
-    assert np.allclose(back.alpha_grid, alpha, atol=1e-10)
-    assert back.rho_values[0] == -np.inf
-    assert np.allclose(back.rho_values[1:], rho[1:], atol=1e-10)
-
-
-def test_density_csv_validation(tmp_path):
-    p = tmp_path / "rho.csv"
-    p.write_text("-1,0.5\n1,0.5\n")
-    with pytest.raises(FormatError, match="positive"):
-        read_density_csv(str(p))
-    p.write_text("# alpha,rho\n")
-    with pytest.raises(FormatError, match="no data rows"):
-        read_density_csv(str(p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Per-scale exponent laws, coefficient draws, and path realization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -274,6 +276,25 @@ def test_synthesize_warns_when_target_exceeds_wavelet_regularity():
     cfg = SynthesisConfig(J=6, source=DiracKernel(H=3.5), wavelet_order=4, seed=0)
     with pytest.warns(UserWarning, match="regularity"):
         synthesize(cfg)
+
+
+@pytest.mark.parametrize("source", [
+    GaussianKernel(m=1.0, sigma=0.5),
+    ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
+    ShiftedPoissonKernel(alpha0=0.3, c=1.0),
+], ids=["gaussian", "gamma", "poisson"])
+def test_kernel_h_max_drives_the_regularity_warning(source):
+    with pytest.warns(UserWarning, match="regularity"):
+        synthesize(SynthesisConfig(J=6, source=source, wavelet_order=1, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        synthesize(SynthesisConfig(J=6, source=source, wavelet_order=10, seed=0))
+
+
+def test_synthesize_rejects_kernel_density_reaching_zero():
+    # kernel_validity accepts it, but rho >= 0 arbitrarily close to 0
+    with pytest.raises(MathValidityError, match="close to 0"):
+        synthesize(SynthesisConfig(J=6, source=ShiftedPoissonKernel(alpha0=0.0, c=0.5)))
 
 
 def test_flat_rws_counts_and_magnitudes():
