@@ -3,7 +3,8 @@
 For each kernel the script writes rho.csv and spectrum.csv into its own
 subdirectory and prints a one-line summary (support, threshold root).
 
-Usage: python3 scripts/kernel_gallery.py [--out DIR] [--grid-step S]
+Usage: PYTHONPATH=src python3 scripts/kernel_gallery.py [--out DIR] [--grid-step S]
+(from the repository root; drop PYTHONPATH=src after `pip install -e .`)
 """
 
 import argparse

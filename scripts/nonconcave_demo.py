@@ -6,7 +6,8 @@ prints their sup errors against the target and against its concave
 hull (the chord d(h) = h - 1/2).  The counting estimate tracks the
 full curve; the Legendre estimate can only ever return the hull.
 
-Usage: python3 scripts/nonconcave_demo.py [--J 20] [--seed 21] [--out DIR]
+Usage: PYTHONPATH=src python3 scripts/nonconcave_demo.py [--J 20] [--seed 21] [--out DIR]
+(from the repository root; drop PYTHONPATH=src after `pip install -e .`)
 """
 
 import argparse

@@ -8,7 +8,8 @@ violate the ordering by a few tenths.  This script prints, per source and
 seed, max(d2 - d1) over the h where d2 is present and d1 is nonnegative.
 The shipped regression corpus was picked from this table.
 
-Usage: python3 scripts/ordering_gap_screen.py [--J 16] [--seeds 12]
+Usage: PYTHONPATH=src python3 scripts/ordering_gap_screen.py [--J 16] [--seeds 12]
+(from the repository root; drop PYTHONPATH=src after `pip install -e .`)
 """
 
 import argparse

@@ -34,6 +34,7 @@ from .spectra import (
     curve_from_function,
     spectrum_from_rho,
 )
+# validate_config is unused here (synthesize runs it); perfbench/tracing.py hooks it in this module
 from .synthesis import synthesize, validate_config
 from .wavelet import daubechies_filter, forward_dwt, inverse_dwt, parse_wavelet_name
 
@@ -84,7 +85,6 @@ def cmd_synth(args) -> int:
     if args.wavelet is not None:
         cfg.wavelet_order = parse_wavelet_name(args.wavelet).order
         resolved = [(k, f"db{cfg.wavelet_order}" if k == "wavelet" else v) for k, v in resolved]
-    validate_config(cfg)
     signal = synthesize(cfg)
     os.makedirs(args.out, exist_ok=True)
     sig_path = os.path.join(args.out, "signal.rws")
@@ -201,96 +201,94 @@ def cmd_kernel(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest
+# selftest: the acceptance gate runs these same checks as a02, a03, a04 and a07
 
-def _selftest_spectrum():
-    """Admissible reference curve whose density regenerates it exactly."""
-    return curve_from_function(lambda h: (h - 0.5) ** 2, 0.5, 1.5)
+def _selftest_curves():
+    """Admissible reference curves whose densities regenerate them exactly:
+    the convex arc (h - 1/2)^2 and its chord h - 1/2 on [1/2, 3/2]."""
+    return (
+        curve_from_function(lambda h: (h - 0.5) ** 2, 0.5, 1.5),
+        curve_from_function(lambda h: h - 0.5, 0.5, 1.5),
+    )
 
 
-_SELFTEST_KERNELS = (
-    GaussianKernel(m=1.0, sigma=0.5),
-    ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
-    ShiftedPoissonKernel(alpha0=0.0, c=1.0),
+_SELFTEST_KERNELS = (  # (kernel, closed-form location of its peak)
+    (GaussianKernel(m=1.0, sigma=0.5), 1.0),
+    (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), 0.1 + 1.5 / 4.0),
+    (ShiftedPoissonKernel(alpha0=0.3, c=1.0), 0.3 + 1.0),
+    (ShiftedPoissonKernel(alpha0=0.0, c=1.0), 1.0),
 )
 
 
 def _check_filter_qmf():
+    """db1..db10 taps sum to sqrt(2) and are orthonormal to every even shift."""
+    worst = 0.0
     for order in range(1, 11):
-        f = daubechies_filter(order)
-        lo = f.lowpass
-        if abs(lo.sum() - np.sqrt(2.0)) > 1e-12:
-            return f"db{order}: taps sum to {lo.sum()!r}, expected sqrt(2)"
+        lo = daubechies_filter(order).lowpass
+        worst = max(worst, abs(float(lo.sum()) - np.sqrt(2.0)))
         for m in range(lo.size // 2):
             dot = float(np.dot(lo[: lo.size - 2 * m], lo[2 * m :]))
-            want = 1.0 if m == 0 else 0.0
-            if abs(dot - want) > 1e-12:
-                return f"db{order}: shift-{2 * m} autocorrelation {dot!r}, expected {want}"
-    return None
+            worst = max(worst, abs(dot - float(m == 0)))
+    return worst <= 1e-12, f"max_dev={worst:.3e} (<=1e-12)"
 
 
 def _check_perfect_reconstruction():
-    gen = np.random.Generator(np.random.Philox(key=np.array([12345, 0], dtype=np.uint64)))
-    x = gen.standard_normal(1024)
+    """db1..db10 inverse transforms rebuild 2^12 normal samples."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([4242, 0], dtype=np.uint64)))
+    x = gen.standard_normal(4096)
+    worst = 0.0
     for order in range(1, 11):
         f = daubechies_filter(order)
-        y = inverse_dwt(forward_dwt(x, f), f)
-        err = float(np.max(np.abs(y - x)))
-        if err > 1e-9:
-            return f"db{order}: roundtrip error {err:.3e} > 1e-9"
-    return None
+        worst = max(worst, float(np.max(np.abs(inverse_dwt(forward_dwt(x, f), f) - x))))
+    return worst <= 1e-9, f"max_err={worst:.3e} (<=1e-9)"
 
 
 def _check_kernel_maxima():
-    for kernel in _SELFTEST_KERNELS:
-        peak = kernel.peak()
-        at_peak = kernel.rho(peak)
-        if abs(at_peak - 1.0) > 1e-9:
-            return f"{type(kernel).__name__}: rho(peak) = {at_peak!r}, expected 1"
-        scan = peak + np.linspace(-0.01, 0.01, 201)
-        top = float(np.max(kernel.rho(scan)))
-        if top > 1.0 + 1e-9:
-            return f"{type(kernel).__name__}: rho exceeds 1 near its peak ({top!r})"
-    return None
+    """Each density equals 1 at its closed-form peak and is at most 1 within 0.05 of it."""
+    ok, details = True, []
+    for kernel, at in _SELFTEST_KERNELS:
+        scan = at + 1e-4 * np.arange(-500, 501)
+        vals = kernel.rho(scan)
+        top, where = float(np.max(vals)), float(scan[np.argmax(vals)])
+        peak = float(kernel.rho(at))
+        ok = ok and abs(peak - 1.0) <= 1e-9 and top <= 1.0 + 1e-9
+        ok = ok and abs(where - at) <= 1e-4 + 1e-12  # argmax on the scan grid
+        details.append(f"{type(kernel).__name__}: rho({at:g})={peak:.12f} argmax={where:g}")
+    return ok, "; ".join(details) + " (rho=1+-1e-9, max<=1+1e-9, argmax+-1e-4)"
 
 
 def _check_spectrum_identity():
-    curve = _selftest_spectrum()
-    report = check_admissible(curve)
-    if not report.valid:
-        return f"reference curve inadmissible: {'; '.join(report.violations)}"
-    density = LogDensity.from_samples(curve.h_grid, curve.d_values)
-    out = spectrum_from_rho(density)
-    src = np.searchsorted(out.h_grid, curve.h_grid)
-    err = float(np.nanmax(np.abs(out.d_values[src] - curve.d_values)))
-    if err > 1e-9:
-        return f"regenerated spectrum deviates by {err:.3e} > 1e-9"
-    return None
+    """The reference curves are admissible and regenerate from their densities."""
+    worst = 0.0
+    for curve in _selftest_curves():
+        report = check_admissible(curve)
+        if not report.valid:
+            return False, f"reference curve inadmissible: {'; '.join(report.violations)}"
+        out = spectrum_from_rho(LogDensity.from_samples(curve.h_grid, curve.d_values))
+        idx = np.searchsorted(out.h_grid, curve.h_grid)
+        worst = max(worst, float(np.nanmax(np.abs(out.d_values[idx] - curve.d_values))))
+    return worst <= 1e-9, f"max_err={worst:.3e} (<=1e-9)"
 
 
-def _selftest_checks():
-    return [
-        ("filter-qmf", _check_filter_qmf),
-        ("perfect-reconstruction", _check_perfect_reconstruction),
-        ("kernel-maxima", _check_kernel_maxima),
-        ("spectrum-identity", _check_spectrum_identity),
-    ]
+# (name, check) in run order; a check returns (ok, measured value and bound)
+SELFTEST_CHECKS = (
+    ("filter-qmf", _check_filter_qmf),
+    ("perfect-reconstruction", _check_perfect_reconstruction),
+    ("kernel-maxima", _check_kernel_maxima),
+    ("spectrum-identity", _check_spectrum_identity),
+)
 
 
 def cmd_selftest(args) -> int:
-    checks = _selftest_checks()
     failures = 0
-    for name, fn in checks:
+    for name, check in SELFTEST_CHECKS:
         try:
-            detail = fn()
+            ok, detail = check()
         except Exception as exc:  # a crash is a failure, not an abort
-            detail = f"{type(exc).__name__}: {exc}"
-        if detail is None:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {detail}")
-    print(f"{len(checks) - failures} of {len(checks)} checks passed")
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    print(f"{len(SELFTEST_CHECKS) - failures} of {len(SELFTEST_CHECKS)} checks passed")
     return 1 if failures else 0
 
 

@@ -259,7 +259,6 @@ def _default_alpha_grid(field: AlphaField, step: float) -> np.ndarray:
 
 def analyze_pyramid(
     pyramid: CoefficientPyramid,
-    alpha_grid=None,
     scale_count: int = DEFAULT_SCALE_COUNT,
     grid_step: float = DEFAULT_GRID_STEP,
 ) -> AnalysisResult:
@@ -271,9 +270,7 @@ def analyze_pyramid(
     out of the last ratio and would fabricate spectrum mass.
     """
     field_ = AlphaField.from_pyramid(pyramid)
-    if alpha_grid is None:
-        alpha_grid = _default_alpha_grid(field_, grid_step)
-    lam = estimate_lambda(field_, alpha_grid, scale_count)
+    lam = estimate_lambda(field_, _default_alpha_grid(field_, grid_step), scale_count)
     closed = upper_closure(lam)
     d2 = large_deviation_spectrum(closed)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -282,9 +279,8 @@ def analyze_pyramid(
     h_max_est = 1.0 / sup_all if (np.isfinite(sup_all) and sup_all > 0) else np.nan
     nonneg = np.isfinite(closed.values) & (closed.values >= 0)
     h_min_est = float(closed.alpha_grid[nonneg][0]) if nonneg.any() else np.nan
-    step = float(alpha_grid[1] - alpha_grid[0]) if len(alpha_grid) > 1 else grid_step
     if np.isfinite(h_max_est):
-        d2 = np.where(closed.alpha_grid > h_max_est + 0.5 * step, np.nan, d2)
+        d2 = np.where(closed.alpha_grid > h_max_est + 0.5 * grid_step, np.nan, d2)
     tau = structure_function(pyramid, default_q_grid(), scale_count)
     q_c = critical_q(tau)
     d1 = legendre_spectrum(tau, q_c, closed.alpha_grid)

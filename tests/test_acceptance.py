@@ -15,7 +15,6 @@ from rws import (
     DiracKernel,
     FlatLaw,
     GaussianKernel,
-    LogDensity,
     ShiftedGammaKernel,
     ShiftedPoissonKernel,
     SynthesisConfig,
@@ -24,17 +23,18 @@ from rws import (
     daubechies_filter,
     forward_dwt,
     generate_coefficients,
-    inverse_dwt,
     sample_alphas,
     scale_law_from_kernel,
     scale_law_from_spectrum,
-    spectrum_from_rho,
     structure_function,
     synthesize,
 )
 from rws import cli
 
 LOG2E = np.log2(np.e)
+
+# a02, a03, a04 and a07 are the checks `rws selftest` runs
+SELFTEST = dict(cli.SELFTEST_CHECKS)
 
 # Frozen by independent bracketed bisection of the threshold equation
 # (200 halvings, residual < 1e-15 at the root).
@@ -80,46 +80,15 @@ def test_a01_nonconcave_target_recovered_at_scale():
 
 
 def test_a02_perfect_reconstruction():
-    x = np.random.Generator(
-        np.random.Philox(key=np.array([4242, 0], dtype=np.uint64))
-    ).standard_normal(4096)
-    worst = 0.0
-    for order in range(1, 11):
-        f = daubechies_filter(order)
-        err = float(np.max(np.abs(inverse_dwt(forward_dwt(x, f), f) - x)))
-        worst = max(worst, err)
-    report("a02 reconstruction db1..db10 at 2^12", worst <= 1e-9, f"max_err={worst:.3e} (<=1e-9)")
+    report("a02 reconstruction db1..db10 at 2^12", *SELFTEST["perfect-reconstruction"]())
 
 
 def test_a03_filter_validity():
-    worst = 0.0
-    for order in range(1, 11):
-        lo = daubechies_filter(order).lowpass
-        worst = max(worst, abs(float(lo.sum()) - math.sqrt(2.0)))
-        worst = max(worst, abs(float(np.dot(lo, lo)) - 1.0))
-        for m in range(1, lo.size // 2):
-            worst = max(worst, abs(float(np.dot(lo[: lo.size - 2 * m], lo[2 * m :]))))
-    report("a03 filter sums and shift orthonormality", worst <= 1e-12, f"max_dev={worst:.3e} (<=1e-12)")
+    report("a03 filter sums and shift orthonormality", *SELFTEST["filter-qmf"]())
 
 
 def test_a04_kernel_density_maxima():
-    cases = [
-        (GaussianKernel(m=1.0, sigma=0.5), 1.0),
-        (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), 0.1 + 1.5 / 4.0),
-        (ShiftedPoissonKernel(alpha0=0.3, c=1.0), 0.3 + 1.0),
-    ]
-    details = []
-    ok = True
-    for kernel, at in cases:
-        scan = at + 1e-4 * np.arange(-500, 501)
-        vals = kernel.rho(scan)
-        top = float(np.max(vals))
-        where = float(scan[np.argmax(vals)])
-        peak_val = kernel.rho(at)
-        good = abs(peak_val - 1.0) <= 1e-9 and top <= 1.0 + 1e-9 and abs(where - at) <= 1e-4 + 1e-12
-        ok = ok and good
-        details.append(f"{type(kernel).__name__}: rho({at:g})={peak_val:.12f} argmax={where:g}")
-    report("a04 kernel maxima equal 1 at stated locations", ok, "; ".join(details))
+    report("a04 kernel maxima equal 1 at stated locations", *SELFTEST["kernel-maxima"]())
 
 
 def test_a05_threshold_roots():
@@ -171,14 +140,7 @@ def test_a06_sampler_fidelity():
 
 
 def test_a07_spectrum_density_identity():
-    worst = 0.0
-    for curve in (parabola_curve(), curve_from_function(lambda h: h - 0.5, 0.5, 1.5)):
-        density = LogDensity.from_samples(curve.h_grid, curve.d_values)
-        out = spectrum_from_rho(density)
-        idx = np.searchsorted(out.h_grid, curve.h_grid)
-        err = float(np.nanmax(np.abs(out.d_values[idx] - curve.d_values)))
-        worst = max(worst, err)
-    report("a07 density round trip reproduces the spectrum", worst <= 1e-9, f"max_err={worst:.3e} (<=1e-9)")
+    report("a07 density round trip reproduces the spectrum", *SELFTEST["spectrum-identity"]())
 
 
 def test_a08_monofractal_end_to_end():

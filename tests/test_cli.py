@@ -1,6 +1,10 @@
 """End-to-end command-line behavior and exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,12 @@ def write_flat_config(path, J=10, extra=""):
 
 def write_gaussian_config(path, J=10):
     path.write_text(f"mode=kernel\nkernel=gaussian\nm=1.0\nsigma=0.5\nJ={J}\nseed=1\n")
+
+
+def write_bump_spectrum_config(root):
+    bump = curve_from_function(lambda v: 1.0 - ((v - 1.0) / 0.5) ** 2, 0.5, 1.5)
+    write_columns(str(root / "bump.csv"), "h,d", bump.h_grid, bump.d_values)
+    (root / "c.cfg").write_text("mode=spectrum\nspectrum_file=bump.csv\nJ=10\n")
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +93,25 @@ def test_synth_negative_seed_exits_2(tmp_path):
 
 
 def test_synth_inadmissible_spectrum_exits_3(tmp_path, capsys):
-    bump = curve_from_function(lambda v: 1.0 - ((v - 1.0) / 0.5) ** 2, 0.5, 1.5)
-    write_columns(str(tmp_path / "bump.csv"), "h,d", bump.h_grid, bump.d_values)
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("mode=spectrum\nspectrum_file=bump.csv\nJ=10\n")
-    assert cli.main(["synth", str(cfg), "--out", str(tmp_path)]) == 3
+    write_bump_spectrum_config(tmp_path)
+    assert cli.main(["synth", str(tmp_path / "c.cfg"), "--out", str(tmp_path)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("config", "code"), [
+    ("mode=flat\nalpha0=0\nJ=10\n", 2),
+    ("mode=flat\nalpha0=0.7\nJ=3\n", 2),
+    (None, 3),
+], ids=["flat-alpha0-0", "J-3", "bump-spectrum"])
+def test_synth_rejected_config_writes_nothing(config, code, tmp_path):
+    if config is None:
+        write_bump_spectrum_config(tmp_path)
+    else:
+        (tmp_path / "c.cfg").write_text(config)
+    out = tmp_path / "run"
+    assert cli.main(["synth", str(tmp_path / "c.cfg"), "--out", str(out)]) == code
+    assert not (out / "signal.rws").exists()
+    assert not (out / "manifest.txt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +247,23 @@ def test_kernel_csv_digest(args, tmp_path):
     assert got == KERNEL_CSV_DIGESTS[args]
 
 
+def test_kernel_gallery_script_matches_kernel_digests(tmp_path):
+    # scripts/kernel_gallery.py tabulates the same kernels at the same grid step
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    subprocess.run([sys.executable, str(root / "scripts" / "kernel_gallery.py"), "--out", str(tmp_path)],
+                   check=True, env=env, capture_output=True)
+    gallery = {
+        "gaussian": ("gaussian", "m=1", "sigma=0.5"),
+        "gamma": ("gamma", "alpha0=0.1", "nu=1.5", "beta=4"),
+        "poisson": ("poisson", "alpha0=0.3", "c=1"),
+    }
+    for name, args in gallery.items():
+        got = tuple(hashlib.sha256((tmp_path / name / csv).read_bytes()).hexdigest()
+                    for csv in ("rho.csv", "spectrum.csv"))
+        assert got == KERNEL_CSV_DIGESTS[args], name
+
+
 def test_synth_kernel_density_reaching_zero_exits_3(tmp_path, capsys):
     # a valid kernel whose density is nonnegative arbitrarily close to 0
     cfg = tmp_path / "c.cfg"
@@ -260,7 +300,7 @@ def test_selftest_passes(capsys):
 
 def test_selftest_reports_broken_reference(monkeypatch, capsys):
     bump = curve_from_function(lambda v: 1.0 - ((v - 1.0) / 0.5) ** 2, 0.5, 1.5)
-    monkeypatch.setattr(cli, "_selftest_spectrum", lambda: bump)
+    monkeypatch.setattr(cli, "_selftest_curves", lambda: (bump,))
     assert cli.main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL spectrum-identity" in out

@@ -306,16 +306,18 @@ def test_pipeline_shares_one_h_grid():
 
 def test_amplitude_scaling_leaves_tau_and_legendre_unchanged():
     pyr = parabola_pyramid()
-    grid = 0.005 * np.arange(1, 401)
-    res = analyze_pyramid(pyr, alpha_grid=grid)
-    res2 = analyze_pyramid(rescale(pyr, [2.0] * pyr.J), alpha_grid=grid)
+    res = analyze_pyramid(pyr)
+    res2 = analyze_pyramid(rescale(pyr, [2.0] * pyr.J))
     assert np.max(np.abs(res.tau_curve.values - res2.tau_curve.values)) < 1e-9
     assert abs(res.spectrum.meta["q_c"] - res2.spectrum.meta["q_c"]) < 1e-9
-    assert np.max(np.abs(res.spectrum.d1 - res2.spectrum.d1)) < 1e-8
+    # the default h grids depend on the data; compare on their common prefix
+    n = min(res.spectrum.h_grid.size, res2.spectrum.h_grid.size)
+    h = res.spectrum.h_grid[:n]
+    assert np.array_equal(h, res2.spectrum.h_grid[:n])
+    assert np.max(np.abs(res.spectrum.d1[:n] - res2.spectrum.d1[:n])) < 1e-8
     # count-based fits only drift a little
-    h = res.spectrum.h_grid
     m = (h >= 0.7) & (h <= 1.4)
-    drift = np.abs(res.closed_curve.values[m] - res2.closed_curve.values[m])
+    drift = np.abs(res.closed_curve.values[:n][m] - res2.closed_curve.values[:n][m])
     assert np.nanmax(drift) < 0.15
 
 
