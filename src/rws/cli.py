@@ -131,6 +131,7 @@ def cmd_analyze(args) -> int:
             ("h_min", meta["h_min"]),
             ("h_max", meta["h_max"]),
             ("grid_step", args.grid_step),
+            ("q_c_found", int(meta["q_c_found"])),
         ],
     )
     fileio.write_key_values(

@@ -30,6 +30,10 @@ class InvalidLengthError(MathValidityError):
     """Signal length is not a power of two (or too short)."""
 
 
+class NonFiniteSampleError(MathValidityError):
+    """A signal sample is NaN or infinite."""
+
+
 class InvalidPyramidError(MathValidityError):
     """Coefficient pyramid has missing or mis-sized levels."""
 

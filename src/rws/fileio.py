@@ -101,7 +101,8 @@ def read_signal(path: str) -> np.ndarray:
                 f"{path}: payload is {len(blob) - _HEADER.size} bytes, "
                 f"header promises {8 * 2**J}"
             )
-        return np.frombuffer(blob[_HEADER.size :], dtype="<f8").astype(np.float64)
+        x = np.frombuffer(blob[_HEADER.size :], dtype="<f8").astype(np.float64)
+        return _finite_samples(path, x)
     # text fallback: one sample per line
     try:
         text = blob.decode("utf-8")
@@ -119,7 +120,16 @@ def read_signal(path: str) -> np.ndarray:
     n = len(values)
     if n == 0 or n & (n - 1):
         raise FormatError(f"{path}: sample count {n} is not a positive power of two")
-    return np.array(values, dtype=np.float64)
+    return _finite_samples(path, np.array(values, dtype=np.float64))
+
+
+def _finite_samples(path: str, x: np.ndarray) -> np.ndarray:
+    """x itself; a NaN or infinite sample raises FormatError naming its index."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FormatError(f"{path}: sample {i} is {float(x[i])}; samples must be finite")
+    return x
 
 
 # ---------------------------------------------------------------------------

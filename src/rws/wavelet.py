@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidLengthError, InvalidPyramidError, UnsupportedOrderError
+from .errors import (
+    InvalidLengthError,
+    InvalidPyramidError,
+    NonFiniteSampleError,
+    UnsupportedOrderError,
+)
 
 # Lowpass taps h[0..2N-1], largest taps first (db3 starts 0.33267...).
 DAUBECHIES_LOWPASS = {
@@ -268,11 +273,16 @@ def forward_dwt(signal, filt: WaveletFilter) -> CoefficientPyramid:
 
     Boundary handling is circular at every level, so the transform is
     exactly orthogonal for any order (filters longer than a level wrap).
+    A NaN or infinite sample raises NonFiniteSampleError.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidLengthError("signal must be one-dimensional")
     J = dyadic_exponent(x.size)
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteSampleError(f"sample {i} is {float(x[i])}; samples must be finite")
     s = x * 2.0 ** (-0.5 * J)
     levels = [None] * J
     for j in range(J - 1, -1, -1):

@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rws import cli, check_admissible, curve_from_function
+from rws import (
+    DiracKernel,
+    SynthesisConfig,
+    check_admissible,
+    cli,
+    curve_from_function,
+    daubechies_filter,
+    generate_coefficients,
+    inverse_dwt,
+)
 from rws.fileio import (
     parse_key_values,
     read_signal,
@@ -137,6 +146,7 @@ def test_analyze_writes_bundle(gaussian_signal, tmp_path, capsys):
     assert meta["wavelet"] == "db3"
     assert meta["scales"] == "1..9"
     assert set(meta) >= {"q_c", "h_min", "h_max", "grid_step"}
+    assert list(meta)[-1] == "q_c_found" and meta["q_c_found"] == "1"
     lam_header = (out / "lambda.csv").read_text().splitlines()[0]
     assert lam_header == "# alpha,lambda,closed_lambda,residual"
     tau_header = (out / "tau.csv").read_text().splitlines()[0]
@@ -162,6 +172,35 @@ def test_analyze_degenerate_signal_exits_3(tmp_path, capsys):
     write_signal(str(sig), np.zeros(1024))
     assert cli.main(["analyze", str(sig), "--out", str(tmp_path)]) == 3
     assert "no nonzero coefficients" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_analyze_non_finite_sample_exits_2(tmp_path, capsys, fmt, bad):
+    x = np.sin(np.arange(1024.0))
+    x[300] = bad
+    sig = tmp_path / "bad.sig"
+    if fmt == "text":
+        sig.write_text("".join(f"{v!r}\n" for v in x.tolist()))
+    else:
+        write_signal(str(sig), x)
+    out = tmp_path / "an"
+    assert cli.main(["analyze", str(sig), "--out", str(out)]) == 2
+    assert "sample 300" in capsys.readouterr().err
+    assert not (out / "tau.csv").exists()
+
+
+def test_analyze_records_missing_zero_crossing(tmp_path):
+    # a Dirac pyramid with H = 0.05 has tau(q) = 0.05 q - 1 < 0 on the whole grid
+    pyr = generate_coefficients(SynthesisConfig(J=12, source=DiracKernel(H=0.05), seed=0))
+    sig = tmp_path / "dirac.rws"
+    write_signal(str(sig), inverse_dwt(pyr, daubechies_filter(3)))
+    out = tmp_path / "an"
+    with pytest.warns(UserWarning, match="no sign change"):
+        assert cli.main(["analyze", str(sig), "--out", str(out)]) == 0
+    meta = parse_key_values((out / "meta.txt").read_text())
+    assert meta["q_c_found"] == "0"
+    assert float(meta["q_c"]) == -5.0
 
 
 def test_analyze_short_signal_exits_3(tmp_path):

@@ -9,6 +9,7 @@ from rws import (
     DegenerateLevelError,
     DiracKernel,
     FlatLaw,
+    GaussianKernel,
     InsufficientScalesError,
     LambdaCurve,
     SynthesisConfig,
@@ -24,6 +25,7 @@ from rws import (
     structure_function,
     upper_closure,
 )
+from rws.estimation import LADDER_BLOCK
 
 # Frozen as the least-squares slope of log2(j) against j over scales 6..15;
 # the flat generator has expected occupancy j at scale j.
@@ -208,6 +210,76 @@ def test_tau_finite_for_negative_q_despite_zeros():
     assert any(np.any(l == 0) for l in pyr.levels[5:])
     tau = structure_function(pyr, np.array([-2.0, -1.0, 3.0]))
     assert np.all(np.isfinite(tau.values))
+
+
+def reference_tau(pyramid, q_grid, scale_count=10):
+    """tau(q) from one log-sum-exp of q log2|C| per (q, scale), fitted by
+    ordinary least squares: the direct formula the ladder must reproduce."""
+    js = np.arange(1, pyramid.J)[-scale_count:]
+    q = np.asarray(q_grid, dtype=np.float64)
+    y = np.empty((js.size, q.size))
+    for row, j in enumerate(js):
+        c = np.abs(pyramid.levels[j])
+        logc = np.log2(c[c > 0])
+        for col, qv in enumerate(q):
+            v = qv * logc
+            m = v.max()
+            y[row, col] = m + np.log2(np.exp2(v - m).sum())
+    return np.polyfit(-js.astype(np.float64), y, 1)[0]
+
+
+LADDER_GRIDS = {
+    "default": default_q_grid(),
+    "mixed": np.array([-2.0, -1.0, 3.0]),
+    "no-zero": np.array([0.5, 1.5, 2.0, 4.0]),
+    "negative-only": -np.linspace(0.3, 7.0, 12),
+    "unsorted": np.array([3.0, -1.0, 0.2, 7.0, -4.0, 0.2, 1.0]),
+    "wide": np.linspace(-50.0, 50.0, 41),
+}
+
+
+@pytest.mark.parametrize("grid", LADDER_GRIDS)
+def test_ladder_matches_direct_sums_on_any_grid(grid):
+    pyr = generate_coefficients(
+        SynthesisConfig(J=12, source=GaussianKernel(m=1.0, sigma=0.5), seed=2))
+    q = LADDER_GRIDS[grid]
+    tau = structure_function(pyr, q)
+    np.testing.assert_array_equal(tau.q_grid, q)
+    np.testing.assert_allclose(tau.values, reference_tau(pyr, q), rtol=1e-10, atol=0)
+
+
+def test_ladder_matches_direct_sums_across_block_boundaries():
+    pyr = generate_coefficients(
+        SynthesisConfig(J=18, source=GaussianKernel(m=1.0, sigma=0.5), seed=4))
+    assert np.count_nonzero(pyr.levels[17]) > LADDER_BLOCK  # fit levels straddle blocks
+    q = default_q_grid()
+    np.testing.assert_allclose(structure_function(pyr, q).values, reference_tau(pyr, q),
+                               rtol=1e-10, atol=0)
+
+
+def test_ladder_matches_direct_sums_on_sparse_levels():
+    pyr = generate_coefficients(SynthesisConfig(J=14, source=FlatLaw(0.7), seed=3))
+    assert all(0 < np.count_nonzero(l) < 64 for l in pyr.levels[4:])
+    q = default_q_grid()
+    np.testing.assert_allclose(structure_function(pyr, q).values, reference_tau(pyr, q),
+                               rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("grid", ["default", "wide"])
+def test_ladder_shift_survives_a_300_octave_level(grid):
+    # every level spans 2^-300..1 around its own offset, so q log2|C| runs far
+    # outside float range and many ladder terms underflow to 0
+    rng = np.random.default_rng(7)
+    levels = []
+    for j in range(12):
+        e = -300.0 * rng.random(2**j)
+        e[0], e[-1] = 0.0, -300.0
+        levels.append(rng.choice([-1.0, 1.0], 2**j) * np.exp2(e - 3.0 * j))
+    pyr = CoefficientPyramid(J=12, levels=levels, coarse_mean=0.0)
+    q = LADDER_GRIDS[grid]
+    tau = structure_function(pyr, q)
+    assert np.all(np.isfinite(tau.values))
+    np.testing.assert_allclose(tau.values, reference_tau(pyr, q), rtol=1e-10, atol=0)
 
 
 def test_tau_rejects_empty_scale():

@@ -9,6 +9,7 @@ from rws import (
     CoefficientPyramid,
     InvalidLengthError,
     InvalidPyramidError,
+    NonFiniteSampleError,
     UnsupportedOrderError,
     daubechies_filter,
     dyadic_exponent,
@@ -135,6 +136,14 @@ def test_forward_rejects_bad_shapes():
         forward_dwt(np.zeros(100), f)
     with pytest.raises(InvalidLengthError):
         forward_dwt(np.zeros((4, 4)), f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_rejects_non_finite_samples(bad):
+    x = np.ones(64)
+    x[17] = bad
+    with pytest.raises(NonFiniteSampleError, match="sample 17"):
+        forward_dwt(x, daubechies_filter(3))
 
 
 def test_inverse_validates_pyramid():
