@@ -16,7 +16,10 @@ spectrum it generates,
     d(h) = h * sup_{0 < a <= h} rho(a)/a   on [h_min, h_max],
 
 with h_max = 1/sup_{a>0} rho(a)/a and h_min the infimum of {rho >= 0}.
-The sup is a running maximum over evaluation points, no interpolation.
+The sup is a running maximum over the points each density supplies
+(``spectrum_grid``), no interpolation: a sampled ``LogDensity`` gives
+its samples plus h_max, a ``Kernel`` a step grid out to 4 h_max that
+holds h_min, alpha_t and h_max exactly.
 
 Closed-form densities come from four kernel families used for
 self-similar cascade models: gaussian, shifted gamma, shifted poisson
@@ -98,6 +101,14 @@ class Kernel:
             lo, peak, xtol=1e-15, rtol=8.9e-16,
         )
         return alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
+
+    def spectrum_grid(self, grid_step: float):
+        """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``; see the module docstring."""
+        self.validate()
+        h_min = self.h_min()
+        alpha_t, h_max = self.ratio_max()
+        grid = _merge_points([h_min, alpha_t, h_max], _step_grid(4.0 * h_max, grid_step))
+        return grid, self.rho(grid), h_min, h_max
 
     def alpha_star(self) -> float:
         raise UnsupportedVariantError(
@@ -339,7 +350,6 @@ class SpectrumCurve:
 class AdmissibilityReport:
     valid: bool
     violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
 
 def curve_from_function(fn, h_min: float, h_max: float, step: float = _DEFAULT_STEP):
@@ -355,8 +365,8 @@ def curve_from_function(fn, h_min: float, h_max: float, step: float = _DEFAULT_S
     return SpectrumCurve(h_grid=grid, d_values=d, h_min=h_min, h_max=h_max)
 
 
-def curve_from_samples(h_grid, d_values, h_min=None, h_max=None) -> SpectrumCurve:
-    """Build a curve from grid samples; h_min/h_max default to the present span."""
+def curve_from_samples(h_grid, d_values) -> SpectrumCurve:
+    """Build a curve from grid samples; h_min/h_max are the present span."""
     h = np.asarray(h_grid, dtype=np.float64)
     d = np.asarray(d_values, dtype=np.float64)
     if h.size != d.size or h.size == 0:
@@ -364,12 +374,10 @@ def curve_from_samples(h_grid, d_values, h_min=None, h_max=None) -> SpectrumCurv
     if np.any(np.diff(h) <= 0) or h[0] <= 0:
         raise MathValidityError("h grid must be strictly increasing and positive")
     present = ~np.isnan(d)
-    if h_min is None or h_max is None:
-        if not present.any():
-            raise MathValidityError("curve has no present values")
-        h_min = float(h[present][0]) if h_min is None else h_min
-        h_max = float(h[present][-1]) if h_max is None else h_max
-    return SpectrumCurve(h_grid=h, d_values=d, h_min=float(h_min), h_max=float(h_max))
+    if not present.any():
+        raise MathValidityError("curve has no present values")
+    return SpectrumCurve(h_grid=h, d_values=d, h_min=float(h[present][0]),
+                         h_max=float(h[present][-1]))
 
 
 def check_admissible(curve: SpectrumCurve) -> AdmissibilityReport:
@@ -403,8 +411,7 @@ def check_admissible(curve: SpectrumCurve) -> AdmissibilityReport:
             v.append(f"d at h_max is {float(d[near])!r}, expected 1")
     else:
         v.append("curve has no present values")
-    notes = ["right-continuity: vacuous on a finite grid (recorded as satisfied)"]
-    return AdmissibilityReport(valid=not v, violations=v, notes=notes)
+    return AdmissibilityReport(valid=not v, violations=v)
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +419,17 @@ def check_admissible(curve: SpectrumCurve) -> AdmissibilityReport:
 
 @dataclass(eq=False)
 class LogDensity:
-    """Either a closed-form kernel or (alpha_grid, rho_values) samples."""
+    """An upper logarithmic density sampled as (alpha_grid, rho_values), -inf
+    where absent; like a ``Kernel`` it supplies ``h_min`` and ``spectrum_grid``."""
 
-    kernel: object = None
-    alpha_grid: np.ndarray = None
-    rho_values: np.ndarray = None
+    alpha_grid: np.ndarray
+    rho_values: np.ndarray
 
     @classmethod
     def from_kernel(cls, kernel):
+        """The kernel itself, validated: a ``Kernel`` is a density already."""
         kernel_validity(kernel)
-        return cls(kernel=kernel)
+        return kernel
 
     @classmethod
     def from_samples(cls, alpha_grid, rho_values):
@@ -436,52 +444,17 @@ class LogDensity:
             raise MathValidityError("log-density exceeds 1")
         return cls(alpha_grid=a, rho_values=r)
 
-    def gamma_check(self) -> float:
+    def h_min(self) -> float:
         """Smallest alpha with rho(alpha) >= 0 (must be positive for a
         well-defined process: small coefficients must dominate at fine scales)."""
-        if self.kernel is not None:
-            return self.kernel.h_min()
         nonneg = self.rho_values >= 0.0
         if not nonneg.any():
             raise EmptySpectrumError("log-density is negative everywhere")
         return float(self.alpha_grid[nonneg][0])
 
-
-def _merge_points(base, extras, tol=1e-9):
-    """Sorted union of grids, snapping near-duplicates to existing points."""
-    pts = list(np.asarray(base, dtype=np.float64))
-    for x in extras:
-        if not any(abs(x - p) <= tol * max(1.0, abs(x)) for p in pts):
-            pts.append(float(x))
-    return np.array(sorted(pts))
-
-
-def _step_grid(upper, step):
-    n = int(math.ceil(upper / step - 1e-9))
-    return step * np.arange(1, n + 1)
-
-
-def spectrum_from_rho(density: LogDensity, grid_step: float = _DEFAULT_STEP) -> SpectrumCurve:
-    """Spectrum generated by an upper logarithmic density.
-
-    Raises FlatSpectrumError when rho touches zero but is never
-    positive (the constant-exponent sparse construction applies there),
-    EmptySpectrumError when rho is negative everywhere, and a validity
-    error when rho is nonnegative arbitrarily close to 0.
-    """
-    if density.kernel is not None:
-        kernel = density.kernel
-        kernel_validity(kernel)
-        h_min = kernel.h_min()
-        alpha_t, h_max = kernel.ratio_max()
-        grid = _merge_points(_step_grid(4.0 * h_max, grid_step), [h_min, alpha_t, h_max])
-        vals = kernel.rho(grid)
-        if isinstance(kernel, DiracKernel):   # exact d = 1 and h_min = H; no rounded ratios
-            d = np.where(vals == 1.0, 1.0, np.nan)
-            return SpectrumCurve(h_grid=grid, d_values=d, h_min=h_min, h_max=h_max)
-    else:
-        grid = density.alpha_grid
-        rho = density.rho_values
+    def spectrum_grid(self, grid_step: float):
+        """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``; grid_step is not used."""
+        rho = self.rho_values
         finite = np.isfinite(rho)
         if not finite.any() or np.max(rho[finite]) < -_TOL_ZERO:
             raise EmptySpectrumError(
@@ -492,21 +465,42 @@ def spectrum_from_rho(density: LogDensity, grid_step: float = _DEFAULT_STEP) -> 
                 "log-density touches zero but is never positive; use the flat "
                 "(constant-exponent) construction instead"
             )
-        h_min = density.gamma_check()
-        if h_min <= 0:
-            raise MathValidityError(
-                "log-density is nonnegative arbitrarily close to 0; no spectrum"
-            )
+        h_min = self.h_min()   # positive: from_samples requires alpha > 0
         with np.errstate(invalid="ignore"):
-            ratios = rho / grid
+            ratios = rho / self.alpha_grid
         smax = float(np.max(ratios[finite]))
         h_max = 1.0 / smax
-        grid = _merge_points(grid, [h_max])
+        grid = _merge_points(self.alpha_grid, [h_max])
         # merged grid differs from the density grid only by the inserted
         # h_max, whose running max is already the global one
         vals = np.full(grid.shape, -np.inf)
-        vals[np.searchsorted(grid, density.alpha_grid)] = rho
+        vals[np.searchsorted(grid, self.alpha_grid)] = rho
+        return grid, vals, h_min, h_max
 
+
+def _merge_points(base, extras, tol=1e-9):
+    """Sorted union of grids; an extra within tol * max(1, |x|) of a base point snaps onto it."""
+    base = np.asarray(base, dtype=np.float64)
+    x = np.asarray(extras, dtype=np.float64)
+    near = np.abs(x[:, None] - base) <= tol * np.maximum(1.0, np.abs(x))[:, None]
+    return np.union1d(base, x[~near.any(axis=1)])
+
+
+def _step_grid(upper, step):
+    n = int(math.ceil(upper / step - 1e-9))
+    return step * np.arange(1, n + 1)
+
+
+def spectrum_from_rho(density, grid_step: float = _DEFAULT_STEP) -> SpectrumCurve:
+    """Spectrum generated by an upper logarithmic density: any ``Kernel``
+    (validated here) or a ``LogDensity.from_samples(...)``.
+
+    Raises FlatSpectrumError when rho touches zero but is never
+    positive (the constant-exponent sparse construction applies there),
+    EmptySpectrumError when rho is negative everywhere, and a validity
+    error when rho is nonnegative arbitrarily close to 0.
+    """
+    grid, vals, h_min, h_max = density.spectrum_grid(grid_step)
     # running maximum of rho/alpha over evaluation points <= h
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(np.isfinite(vals), vals / grid, -np.inf)
@@ -516,6 +510,7 @@ def spectrum_from_rho(density: LogDensity, grid_step: float = _DEFAULT_STEP) -> 
     d_raw = grid * run
     present = inside & np.isfinite(d_raw)
     d = np.where(present, d_raw, np.nan)
+    d[grid == h_max] = 1.0   # h_max / h_max, without the rounding of d_raw
     # h_min is an infimum; when the density is -inf at that exact point
     # (possible for a shifted poisson with c <= ln 2) presence starts at
     # the first grid point carrying a finite running maximum

@@ -16,6 +16,10 @@ Three sources of per-scale laws:
   * a flat law: a single exponent alpha0 occupied with probability
     ``j * 2**(-j)`` (zero otherwise), producing a degenerate spectrum.
 
+A scale law samples itself (``law.sample(u)``): a ``ScaleLawTable`` for
+spectrum and flat sources, a ``KernelScaleLaw`` for kernels.  A source is
+validated once, in ``_source_parts``; the per-scale builders expect that.
+
 Randomness is counter-based: scale j of a run keyed by ``seed`` uses a
 Philox stream with key (seed, j); coefficient k reads column k of the
 (2, 2**j) uniform matrix (row 0 drives the exponent, row 1 the sign).
@@ -62,37 +66,51 @@ def validate_config(config: SynthesisConfig) -> None:
         raise ConfigError(f"J must be in [4, 24], got {config.J}")
     if config.wavelet_order not in range(1, 11):
         raise ConfigError(f"wavelet order must be in 1..10, got {config.wavelet_order}")
-    if not isinstance(config.seed, int) or config.seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    src = config.source
-    law, _, _ = _source_parts(src)
-    if isinstance(src, FlatLaw) and not src.alpha0 > 0:
-        raise ConfigError("flat law needs alpha0 > 0")
-    law(1)  # building the scale-1 law validates spectrum and kernel sources
+    if not isinstance(config.seed, int) or not 0 <= config.seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed}")
+    _source_parts(config.source)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScaleLawTable:
-    """Law of the exponent alpha at one scale.
-
-    Tabulated laws carry (alpha_grid, cdf) with cdf[-1] = 1 - p_inf and
-    are sampled by inverse CDF with linear interpolation; direct laws
-    carry the kernel and sample through closed-form quantile functions.
-    """
+    """Law of the exponent alpha at scale j, tabulated: (alpha_grid, cdf)
+    with cdf[-1] = 1 - p_inf, sampled by inverse CDF with linear
+    interpolation; uniforms above cdf[-1] give +inf (a zero coefficient)."""
 
     j: int
-    p_inf: float = 0.0
-    alpha_grid: np.ndarray = None
-    cdf: np.ndarray = None
-    kernel: object = None
-    alpha_cap: float = None
+    p_inf: float
+    alpha_grid: np.ndarray
+    cdf: np.ndarray
+
+    def sample(self, u):
+        out = np.full(u.shape, np.inf)
+        finite = u <= self.cdf[-1]
+        idx = np.searchsorted(self.cdf, u[finite], side="right")
+        idx = np.clip(idx, 1, self.cdf.size - 1)
+        c0 = self.cdf[idx - 1]
+        c1 = self.cdf[idx]
+        g0 = self.alpha_grid[idx - 1]
+        g1 = self.alpha_grid[idx]
+        out[finite] = g0 + (u[finite] - c0) * (g1 - g0) / (c1 - c0)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class KernelScaleLaw:
+    """Law of the exponent alpha at scale j of a kernel: its closed-form
+    quantile, capped at alpha_cap; no zero coefficients (p_inf = 0)."""
+
+    j: int
+    kernel: Kernel
+    alpha_cap: float
+
+    def sample(self, u):
+        return np.minimum(self.kernel.scale_quantile(self.j, u), self.alpha_cap)
 
 
 def scale_law_from_spectrum(curve: SpectrumCurve, j: int) -> ScaleLawTable:
-    """Tabulate the spectrum-driven density at scale j (trapezoid CDF)."""
-    report = check_admissible(curve)
-    if not report.valid:
-        raise AdmissibilityError("; ".join(report.violations))
+    """Tabulate the spectrum-driven density at scale j (trapezoid CDF);
+    the curve must be admissible (``check_admissible``)."""
     h_max = curve.h_max
     step = min(0.002, h_max / 2048.0)
     n = int(math.ceil(h_max / step))
@@ -114,68 +132,42 @@ def scale_law_from_spectrum(curve: SpectrumCurve, j: int) -> ScaleLawTable:
         p_inf=max(0.0, 1.0 - mass),
         alpha_grid=grid,
         cdf=np.minimum(cdf, 1.0),
-        alpha_cap=h_max,
     )
 
 
 def flat_scale_law(alpha0: float, j: int) -> ScaleLawTable:
-    """Atom at alpha0 with mass j * 2**(-j); +inf otherwise."""
-    if not alpha0 > 0:
-        raise MathValidityError("flat law needs alpha0 > 0")
+    """Atom at alpha0 with mass j * 2**(-j), as the table [alpha0, alpha0], [0, mass]."""
     mass = j * 2.0 ** (-j)
     return ScaleLawTable(
         j=j,
         p_inf=1.0 - mass,
-        alpha_grid=np.array([alpha0]),
-        cdf=np.array([mass]),
-        alpha_cap=alpha0,
+        alpha_grid=np.array([alpha0, alpha0]),
+        cdf=np.array([0.0, mass]),
     )
 
 
-def scale_law_from_kernel(kernel, j: int) -> ScaleLawTable:
-    """Scale-j exponent law of a kernel under the self-similarity semigroup.
-
-    Each family's closed form lives on the kernel (``scale_cap`` and
-    ``scale_quantile``); all have p_inf = 0 (no zero coefficients).
-    """
+def scale_law_from_kernel(kernel: Kernel, j: int) -> KernelScaleLaw:
+    """Scale-j exponent law of a valid kernel (``kernel_validity``)."""
     if j < 1:
         raise MathValidityError("kernel scale laws are defined for j >= 1")
-    kernel_validity(kernel)
-    return ScaleLawTable(j=j, p_inf=0.0, kernel=kernel, alpha_cap=kernel.scale_cap(j))
+    return KernelScaleLaw(j=j, kernel=kernel, alpha_cap=kernel.scale_cap(j))
 
 
-def sample_alphas(law: ScaleLawTable, uniforms) -> np.ndarray:
-    """Map uniforms in [0, 1) to exponents (vectorized, deterministic)."""
-    u = np.asarray(uniforms, dtype=np.float64)
-    if law.kernel is None:
-        out = np.full(u.shape, np.inf)
-        mass = float(law.cdf[-1]) if law.cdf.size else 0.0
-        finite = u <= mass
-        if mass > 0.0 and finite.any():
-            if law.alpha_grid.size == 1:
-                out[finite] = law.alpha_grid[0]
-            else:
-                idx = np.searchsorted(law.cdf, u[finite], side="right")
-                idx = np.clip(idx, 1, law.cdf.size - 1)
-                c0 = law.cdf[idx - 1]
-                c1 = law.cdf[idx]
-                g0 = law.alpha_grid[idx - 1]
-                g1 = law.alpha_grid[idx]
-                out[finite] = g0 + (u[finite] - c0) * (g1 - g0) / (c1 - c0)
-        return out
-    return np.minimum(law.kernel.scale_quantile(law.j, u), law.alpha_cap)
+def sample_alphas(law, uniforms) -> np.ndarray:
+    """Map uniforms in [0, 1) to exponents by ``law.sample`` (vectorized, deterministic)."""
+    return law.sample(np.asarray(uniforms, dtype=np.float64))
 
 
 def uniform_field(seed: int, j: int) -> np.ndarray:
     """(2, 2**j) uniforms from the Philox stream keyed by (seed, j)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, j], dtype=np.uint64)
+    key = np.array([seed, j], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     return gen.random((2, 2**j))
 
 
 def _source_parts(source):
     """(law, c00, h_max) of a synthesis source; the one place that
-    dispatches on its type.
+    dispatches on its type, and where the source is validated, once.
 
     ``law(j)`` builds the scale-j exponent law.  ``c00`` is |C[0][0]|:
     scale 0 is degenerate, the j-weighted laws of spectrum and flat
@@ -184,10 +176,16 @@ def _source_parts(source):
     target (None for a flat law); kernels solve for it only on demand.
     """
     if isinstance(source, SpectrumCurve):
+        report = check_admissible(source)
+        if not report.valid:
+            raise AdmissibilityError("; ".join(report.violations))
         return (lambda j: scale_law_from_spectrum(source, j)), 0.0, lambda: source.h_max
     if isinstance(source, Kernel):
+        kernel_validity(source)
         return (lambda j: scale_law_from_kernel(source, j)), 1.0, lambda: source.ratio_max()[1]
     if isinstance(source, FlatLaw):
+        if not source.alpha0 > 0:
+            raise ConfigError("flat law needs alpha0 > 0")
         return (lambda j: flat_scale_law(source.alpha0, j)), 0.0, lambda: None
     raise ConfigError(f"unknown synthesis source {type(source).__name__}")
 

@@ -101,6 +101,16 @@ def test_synth_negative_seed_exits_2(tmp_path):
     assert cli.main(["synth", str(cfg), "--out", str(tmp_path), "--seed", "-1"]) == 2
 
 
+def test_synth_seed_beyond_64_bits_exits_2(tmp_path, capsys):
+    # 2**64 would alias seed 0 in the 64-bit Philox key
+    cfg = tmp_path / "c.cfg"
+    write_flat_config(cfg)
+    out = tmp_path / "run"
+    assert cli.main(["synth", str(cfg), "--out", str(out), "--seed", str(2**64)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_inadmissible_spectrum_exits_3(tmp_path, capsys):
     write_bump_spectrum_config(tmp_path)
     assert cli.main(["synth", str(tmp_path / "c.cfg"), "--out", str(tmp_path)]) == 3
@@ -111,7 +121,8 @@ def test_synth_inadmissible_spectrum_exits_3(tmp_path, capsys):
     ("mode=flat\nalpha0=0\nJ=10\n", 2),
     ("mode=flat\nalpha0=0.7\nJ=3\n", 2),
     (None, 3),
-], ids=["flat-alpha0-0", "J-3", "bump-spectrum"])
+    ("mode=kernel\nkernel=gaussian\nm=1.0\nsigma=1.0\nJ=10\n", 3),
+], ids=["flat-alpha0-0", "J-3", "bump-spectrum", "invalid-kernel"])
 def test_synth_rejected_config_writes_nothing(config, code, tmp_path):
     if config is None:
         write_bump_spectrum_config(tmp_path)
@@ -158,6 +169,16 @@ def test_analyze_writes_bundle(gaussian_signal, tmp_path, capsys):
 def test_analyze_option_validation(gaussian_signal, tmp_path):
     assert cli.main(["analyze", str(gaussian_signal), "--out", str(tmp_path), "--scales", "2"]) == 2
     assert cli.main(["analyze", str(gaussian_signal), "--out", str(tmp_path), "--grid-step", "0"]) == 2
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["analyze", "kernel"])
+def test_non_finite_grid_step_exits_2(command, step, gaussian_signal, tmp_path, capsys):
+    args = [str(gaussian_signal)] if command == "analyze" else ["gaussian", "m=1.0", "sigma=0.5"]
+    out = tmp_path / "run"
+    assert cli.main([command, *args, "--out", str(out), "--grid-step", step]) == 2
+    assert "--grid-step must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_unreadable_signal_exits_2(tmp_path):

@@ -231,7 +231,7 @@ def test_admissibility_requires_one_at_h_max():
 def test_admissibility_rejects_gap_inside_support():
     h = np.array([0.5, 0.75, 1.0])
     d = np.array([0.5, np.nan, 1.0])
-    curve = curve_from_samples(h, d, h_min=0.5, h_max=1.0)
+    curve = curve_from_samples(h, d)
     report = check_admissible(curve)
     assert not report.valid
     assert any("absent value inside" in v for v in report.violations)
@@ -319,6 +319,17 @@ def test_spectrum_of_dirac_kernel_is_single_point():
     assert out.h_min == out.h_max == 0.7
 
 
+@pytest.mark.parametrize("H", [0.7000000005, 0.70000000001, 2.0000000015])
+def test_dirac_spectrum_keeps_h_near_a_grid_point(H):
+    # H lies within the 1e-9 snapping distance of a step-grid point
+    out = spectrum_from_rho(LogDensity.from_kernel(DiracKernel(H=H)))
+    present = out.present()
+    assert out.h_grid[present].tolist() == [H]
+    assert out.d_values[present].tolist() == [1.0]
+    assert out.h_min == out.h_max == H
+    assert check_admissible(out).valid
+
+
 def test_spectrum_rejects_density_reaching_zero():
     # peak at the origin side: no positive h_min, no spectrum
     k = ShiftedPoissonKernel(alpha0=0.0, c=0.5)
@@ -350,13 +361,11 @@ def test_log_density_sample_validation():
     assert d.rho_values[0] == -np.inf
 
 
-def test_gamma_check_returns_first_nonnegative_alpha():
+def test_log_density_h_min_returns_first_nonnegative_alpha():
     a = np.array([0.4, 0.6, 0.8])
     d = LogDensity.from_samples(a, np.array([-0.2, 0.0, 0.5]))
-    assert d.gamma_check() == 0.6
-    assert abs(
-        LogDensity.from_kernel(GaussianKernel(m=1.0, sigma=0.5)).gamma_check()
-        - GaussianKernel(m=1.0, sigma=0.5).h_min()
-    ) < 1e-15
+    assert d.h_min() == 0.6
+    kernel = GaussianKernel(m=1.0, sigma=0.5)
+    assert LogDensity.from_kernel(kernel) is kernel
     with pytest.raises(EmptySpectrumError):
-        LogDensity.from_samples(a, np.array([-1.0, -1.0, -1.0])).gamma_check()
+        LogDensity.from_samples(a, np.array([-1.0, -1.0, -1.0])).h_min()

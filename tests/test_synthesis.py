@@ -23,6 +23,7 @@ from rws import (
     sample_alphas,
     scale_law_from_kernel,
     scale_law_from_spectrum,
+    synthesis,
     synthesize,
     uniform_field,
     validate_config,
@@ -57,6 +58,9 @@ def test_config_bounds():
         validate_config(SynthesisConfig(J=10, source=curve, seed=-1))
     with pytest.raises(ConfigError, match="seed"):
         validate_config(SynthesisConfig(J=10, source=curve, seed=1.5))
+    validate_config(SynthesisConfig(J=10, source=curve, seed=2**64 - 1))
+    with pytest.raises(ConfigError, match="seed"):
+        validate_config(SynthesisConfig(J=10, source=curve, seed=2**64))
 
 
 def test_config_rejects_inadmissible_spectrum():
@@ -68,6 +72,39 @@ def test_config_rejects_inadmissible_spectrum():
 def test_config_rejects_invalid_kernel():
     with pytest.raises(KernelValidityError):
         validate_config(SynthesisConfig(J=10, source=GaussianKernel(m=1.0, sigma=1.0)))
+
+
+BUMP = curve_from_function(lambda h: 1.0 - ((h - 1.0) / 0.5) ** 2, 0.5, 1.5)
+
+
+# validate_config and generate_coefficients on BUMP have tests of their own
+@pytest.mark.parametrize(("entry", "source", "error"), [
+    (synthesize, BUMP, AdmissibilityError),
+    (synthesize, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError),
+    (generate_coefficients, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError),
+], ids=["synthesize-inadmissible-spectrum", "synthesize-invalid-kernel",
+        "generate-invalid-kernel"])
+def test_generate_and_synthesize_reject_invalid_sources(entry, source, error):
+    with pytest.raises(error):
+        entry(SynthesisConfig(J=10, source=source))
+
+
+@pytest.mark.parametrize("source", [
+    curve_from_function(lambda h: (h - 0.5) ** 2, 0.5, 1.5),
+    ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
+], ids=["spectrum", "gamma"])
+def test_sources_are_validated_independently_of_J(source, monkeypatch):
+    calls = []
+    for name in ("check_admissible", "kernel_validity"):
+        def counted(*args, _name=name, _real=getattr(synthesis, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(synthesis, name, counted)
+    synthesize(SynthesisConfig(J=8, source=source))
+    at_8 = sorted(calls)
+    calls.clear()
+    synthesize(SynthesisConfig(J=16, source=source))
+    assert at_8 and sorted(calls) == at_8
 
 
 def test_config_rejects_bad_flat_and_unknown_source():
@@ -103,16 +140,15 @@ def test_spectrum_law_cdf_shape():
 def test_spectrum_law_rejects_inadmissible():
     bump = curve_from_function(lambda h: 1.0 - ((h - 1.0) / 0.5) ** 2, 0.5, 1.5)
     with pytest.raises(AdmissibilityError):
-        scale_law_from_spectrum(bump, 10)
+        generate_coefficients(SynthesisConfig(J=10, source=bump))
 
 
 def test_flat_law_is_single_atom():
     law = flat_scale_law(0.7, 12)
-    assert law.alpha_grid.tolist() == [0.7]
-    assert abs(law.cdf[0] - 12 * 2.0**-12) < 1e-18
+    assert law.alpha_grid.tolist() == [0.7, 0.7]
+    assert law.cdf[0] == 0.0
+    assert abs(law.cdf[-1] - 12 * 2.0**-12) < 1e-18
     assert abs(law.p_inf - (1.0 - 12 * 2.0**-12)) < 1e-18
-    with pytest.raises(MathValidityError):
-        flat_scale_law(0.0, 12)
 
 
 def test_kernel_law_requires_positive_scale():
@@ -307,5 +343,5 @@ def test_flat_rws_counts_and_magnitudes():
         # occupancy j 2^-j: loose 6-sigma bound per level
         mean = j
         assert abs(nz.sum() - mean) < 6 * np.sqrt(mean) + 1
-    with pytest.raises(MathValidityError):
+    with pytest.raises(ConfigError, match="alpha0"):
         generate_coefficients(SynthesisConfig(J=10, source=FlatLaw(-0.1)))
