@@ -34,7 +34,7 @@ from .spectra import (
     curve_from_function,
     spectrum_from_rho,
 )
-# validate_config is unused here (synthesize runs it); perfbench/tracing.py hooks it in this module
+# validate_config is unused here (generate_coefficients runs it); perfbench/tracing.py hooks it here
 from .synthesis import synthesize, validate_config
 from .wavelet import daubechies_filter, forward_dwt, inverse_dwt, parse_wavelet_name
 

@@ -17,8 +17,8 @@ Three sources of per-scale laws:
     ``j * 2**(-j)`` (zero otherwise), producing a degenerate spectrum.
 
 A scale law samples itself (``law.sample(u)``): a ``ScaleLawTable`` for
-spectrum and flat sources, a ``KernelScaleLaw`` for kernels.  A source is
-validated once, in ``_source_parts``; the per-scale builders expect that.
+spectrum and flat sources, a ``KernelScaleLaw`` for kernels.  All input
+enters through ``validate_config``, which validates the source once.
 
 Randomness is counter-based: scale j of a run keyed by ``seed`` uses a
 Philox stream with key (seed, j); coefficient k reads column k of the
@@ -61,14 +61,24 @@ class SynthesisConfig:
     seed: int = 0
 
 
-def validate_config(config: SynthesisConfig) -> None:
+def validate_config(config: SynthesisConfig):
+    """The one gate for synthesis input: check the config, validate the source
+    once, warn if h_max > wavelet order - 1; return ``(law, c00)``."""
     if not 4 <= config.J <= 24:
         raise ConfigError(f"J must be in [4, 24], got {config.J}")
     if config.wavelet_order not in range(1, 11):
         raise ConfigError(f"wavelet order must be in 1..10, got {config.wavelet_order}")
     if not isinstance(config.seed, int) or not 0 <= config.seed < 2**64:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed}")
-    _source_parts(config.source)
+    law, c00, h_max = _source_parts(config.source)
+    if h_max > config.wavelet_order - 1:
+        warnings.warn(
+            f"target h_max {h_max:.3g} exceeds the regularity guarantee of "
+            f"db{config.wavelet_order} (order - 1 = {config.wavelet_order - 1}); "
+            "exponents near h_max may be distorted",
+            stacklevel=2,
+        )
+    return law, c00
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,28 +182,27 @@ def _source_parts(source):
     ``law(j)`` builds the scale-j exponent law.  ``c00`` is |C[0][0]|:
     scale 0 is degenerate, the j-weighted laws of spectrum and flat
     sources carry no mass there, while kernel laws reduce to the
-    convolution identity.  ``h_max()`` is the largest exponent of the
-    target (None for a flat law); kernels solve for it only on demand.
+    convolution identity.  ``h_max`` is the target's largest exponent.
     """
     if isinstance(source, SpectrumCurve):
         report = check_admissible(source)
         if not report.valid:
             raise AdmissibilityError("; ".join(report.violations))
-        return (lambda j: scale_law_from_spectrum(source, j)), 0.0, lambda: source.h_max
+        return (lambda j: scale_law_from_spectrum(source, j)), 0.0, source.h_max
     if isinstance(source, Kernel):
         kernel_validity(source)
-        return (lambda j: scale_law_from_kernel(source, j)), 1.0, lambda: source.ratio_max()[1]
+        return (lambda j: scale_law_from_kernel(source, j)), 1.0, source.ratio_max()[1]
     if isinstance(source, FlatLaw):
         if not source.alpha0 > 0:
             raise ConfigError("flat law needs alpha0 > 0")
-        return (lambda j: flat_scale_law(source.alpha0, j)), 0.0, lambda: None
+        return (lambda j: flat_scale_law(source.alpha0, j)), 0.0, source.alpha0
     raise ConfigError(f"unknown synthesis source {type(source).__name__}")
 
 
 def generate_coefficients(config: SynthesisConfig) -> CoefficientPyramid:
     """Draw the full coefficient pyramid (coarse_mean = 0); |C[0][0]| is
     1 for kernel sources and 0 otherwise."""
-    law, c00, _ = _source_parts(config.source)
+    law, c00 = validate_config(config)
     levels = []
     for j in range(config.J):
         u = uniform_field(config.seed, j)
@@ -209,14 +218,4 @@ def generate_coefficients(config: SynthesisConfig) -> CoefficientPyramid:
 
 def synthesize(config: SynthesisConfig) -> np.ndarray:
     """Generate coefficients and reconstruct the sampled path."""
-    validate_config(config)
-    h_max = _source_parts(config.source)[2]()
-    if h_max is not None and h_max > config.wavelet_order - 1:
-        warnings.warn(
-            f"target h_max {h_max:.3g} exceeds the regularity guarantee of "
-            f"db{config.wavelet_order} (order - 1 = {config.wavelet_order - 1}); "
-            "exponents near h_max may be distorted",
-            stacklevel=2,
-        )
-    pyramid = generate_coefficients(config)
-    return inverse_dwt(pyramid, daubechies_filter(config.wavelet_order))
+    return inverse_dwt(generate_coefficients(config), daubechies_filter(config.wavelet_order))

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -322,6 +323,23 @@ def test_kernel_gallery_script_matches_kernel_digests(tmp_path):
         got = tuple(hashlib.sha256((tmp_path / name / csv).read_bytes()).hexdigest()
                     for csv in ("rho.csv", "spectrum.csv"))
         assert got == KERNEL_CSV_DIGESTS[args], name
+
+
+@pytest.mark.parametrize(("script", "args", "row", "rows"), [
+    ("nonconcave_demo.py", ["--J", "12", "--out", "{out}"],
+     r"^(counting|Legendre) estimate vs (target|hull) +sup\[0\.7,1\.4\] = \d\.\d{4}$", 4),
+    ("ordering_gap_screen.py", ["--J", "10", "--seeds", "2"],
+     r"^(parabola|gaussian|gamma|poisson|flat) +0:[+-](nan|\d\.\d{3})[* ] +1:[+-](nan|\d\.\d{3})\*? *$", 5),
+], ids=["nonconcave-demo", "ordering-gap-screen"])
+def test_synthesis_scripts_run(script, args, row, rows, tmp_path):
+    # the experiment scripts call synthesize; a small J keeps each run under a second
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [a.format(out=tmp_path) for a in args]
+    done = subprocess.run([sys.executable, str(root / "scripts" / script), *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len(re.findall(row, done.stdout, flags=re.M)) == rows, done.stdout
 
 
 def test_synth_kernel_density_reaching_zero_exits_3(tmp_path, capsys):

@@ -41,6 +41,13 @@ def dirac_pyramid(H=0.5, J=12, seed=0):
     return generate_coefficients(SynthesisConfig(J=J, source=DiracKernel(H=H), seed=seed))
 
 
+def three_scale_pyramid():
+    # synthesis needs J >= 4; scale j is keyed by (seed, j), so these are
+    # the levels a J=3 draw would give
+    pyr = dirac_pyramid(J=4)
+    return CoefficientPyramid(J=3, levels=pyr.levels[:3], coarse_mean=pyr.coarse_mean)
+
+
 def rescale(pyramid, factors):
     return CoefficientPyramid(
         J=pyramid.J,
@@ -100,7 +107,7 @@ def test_lambda_needs_three_scales():
     field = AlphaField.from_pyramid(dirac_pyramid(J=4))
     estimate_lambda(field, np.array([0.75]))
     with pytest.raises(InsufficientScalesError, match="3 scales"):
-        estimate_lambda(AlphaField.from_pyramid(dirac_pyramid(J=3)), np.array([0.75]))
+        estimate_lambda(AlphaField.from_pyramid(three_scale_pyramid()), np.array([0.75]))
 
 
 def test_lambda_nan_when_counts_too_sparse():
@@ -292,7 +299,7 @@ def test_tau_rejects_empty_scale():
 
 def test_tau_needs_three_scales():
     with pytest.raises(InsufficientScalesError):
-        structure_function(dirac_pyramid(J=3), np.array([2.0]))
+        structure_function(three_scale_pyramid(), np.array([2.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -45,22 +45,23 @@ def parabola_curve():
 # ---------------------------------------------------------------------------
 # config validation
 
-def test_config_bounds():
+@pytest.mark.parametrize("entry", [validate_config, generate_coefficients])
+def test_config_bounds(entry):
     curve = parabola_curve()
-    validate_config(SynthesisConfig(J=10, source=curve))
+    entry(SynthesisConfig(J=10, source=curve))
     with pytest.raises(ConfigError, match="J"):
-        validate_config(SynthesisConfig(J=3, source=curve))
+        entry(SynthesisConfig(J=3, source=curve))
     with pytest.raises(ConfigError, match="J"):
-        validate_config(SynthesisConfig(J=25, source=curve))
+        entry(SynthesisConfig(J=25, source=curve))
     with pytest.raises(ConfigError, match="wavelet order"):
-        validate_config(SynthesisConfig(J=10, source=curve, wavelet_order=11))
+        entry(SynthesisConfig(J=10, source=curve, wavelet_order=11))
     with pytest.raises(ConfigError, match="seed"):
-        validate_config(SynthesisConfig(J=10, source=curve, seed=-1))
+        entry(SynthesisConfig(J=10, source=curve, seed=-1))
     with pytest.raises(ConfigError, match="seed"):
-        validate_config(SynthesisConfig(J=10, source=curve, seed=1.5))
-    validate_config(SynthesisConfig(J=10, source=curve, seed=2**64 - 1))
+        entry(SynthesisConfig(J=10, source=curve, seed=1.5))
+    entry(SynthesisConfig(J=10, source=curve, seed=2**64 - 1))
     with pytest.raises(ConfigError, match="seed"):
-        validate_config(SynthesisConfig(J=10, source=curve, seed=2**64))
+        entry(SynthesisConfig(J=10, source=curve, seed=2**64))
 
 
 def test_config_rejects_inadmissible_spectrum():
@@ -78,14 +79,17 @@ BUMP = curve_from_function(lambda h: 1.0 - ((h - 1.0) / 0.5) ** 2, 0.5, 1.5)
 
 
 # validate_config and generate_coefficients on BUMP have tests of their own
-@pytest.mark.parametrize(("entry", "source", "error"), [
-    (synthesize, BUMP, AdmissibilityError),
-    (synthesize, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError),
-    (generate_coefficients, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError),
+@pytest.mark.parametrize(("entry", "source", "error", "match"), [
+    (synthesize, BUMP, AdmissibilityError, None),
+    (synthesize, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError, None),
+    (generate_coefficients, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError, None),
+    # kernel_validity accepts it, but rho >= 0 arbitrarily close to 0
+    (generate_coefficients, ShiftedPoissonKernel(alpha0=0.0, c=0.5), MathValidityError,
+     "close to 0"),
 ], ids=["synthesize-inadmissible-spectrum", "synthesize-invalid-kernel",
-        "generate-invalid-kernel"])
-def test_generate_and_synthesize_reject_invalid_sources(entry, source, error):
-    with pytest.raises(error):
+        "generate-invalid-kernel", "generate-density-reaching-zero"])
+def test_generate_and_synthesize_reject_invalid_sources(entry, source, error, match):
+    with pytest.raises(error, match=match):
         entry(SynthesisConfig(J=10, source=source))
 
 
@@ -104,7 +108,7 @@ def test_sources_are_validated_independently_of_J(source, monkeypatch):
     at_8 = sorted(calls)
     calls.clear()
     synthesize(SynthesisConfig(J=16, source=source))
-    assert at_8 and sorted(calls) == at_8
+    assert len(at_8) == 1 and sorted(calls) == at_8
 
 
 def test_config_rejects_bad_flat_and_unknown_source():
@@ -308,8 +312,9 @@ def test_synthesize_produces_expected_length():
     assert np.all(np.isfinite(x))
 
 
-def test_synthesize_warns_when_target_exceeds_wavelet_regularity():
-    cfg = SynthesisConfig(J=6, source=DiracKernel(H=3.5), wavelet_order=4, seed=0)
+@pytest.mark.parametrize("source", [DiracKernel(H=3.5), FlatLaw(3.5)], ids=["dirac", "flat"])
+def test_synthesize_warns_when_target_exceeds_wavelet_regularity(source):
+    cfg = SynthesisConfig(J=6, source=source, wavelet_order=4, seed=0)
     with pytest.warns(UserWarning, match="regularity"):
         synthesize(cfg)
 
