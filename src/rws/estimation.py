@@ -1,22 +1,23 @@
 """Multifractal spectrum estimation from wavelet coefficients.
 
-Two routes from a coefficient pyramid to a spectrum on a common h grid:
+Both routes from a coefficient pyramid to a spectrum on a common h grid
+read one exponent field: ``AlphaField.from_pyramid`` drops the zero
+coefficients of each scale j and holds alpha[j][k] = -log2|C[j][k]| / j,
+and nothing downstream takes log2|C| again.
 
-  * large-deviation: per-scale exponents alpha[j][k] =
-    -log2|C[j][k]| / j, cumulative counts N_j(alpha) = #{alpha[j][k] <=
+  * large-deviation: cumulative counts N_j(alpha) = #{alpha[j][k] <=
     alpha}, log-count growth rates lambda(alpha) fitted across scales,
     upper monotone closure, then d2(h) = h * sup_{alpha <= h}
     lambda_bar(alpha) / alpha restricted to the h range the closure
     itself certifies;
-  * Legendre: partition sums S_j(q) = sum_{C != 0} |C|^q, scaling
-    exponents tau(q) fitted across scales, critical order q_c where tau
-    crosses zero, then d1(h) = min over q >= q_c of (h q - tau(q)).
-    The sums are built by a power ladder rather than one exp2 per
-    (q, coefficient): each level is shifted by its largest (q >= 0) or
-    smallest (q < 0) log2|C| so no term exceeds 1, and the terms for
-    consecutive q are products of the previous ones with a per-coefficient
-    ratio 2^(dq (log2|C| - shift)) that is recomputed only when the q step
-    changes (see structure_function).
+  * Legendre: partition sums S_j(q) = sum_{C != 0} |C|^q = sum over the
+    field's scale-j exponents of 2^(-q j alpha), scaling exponents
+    tau(q) fitted across scales on the fixed grid ``default_q_grid()``,
+    critical order q_c where tau crosses zero, then d1(h) = min over
+    q >= q_c of (h q - tau(q)).  The sums are built by a power ladder,
+    two exp2 per exponent rather than one per (q, exponent): each side
+    of q = 0 multiplies by one ratio per step, the step dq being read
+    off the grid (see structure_function).
 
 Counts of zero are missing data, not data: every fit masks them out and
 needs at least three usable scales, and grid points whose fit or sup is
@@ -66,7 +67,6 @@ class LambdaCurve:
     values: np.ndarray       # NaN where fewer than 3 scales had N_j >= 1
     residuals: np.ndarray
     scale_range: tuple
-    closed: bool = False
 
 
 @dataclass
@@ -139,91 +139,80 @@ def upper_closure(curve: LambdaCurve) -> LambdaCurve:
         values=np.fmax.accumulate(curve.values),
         residuals=curve.residuals,
         scale_range=curve.scale_range,
-        closed=True,
     )
 
 
-def large_deviation_spectrum(closed: LambdaCurve) -> np.ndarray:
-    """d2(h) = h * sup over alpha <= h of lambda_bar(alpha) / alpha, on
-    the closed curve's own alpha grid.
+def large_deviation_spectrum(curve: LambdaCurve) -> np.ndarray:
+    """d2(h) = h * sup over alpha <= h of lambda(alpha) / alpha, on the
+    curve's own alpha grid; a sup that ends negative or NaN leaves the
+    point absent (negative values participate, they only lower the sup).
 
-    Negative lambda_bar values participate (they only lower the sup),
-    but a sup that ends negative leaves the point absent.
+    The raw curve and its upper closure give the same d2: a closed value
+    at a is some earlier lambda(b) divided by a > b, so wherever the sup
+    is nonnegative it is attained at a raw value, and where it is
+    negative the point is absent either way.
     """
-    if not closed.closed:
-        raise ValueError("large_deviation_spectrum expects the closed curve")
-    h = closed.alpha_grid
+    h = curve.alpha_grid
     with np.errstate(invalid="ignore", divide="ignore"):
-        sup = np.fmax.accumulate(closed.values / h)
+        sup = np.fmax.accumulate(curve.values / h)
         d2 = h * sup
         d2 = np.where(np.isnan(sup) | (sup < 0), np.nan, d2)
     return d2
 
 
-def structure_function(
-    pyramid: CoefficientPyramid,
-    q_grid: np.ndarray,
-    scale_count: int = DEFAULT_SCALE_COUNT,
-) -> TauCurve:
-    """Fit log2 S_j(q) against -j, S_j(q) = sum over nonzero |C|^q.
+def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT) -> TauCurve:
+    """Fit log2 S_j(q) against -j on ``default_q_grid()``, where S_j(q)
+    sums |C|^q = 2^(-q j alpha) over the field's scale-j exponents.
 
-    Each fit level is shifted by its extreme exponent, ext_j = max
-    log2|C| for q >= 0 and min log2|C| for q < 0, so every term
-    2^(q (log2|C| - ext_j)) is at most 1 and the level's sum is at least
-    1: log2 S_j(q) = q ext_j + log2 of that sum is finite for any q, and
-    a term that underflows to 0 is below 2^-1074 of the sum.
+    Each fit level is shifted by its extreme log2|C| = -j alpha, ext_j =
+    max for q >= 0 and min for q < 0 (taken with max/min, so a level need
+    not be sorted), so every term 2^(q (log2|C| - ext_j)) is at most 1
+    and the level's sum is at least 1: log2 S_j(q) = q ext_j + log2 of
+    that sum is finite for any q, and a term that underflows to 0 is
+    below 2^-1074 of the sum.
 
-    The terms are built by a power ladder: each side of q = 0 is walked
-    outward in sorted q order, multiplying by r = 2^(dq (log2|C| - ext_j)),
-    and r is recomputed only when the step dq changes, so the default
-    uniform grid costs two exp2 per coefficient and any grid one per
-    distinct step.  The walk runs over blocks of LADDER_BLOCK concatenated
-    coefficients so that the running products stay in cache across all q.
-    The block length is a constant, not a parameter: it changes tau(q)
-    only through the summation order (by ~1e-14 relative), so it is
-    chosen once for speed and a given input always gives the same bits.
+    The terms are built by a power ladder: q = 0 counts the exponents,
+    and each side of it is walked outward multiplying by one ratio
+    r = 2^(dq (log2|C| - ext_j)), with dq = q[k0 +- 1] - q[k0] read off
+    the grid at q[k0] = 0: two exp2 per coefficient.  The walk runs over
+    blocks of LADDER_BLOCK concatenated coefficients so that the running
+    products stay in cache across all q.  The block length is a
+    constant, not a parameter: it changes tau(q) only through the
+    summation order (by ~1e-14 relative), so it is chosen once for speed
+    and a given input always gives the same bits.
     """
-    pyramid.validate()
-    x = _fit_scales(pyramid.J, scale_count)
+    x = _fit_scales(field.J, scale_count)
     logs = []
     for j in x.astype(int):
-        c = np.abs(pyramid.levels[j])
-        c = c[c > 0]
-        if not c.size:
+        if not field.levels[j].size:
             raise DegenerateLevelError(
                 f"scale {j} has no nonzero coefficients; tau(q) is undefined there"
             )
-        logs.append(np.log2(c))
+        logs.append(-j * field.levels[j])
     starts = np.cumsum([0] + [a.size for a in logs])
     logc = np.concatenate(logs)
     del logs
     top = np.maximum.reduceat(logc, starts[:-1])
     bottom = np.minimum.reduceat(logc, starts[:-1])
-    q = np.asarray(q_grid, dtype=np.float64)
-    qs, where = np.unique(q, return_inverse=True)
-    k0 = int(np.searchsorted(qs, 0.0))
-    sums = np.zeros((qs.size, x.size))
+    q = default_q_grid()
+    k0 = int(np.searchsorted(q, 0.0))
+    sums = np.zeros((q.size, x.size))
     for b0 in range(0, logc.size, LADDER_BLOCK):
         block = logc[b0 : b0 + LADDER_BLOCK]
         lo = int(np.searchsorted(starts, b0, side="right")) - 1
         hi = int(np.searchsorted(starts, b0 + block.size))
         cuts = np.maximum(starts[lo:hi], b0) - b0  # level starts inside the block
         lengths = np.diff(np.append(cuts, block.size))
-        for order, ext in ((range(k0, qs.size), top), (range(k0 - 1, -1, -1), bottom)):
-            if not order:
-                continue
+        sums[k0, lo:hi] += lengths
+        for ks, ext in ((range(k0 + 1, q.size), top), (range(k0 - 1, -1, -1), bottom)):
             d = block - np.repeat(ext[lo:hi], lengths)
+            r = np.exp2((q[ks[0]] - q[k0]) * d)
             p = np.ones_like(d)
-            walked, step, r = 0.0, 0.0, 1.0
-            for k in order:
-                if abs(qs[k] - walked - step) > 1e-12:  # keeps walked within 1e-12 of qs[k]
-                    step = qs[k] - walked
-                    r = np.exp2(step * d)
+            for k in ks:
                 p *= r
-                walked += step
                 sums[k, lo:hi] += np.add.reduceat(p, cuts)
-    ext = np.where(qs[:, None] >= 0, top, bottom)
-    y = (qs[:, None] * ext + np.log2(sums))[where].T
+    ext = np.where(q[:, None] >= 0, top, bottom)
+    y = (q[:, None] * ext + np.log2(sums)).T
     mask = np.ones_like(y, dtype=bool)
     slope, rms = _masked_ols(-x, y, mask)
     return TauCurve(q_grid=q, values=slope, residuals=rms, scale_range=(int(x[0]), int(x[-1])))
@@ -328,7 +317,7 @@ def analyze_pyramid(
     h_min_est = float(closed.alpha_grid[nonneg][0]) if nonneg.any() else np.nan
     if np.isfinite(h_max_est):
         d2 = np.where(closed.alpha_grid > h_max_est + 0.5 * grid_step, np.nan, d2)
-    tau = structure_function(pyramid, default_q_grid(), scale_count)
+    tau = structure_function(field_, scale_count)
     q_c = critical_q(tau)
     # critical_q falls back to q_grid[0], where tau is nonzero, only without a sign change
     q_c_found = not (q_c == tau.q_grid[0] and tau.values[0] != 0.0)

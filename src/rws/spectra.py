@@ -104,7 +104,7 @@ class Kernel:
 
     def spectrum_grid(self, grid_step: float):
         """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``; see the module docstring."""
-        self.validate()
+        kernel_validity(self)
         h_min = self.h_min()
         alpha_t, h_max = self.ratio_max()
         grid = _merge_points([h_min, alpha_t, h_max], _step_grid(4.0 * h_max, grid_step))
@@ -324,9 +324,13 @@ class DiracKernel(Kernel):
 
 
 def kernel_validity(kernel) -> None:
-    """Raise KernelValidityError naming the violated threshold, if any."""
+    """Raise KernelValidityError naming a non-finite parameter or the
+    violated threshold, if any; root solves need finite parameters."""
     if not isinstance(kernel, Kernel):
         raise UnsupportedVariantError(f"unknown kernel {type(kernel).__name__}")
+    for f in fields(kernel):
+        if not math.isfinite(getattr(kernel, f.name)):
+            raise KernelValidityError(f"{f.name} = {getattr(kernel, f.name)} is not finite")
     kernel.validate()
 
 

@@ -193,8 +193,8 @@ def _source_parts(source):
         kernel_validity(source)
         return (lambda j: scale_law_from_kernel(source, j)), 1.0, source.ratio_max()[1]
     if isinstance(source, FlatLaw):
-        if not source.alpha0 > 0:
-            raise ConfigError("flat law needs alpha0 > 0")
+        if not 0 < source.alpha0 < math.inf:
+            raise ConfigError("flat law needs a finite alpha0 > 0")
         return (lambda j: flat_scale_law(source.alpha0, j)), 0.0, source.alpha0
     raise ConfigError(f"unknown synthesis source {type(source).__name__}")
 

@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 from rws import (
+    AlphaField,
     DiracKernel,
     FlatLaw,
     GaussianKernel,
@@ -212,7 +213,8 @@ def test_a11_partition_exponent_at_zero():
         x = synthesize(SynthesisConfig(J=14, source=source, wavelet_order=10, seed=0))
         pyr = forward_dwt(x, daubechies_filter(10))
         assert all(np.all(level != 0.0) for level in pyr.levels[1:]), f"{name}: zero coefficient"
-        tau0 = float(structure_function(pyr, np.array([0.0])).values[0])
+        tau = structure_function(AlphaField.from_pyramid(pyr))
+        tau0 = float(tau.values[tau.q_grid == 0.0][0])
         good = abs(tau0 + 1.0) <= 0.01
         ok = ok and good
         details.append(f"{name}: tau(0)={tau0:.6f}")

@@ -121,9 +121,13 @@ def test_synth_inadmissible_spectrum_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(("config", "code"), [
     ("mode=flat\nalpha0=0\nJ=10\n", 2),
     ("mode=flat\nalpha0=0.7\nJ=3\n", 2),
+    ("mode=flat\nalpha0=inf\nJ=10\n", 2),
     (None, 3),
     ("mode=kernel\nkernel=gaussian\nm=1.0\nsigma=1.0\nJ=10\n", 3),
-], ids=["flat-alpha0-0", "J-3", "bump-spectrum", "invalid-kernel"])
+    ("mode=kernel\nkernel=gamma\nalpha0=0.1\nnu=nan\nbeta=4\nJ=10\n", 3),
+    ("mode=kernel\nkernel=gaussian\nm=inf\nsigma=0.5\nJ=10\n", 3),
+], ids=["flat-alpha0-0", "J-3", "flat-alpha0-inf", "bump-spectrum", "invalid-kernel",
+        "gamma-nu-nan", "gaussian-m-inf"])
 def test_synth_rejected_config_writes_nothing(config, code, tmp_path):
     if config is None:
         write_bump_spectrum_config(tmp_path)
@@ -353,6 +357,20 @@ def test_synth_kernel_density_reaching_zero_exits_3(tmp_path, capsys):
 def test_kernel_invalid_parameters_exit_3(tmp_path, capsys):
     assert cli.main(["kernel", "gaussian", "m=1.0", "sigma=1.0", "--out", str(tmp_path)]) == 3
     assert "m <= sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [
+    ("gamma", "alpha0=0.1", "nu=nan", "beta=4"),
+    ("gaussian", "m=inf", "sigma=0.5"),
+    ("poisson", "alpha0=0.3", "c=inf"),
+    ("dirac", "H=inf"),
+], ids=["gamma-nu-nan", "gaussian-m-inf", "poisson-c-inf", "dirac-H-inf"])
+def test_kernel_non_finite_parameter_exits_3(params, tmp_path, capsys):
+    out = tmp_path / "k"
+    assert cli.main(["kernel", *params, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "is not finite" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_kernel_argument_errors_exit_2(tmp_path):

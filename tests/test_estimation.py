@@ -1,7 +1,11 @@
 """Exponent counting, scaling-law fits, and the two spectrum estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rws import (
     AlphaField,
@@ -17,12 +21,15 @@ from rws import (
     analyze_pyramid,
     critical_q,
     curve_from_function,
+    daubechies_filter,
     default_q_grid,
     estimate_lambda,
+    forward_dwt,
     generate_coefficients,
     large_deviation_spectrum,
     legendre_spectrum,
     structure_function,
+    synthesize,
     upper_closure,
 )
 from rws.estimation import LADDER_BLOCK
@@ -92,7 +99,6 @@ def test_monofractal_lambda_is_exactly_one():
     assert np.allclose(lam.values[1:], 1.0, atol=1e-9)
     assert np.all(lam.residuals[1:] < 1e-9)
     assert lam.scale_range == (2, 11)
-    assert lam.closed is False
 
 
 def test_flat_count_slope_matches_expected_occupancy():
@@ -145,7 +151,6 @@ def test_closure_removes_dips():
     )
     closed = upper_closure(raw)
     assert closed.values.tolist() == [1.0, 1.0, 1.0]
-    assert closed.closed is True
 
 
 def test_closure_nan_handling_and_idempotence():
@@ -165,15 +170,26 @@ def test_closure_nan_handling_and_idempotence():
 # ---------------------------------------------------------------------------
 # large-deviation spectrum
 
-def test_large_deviation_requires_closed_curve():
+@given(st.lists(
+    st.tuples(
+        st.floats(1e-3, 1.0),
+        st.one_of(st.just(np.nan), st.just(0.0), st.floats(-2.0, 2.0)),
+    ),
+    min_size=1, max_size=40,
+))
+def test_large_deviation_is_the_same_on_the_raw_and_closed_curve(points):
+    # the sup of lambda/alpha over alpha <= h is attained at a raw value
+    # wherever it is nonnegative, so closing the curve first changes no bit
+    alpha = np.cumsum([a for a, _ in points])
     raw = LambdaCurve(
-        alpha_grid=np.array([0.5, 1.0]),
-        values=np.array([1.0, 1.0]),
-        residuals=np.zeros(2),
+        alpha_grid=alpha,
+        values=np.array([v for _, v in points]),
+        residuals=np.zeros(alpha.size),
         scale_range=(6, 15),
     )
-    with pytest.raises(ValueError, match="closed"):
-        large_deviation_spectrum(raw)
+    np.testing.assert_array_equal(
+        large_deviation_spectrum(raw), large_deviation_spectrum(upper_closure(raw))
+    )
 
 
 def test_monofractal_large_deviation_grows_linearly():
@@ -192,7 +208,6 @@ def test_all_negative_closure_yields_absent_spectrum():
         values=np.array([-0.2, -0.1]),
         residuals=np.zeros(2),
         scale_range=(6, 15),
-        closed=True,
     )
     assert np.all(np.isnan(large_deviation_spectrum(closed)))
 
@@ -200,30 +215,34 @@ def test_all_negative_closure_yields_absent_spectrum():
 # ---------------------------------------------------------------------------
 # structure functions
 
+def tau_of(pyramid):
+    return structure_function(AlphaField.from_pyramid(pyramid))
+
+
 def test_monofractal_tau_is_affine():
-    tau = structure_function(dirac_pyramid(H=0.5, J=12), default_q_grid())
+    tau = tau_of(dirac_pyramid(H=0.5, J=12))
     expected = 0.5 * tau.q_grid - 1.0
     assert np.max(np.abs(tau.values - expected)) < 1e-9
     assert np.all(tau.residuals < 1e-9)
 
 
 def test_tau_at_zero_counts_nonzero_fraction():
-    tau = structure_function(dirac_pyramid(H=0.8, J=12), np.array([0.0]))
-    assert abs(tau.values[0] + 1.0) < 1e-12
+    tau = tau_of(dirac_pyramid(H=0.8, J=12))
+    assert abs(tau.values[tau.q_grid == 0.0][0] + 1.0) < 1e-12
 
 
 def test_tau_finite_for_negative_q_despite_zeros():
     pyr = parabola_pyramid(J=12, seed=0)
     assert any(np.any(l == 0) for l in pyr.levels[5:])
-    tau = structure_function(pyr, np.array([-2.0, -1.0, 3.0]))
-    assert np.all(np.isfinite(tau.values))
+    assert np.all(np.isfinite(tau_of(pyr).values))
 
 
-def reference_tau(pyramid, q_grid, scale_count=10):
-    """tau(q) from one log-sum-exp of q log2|C| per (q, scale), fitted by
-    ordinary least squares: the direct formula the ladder must reproduce."""
+def reference_tau(pyramid, scale_count=10):
+    """tau(q) on the default grid from one log-sum-exp of q log2|C| per
+    (q, scale), fitted by ordinary least squares: the direct formula the
+    ladder must reproduce."""
     js = np.arange(1, pyramid.J)[-scale_count:]
-    q = np.asarray(q_grid, dtype=np.float64)
+    q = default_q_grid()
     y = np.empty((js.size, q.size))
     for row, j in enumerate(js):
         c = np.abs(pyramid.levels[j])
@@ -235,47 +254,32 @@ def reference_tau(pyramid, q_grid, scale_count=10):
     return np.polyfit(-js.astype(np.float64), y, 1)[0]
 
 
-LADDER_GRIDS = {
-    "default": default_q_grid(),
-    "mixed": np.array([-2.0, -1.0, 3.0]),
-    "no-zero": np.array([0.5, 1.5, 2.0, 4.0]),
-    "negative-only": -np.linspace(0.3, 7.0, 12),
-    "unsorted": np.array([3.0, -1.0, 0.2, 7.0, -4.0, 0.2, 1.0]),
-    "wide": np.linspace(-50.0, 50.0, 41),
-}
-
-
-@pytest.mark.parametrize("grid", LADDER_GRIDS)
-def test_ladder_matches_direct_sums_on_any_grid(grid):
+def test_ladder_matches_direct_sums():
     pyr = generate_coefficients(
         SynthesisConfig(J=12, source=GaussianKernel(m=1.0, sigma=0.5), seed=2))
-    q = LADDER_GRIDS[grid]
-    tau = structure_function(pyr, q)
-    np.testing.assert_array_equal(tau.q_grid, q)
-    np.testing.assert_allclose(tau.values, reference_tau(pyr, q), rtol=1e-10, atol=0)
+    tau = tau_of(pyr)
+    np.testing.assert_array_equal(tau.q_grid, default_q_grid())
+    np.testing.assert_allclose(tau.values, reference_tau(pyr), rtol=1e-10, atol=0)
 
 
 def test_ladder_matches_direct_sums_across_block_boundaries():
     pyr = generate_coefficients(
         SynthesisConfig(J=18, source=GaussianKernel(m=1.0, sigma=0.5), seed=4))
     assert np.count_nonzero(pyr.levels[17]) > LADDER_BLOCK  # fit levels straddle blocks
-    q = default_q_grid()
-    np.testing.assert_allclose(structure_function(pyr, q).values, reference_tau(pyr, q),
-                               rtol=1e-10, atol=0)
+    np.testing.assert_allclose(tau_of(pyr).values, reference_tau(pyr), rtol=1e-10, atol=0)
 
 
 def test_ladder_matches_direct_sums_on_sparse_levels():
     pyr = generate_coefficients(SynthesisConfig(J=14, source=FlatLaw(0.7), seed=3))
     assert all(0 < np.count_nonzero(l) < 64 for l in pyr.levels[4:])
-    q = default_q_grid()
-    np.testing.assert_allclose(structure_function(pyr, q).values, reference_tau(pyr, q),
-                               rtol=1e-10, atol=0)
+    np.testing.assert_allclose(tau_of(pyr).values, reference_tau(pyr), rtol=1e-10, atol=0)
 
 
-@pytest.mark.parametrize("grid", ["default", "wide"])
-def test_ladder_shift_survives_a_300_octave_level(grid):
+@pytest.mark.parametrize("order", ["default", "shuffled"])
+def test_ladder_shift_survives_a_300_octave_level(order):
     # every level spans 2^-300..1 around its own offset, so q log2|C| runs far
-    # outside float range and many ladder terms underflow to 0
+    # outside float range and many ladder terms underflow to 0; a hand-built
+    # field need not be sorted, and the shifts must not depend on its order
     rng = np.random.default_rng(7)
     levels = []
     for j in range(12):
@@ -283,10 +287,12 @@ def test_ladder_shift_survives_a_300_octave_level(grid):
         e[0], e[-1] = 0.0, -300.0
         levels.append(rng.choice([-1.0, 1.0], 2**j) * np.exp2(e - 3.0 * j))
     pyr = CoefficientPyramid(J=12, levels=levels, coarse_mean=0.0)
-    q = LADDER_GRIDS[grid]
-    tau = structure_function(pyr, q)
+    field = AlphaField.from_pyramid(pyr)
+    if order == "shuffled":
+        field = AlphaField(J=12, levels={j: rng.permutation(a) for j, a in field.levels.items()})
+    tau = structure_function(field)
     assert np.all(np.isfinite(tau.values))
-    np.testing.assert_allclose(tau.values, reference_tau(pyr, q), rtol=1e-10, atol=0)
+    np.testing.assert_allclose(tau.values, reference_tau(pyr), rtol=1e-10, atol=0)
 
 
 def test_tau_rejects_empty_scale():
@@ -294,12 +300,12 @@ def test_tau_rejects_empty_scale():
     levels[5] = np.zeros(32)
     pyr = CoefficientPyramid(J=8, levels=levels, coarse_mean=0.0)
     with pytest.raises(DegenerateLevelError, match="scale 5"):
-        structure_function(pyr, np.array([0.0, 2.0]))
+        tau_of(pyr)
 
 
 def test_tau_needs_three_scales():
     with pytest.raises(InsufficientScalesError):
-        structure_function(three_scale_pyramid(), np.array([2.0]))
+        tau_of(three_scale_pyramid())
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +336,7 @@ def test_critical_q_warns_without_sign_change():
 # Legendre spectrum
 
 def test_legendre_monofractal_values():
-    tau = structure_function(dirac_pyramid(H=0.8, J=12), default_q_grid())
+    tau = tau_of(dirac_pyramid(H=0.8, J=12))
     q_c = critical_q(tau)
     assert abs(q_c - 1.25) < 1e-6
     d1 = legendre_spectrum(tau, q_c, np.array([0.6, 0.8, 1.2]))
@@ -349,7 +355,7 @@ def test_legendre_includes_the_critical_vertex():
 
 
 def test_legendre_is_concave():
-    tau = structure_function(parabola_pyramid(J=12, seed=0), default_q_grid())
+    tau = tau_of(parabola_pyramid(J=12, seed=0))
     h = 0.005 * np.arange(1, 401)
     d1 = legendre_spectrum(tau, critical_q(tau), h)
     assert np.all(np.diff(d1, 2) <= 1e-9)
@@ -379,8 +385,6 @@ def test_pipeline_shares_one_h_grid():
     assert np.array_equal(sp.h_grid, res.closed_curve.alpha_grid)
     assert sp.d1.shape == sp.h_grid.shape
     assert sp.d2.shape == sp.h_grid.shape
-    assert res.lambda_curve.closed is False
-    assert res.closed_curve.closed is True
 
 
 def test_amplitude_scaling_leaves_tau_and_legendre_unchanged():
@@ -405,6 +409,40 @@ def test_pipeline_estimates_respect_the_formalism_order():
     both = np.isfinite(sp.d2) & (sp.d1 >= 0)
     assert both.any()
     assert np.max(sp.d2[both] - sp.d1[both]) <= 0.05
+
+
+# Analysis numbers of three J=14 signals, one without a zero crossing of tau.
+# ROADMAP items 1 (amplitude- and boundary-safe counting) and 7 (the
+# critical_q fix) move them, and each re-records them.
+PINNED_ANALYSES = [  # source, seed; q_c, q_c_found, h_min, h_max, tau at q = -2, 0, 2, 5
+    pytest.param(GaussianKernel(m=1.0, sigma=0.5), 1,
+                 1.106249997019768, True, 0.49, 0.9401735498365361,
+                 (-4.361034489801179, -1.0, 0.7003892255663391, 2.3549970730400345),
+                 id="gaussian"),
+    pytest.param(curve_from_function(lambda h: (h - 0.5) ** 2, 0.5, 1.5), 0,
+                 0.6999999970197677, True, 0.665, 1.5234617587721633,
+                 (-4.963178963212818, -1.0, 1.405366768141398, 3.6200102700875054),
+                 id="parabola"),
+    pytest.param(DiracKernel(H=0.05), 0,
+                 -5.0, False, 0.005, 0.005422894031237581,
+                 (-2.1025188366118903, -1.0, -0.9336500032750943, -0.767943675591448),
+                 id="dirac-0.05"),
+]
+
+
+@pytest.mark.parametrize(("source", "seed", "q_c", "found", "h_min", "h_max", "taus"), PINNED_ANALYSES)
+def test_analysis_numbers_are_pinned(source, seed, q_c, found, h_min, h_max, taus):
+    # J = 14, db10 synthesis, db3 analysis
+    x = synthesize(SynthesisConfig(J=14, source=source, seed=seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # dirac-0.05 has no zero crossing
+        res = analyze_pyramid(forward_dwt(x, daubechies_filter(3)))
+    meta = res.spectrum.meta
+    assert abs(meta["q_c"] - q_c) <= 1e-8
+    assert meta["q_c_found"] is found
+    np.testing.assert_allclose([meta["h_min"], meta["h_max"]], [h_min, h_max], rtol=1e-12, atol=0)
+    tau = res.tau_curve.values[np.isin(res.tau_curve.q_grid, [-2.0, 0.0, 2.0, 5.0])]
+    np.testing.assert_allclose(tau, taus, rtol=1e-12, atol=0)
 
 
 def test_default_q_grid_span():

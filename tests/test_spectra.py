@@ -117,6 +117,21 @@ def test_poisson_validity_uses_threshold():
         kernel_validity(ShiftedPoissonKernel(alpha0=0.0, c=0.0))
 
 
+@pytest.mark.parametrize("kernel", [
+    GaussianKernel(m=np.inf, sigma=0.5),
+    GaussianKernel(m=1.0, sigma=np.nan),
+    ShiftedGammaKernel(alpha0=0.1, nu=np.nan, beta=4.0),
+    ShiftedPoissonKernel(alpha0=0.3, c=np.inf),
+    DiracKernel(H=np.inf),
+], ids=["gaussian-m-inf", "gaussian-sigma-nan", "gamma-nu-nan", "poisson-c-inf", "dirac-H-inf"])
+def test_non_finite_parameters_are_rejected_before_any_root_solve(kernel):
+    name = next(n for n, v in vars(kernel).items() if not np.isfinite(v))
+    with pytest.raises(KernelValidityError, match=f"{name} = .* is not finite"):
+        kernel_validity(kernel)
+    with pytest.raises(KernelValidityError, match=f"{name} = .* is not finite"):
+        spectrum_from_rho(kernel)
+
+
 def test_validity_rejects_non_kernels():
     with pytest.raises(UnsupportedVariantError, match="unknown kernel"):
         kernel_validity(object())
