@@ -23,12 +23,21 @@ enters through ``validate_config``, which validates the source once.
 Randomness is counter-based: scale j of a run keyed by ``seed`` uses a
 Philox stream with key (seed, j); coefficient k reads column k of the
 (2, 2**j) uniform matrix (row 0 drives the exponent, row 1 the sign).
-Any coefficient is therefore reproducible in isolation and the output
-is independent of evaluation order or available parallelism.
+Any coefficient is therefore reproducible in isolation.
+
+A level's exponents are sampled in fixed chunks of SAMPLE_CHUNK
+uniforms; a level of more than one chunk (j > 16) spreads its chunks
+over one thread per CPU of the process, and smaller levels run inline.
+Every law maps each uniform on its own, with no state shared between
+elements, so a chunk's exponents are the same bits whichever thread
+computes them and in whatever order: the output does not depend on the
+worker count.
 """
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +53,11 @@ from .spectra import (
 from .wavelet import CoefficientPyramid, daubechies_filter, inverse_dwt
 
 _LN2 = math.log(2.0)
+# Uniforms per chunk of exponent sampling.  A level of more than one chunk
+# (j > 16) is sampled on one thread per CPU; the special functions release
+# the GIL.  At J = 22 on a 2-core VM, gamma quantiles of 2^21 uniforms
+# took 1.27 s on one thread and 0.64 s on two.
+SAMPLE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -164,8 +178,26 @@ def scale_law_from_kernel(kernel: Kernel, j: int) -> KernelScaleLaw:
 
 
 def sample_alphas(law, uniforms) -> np.ndarray:
-    """Map uniforms in [0, 1) to exponents by ``law.sample`` (vectorized, deterministic)."""
-    return law.sample(np.asarray(uniforms, dtype=np.float64))
+    """Map a vector of uniforms in [0, 1) to exponents by ``law.sample``.
+
+    Above SAMPLE_CHUNK uniforms the chunks are sampled on one thread per
+    CPU of the process; the bits equal ``law.sample(uniforms)`` because
+    every law samples elementwise."""
+    u = np.asarray(uniforms, dtype=np.float64)
+    if u.size <= SAMPLE_CHUNK:
+        return law.sample(u)
+    out = np.empty(u.shape)
+
+    def fill(i):
+        out[i : i + SAMPLE_CHUNK] = law.sample(u[i : i + SAMPLE_CHUNK])
+
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, range(0, u.size, SAMPLE_CHUNK)))
+    return out
 
 
 def uniform_field(seed: int, j: int) -> np.ndarray:
@@ -211,8 +243,9 @@ def generate_coefficients(config: SynthesisConfig) -> CoefficientPyramid:
             levels.append(signs * c00)
             continue
         alpha = sample_alphas(law(j), u[0])
-        mag = np.where(np.isinf(alpha), 0.0, np.exp2(-j * alpha))
-        levels.append(signs * mag)
+        mag = np.exp2(-j * alpha, out=alpha)  # +0.0 where alpha = +inf
+        mag *= signs
+        levels.append(mag)
     return CoefficientPyramid(J=config.J, levels=levels, coarse_mean=0.0)
 
 

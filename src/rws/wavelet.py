@@ -17,6 +17,20 @@ decaying like ``|C[j][k]| ~ 2**(-j*h)`` near that point, so scaling
 exponents can be read off as ``-log2|C| / j`` without a half-power
 correction.  ``coarse_mean`` is the signal mean; detail levels
 ``j = 0 .. J-1`` hold ``2**j`` coefficients each.
+
+Polyphase kernels
+-----------------
+Each level runs in polyphase form (Strang & Nguyen, "Wavelets and
+Filter Banks", 1996).  The forward step splits the circularly extended
+input once into its even and odd samples and fills the lowpass and
+highpass outputs from the same slices; the inverse step sends the even
+taps to the even outputs and the odd taps to the odd outputs, so none
+of its multiply-adds is by a zero of the upsampled input.  Both keep
+the tap order m = 0 .. L-1 for every output and walk the outputs in
+blocks of DWT_BLOCK, so their bytes equal those of the textbook
+stride-2 correlation and zero-filled convolution.  A level shorter than
+the filter (n < L) wraps more than once and is computed by a matrix
+product over explicit circular indices instead.
 """
 
 from dataclasses import dataclass, field
@@ -227,6 +241,14 @@ class CoefficientPyramid:
                 )
 
 
+# Outputs per block of the polyphase loops: a block's accumulators and the
+# input slices it reads (128 KiB each) stay in cache across all L taps.
+# At J = 22 on a 2-core VM, the top db10 level took 0.05 s inverse and
+# 0.04 s forward at 2^14, 0.05-0.06 s at 2^12 or 2^16, and 0.15 s and
+# 0.10 s unblocked.
+DWT_BLOCK = 2**14
+
+
 def dyadic_exponent(n: int) -> int:
     """J such that n == 2**J; raises if n is not a power of two >= 2."""
     if n < 2 or n & (n - 1):
@@ -234,36 +256,53 @@ def dyadic_exponent(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _down_corr(s, taps):
-    # y[k] = sum_m taps[m] * s[(2k+m) mod n]; n even
+def _down_corr(s, lo, hi):
+    # (approx, detail) with y[k] = sum_m taps[m] * s[(2k+m) mod n], n even.
+    # Tap m reads the even (m even) or odd half of the circular extension
+    # at offset m // 2.
     n = s.size
-    L = taps.size
+    L = lo.size
     if n >= L:
-        ext = np.concatenate([s, s[: L]])
-        y = np.zeros(n // 2)
-        for m in range(L):
-            y += taps[m] * ext[m : m + n : 2]
-        return y
+        halves = (np.concatenate([s[0::2], s[0:L:2]]), np.concatenate([s[1::2], s[1:L:2]]))
+        out = np.zeros((2, n // 2))
+        for b0 in range(0, n // 2, DWT_BLOCK):
+            approx, detail = out[:, b0 : b0 + DWT_BLOCK]
+            for m in range(L):
+                k = b0 + m // 2
+                x = halves[m % 2][k : k + approx.size]
+                approx += lo[m] * x
+                detail += hi[m] * x
+        return out[0], out[1]
     idx = (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
-    return s[idx] @ taps
+    return s[idx] @ lo, s[idx] @ hi
 
 
 def _up_conv(approx, detail, lo, hi):
-    # s[i] = sum_m lo[m]*ua[(i-m) mod n] + hi[m]*ud[(i-m) mod n]
-    n = 2 * approx.size
+    # s[i] = sum_m lo[m]*ua[(i-m) mod n] + hi[m]*ud[(i-m) mod n], with ua and
+    # ud the zero-upsampled approx and detail.  Tap m adds to output
+    # 2p + m % 2 from approx/detail at p - m // 2 (extended circularly by K
+    # samples).  The terms it skips are exact zeros, and adding a zero never
+    # changes a sum that starts at +0.0: the bytes equal the zero-filled form.
+    h = approx.size
+    n = 2 * h
     L = lo.size
+    if n >= L:
+        K = (L + 1) // 2 - 1
+        ea = np.concatenate([approx[h - K :], approx])
+        ed = np.concatenate([detail[h - K :], detail])
+        s = np.empty((h, 2))    # row p holds outputs 2p and 2p + 1
+        for b0 in range(0, h, DWT_BLOCK):
+            w = min(DWT_BLOCK, h - b0)
+            phases = np.zeros((2, w))
+            for m in range(L):
+                k = b0 + K - m // 2
+                phases[m % 2] += lo[m] * ea[k : k + w] + hi[m] * ed[k : k + w]
+            s[b0 : b0 + w] = phases.T
+        return s.ravel()
     ua = np.zeros(n)
     ua[::2] = approx
     ud = np.zeros(n)
     ud[::2] = detail
-    if n >= L:
-        ea = np.concatenate([ua[-(L - 1) :], ua]) if L > 1 else ua
-        ed = np.concatenate([ud[-(L - 1) :], ud]) if L > 1 else ud
-        s = np.zeros(n)
-        for m in range(L):
-            off = L - 1 - m
-            s += lo[m] * ea[off : off + n] + hi[m] * ed[off : off + n]
-        return s
     idx = (np.arange(n)[:, None] - np.arange(L)[None, :]) % n
     return ua[idx] @ lo + ud[idx] @ hi
 
@@ -286,8 +325,7 @@ def forward_dwt(signal, filt: WaveletFilter) -> CoefficientPyramid:
     s = x * 2.0 ** (-0.5 * J)
     levels = [None] * J
     for j in range(J - 1, -1, -1):
-        det = _down_corr(s, filt.highpass)
-        s = _down_corr(s, filt.lowpass)
+        s, det = _down_corr(s, filt.lowpass, filt.highpass)
         levels[j] = det * 2.0 ** (0.5 * j)
     return CoefficientPyramid(J=J, levels=levels, coarse_mean=float(s[0]))
 

@@ -1,10 +1,20 @@
 """The benchmark's tracer rebinds names of the package by attribute."""
 
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 
-from rws import GaussianKernel, SynthesisConfig, cli, daubechies_filter, forward_dwt, synthesize
+from rws import (
+    GaussianKernel,
+    ShiftedGammaKernel,
+    SynthesisConfig,
+    cli,
+    daubechies_filter,
+    forward_dwt,
+    synthesize,
+)
 from rws.fileio import read_signal, write_signal
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -38,3 +48,41 @@ def test_tracer_counters_run_on_an_analyze_call(monkeypatch, tmp_path):
     pyramid = forward_dwt(read_signal(str(sig)), daubechies_filter(3))
     nonzero = sum(np.count_nonzero(pyramid.levels[j]) for j in range(1, 10))  # fit scales 1..9
     assert tracer.counts["tau_qcoef"] == 151 * nonzero
+
+
+def test_spans_nest_around_a_multi_chunk_synthesis(monkeypatch):
+    # the tracer keeps one span stack; a hooked call from a sampling worker
+    # thread would push onto it concurrently with the main thread
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    off_main = []
+
+    class MainThreadTracer(tracing.Tracer):
+        def wrap(self, name, fn, counter=None):
+            traced = super().wrap(name, fn, counter)
+
+            def checked(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(name)
+                return traced(*args, **kwargs)
+
+            return checked
+
+    tracer = MainThreadTracer()
+    with tracer.installed():
+        start = time.perf_counter()
+        synthesize(SynthesisConfig(J=18, source=ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), seed=5))
+        wall = time.perf_counter() - start
+    assert not off_main
+    spans = list(tracer.spans)
+    assert any(name == "synthesis.sample" for name, *_ in spans)
+    covered = [0.0] * len(spans)
+    for name, begin, end, parent in spans:
+        if parent >= 0:
+            _, p_begin, p_end, _ = spans[parent]
+            assert p_begin <= begin <= end <= p_end, name
+            covered[parent] += end - begin
+    self_s = [end - begin - c for (_, begin, end, _), c in zip(spans, covered)]
+    assert min(self_s) >= 0.0  # children of one span do not overlap
+    assert abs(sum(self_s) - wall) <= 0.01 * wall

@@ -1,5 +1,8 @@
 """Per-scale exponent laws, coefficient draws, and path realization."""
 
+import hashlib
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -238,6 +241,35 @@ def test_dirac_law_is_constant():
     assert np.all(alpha == 0.8)
 
 
+# one law of each type at a scale that spans more than one sampling chunk
+CHUNKED_LAWS = {
+    "spectrum": scale_law_from_spectrum(parabola_curve(), 17),
+    "flat": flat_scale_law(0.7, 17),
+    "gaussian": scale_law_from_kernel(GaussianKernel(m=1.0, sigma=0.5), 17),
+    "gamma": scale_law_from_kernel(ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), 17),
+    "poisson": scale_law_from_kernel(ShiftedPoissonKernel(alpha0=0.0, c=1.0), 17),
+    "dirac": scale_law_from_kernel(DiracKernel(H=0.8), 17),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNKED_LAWS))
+def test_chunked_sampling_is_bit_identical_to_the_law(name, monkeypatch):
+    # three full chunks and a partial one; the bits must not depend on the
+    # number of workers either, nor on how often the threads switch
+    law = CHUNKED_LAWS[name]
+    u = _uniform(3 * synthesis.SAMPLE_CHUNK + 5, 7)
+    want = law.sample(u).tobytes()
+    assert sample_alphas(law, u).tobytes() == want
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 3):
+            monkeypatch.setattr(synthesis.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            assert sample_alphas(law, u).tobytes() == want, f"{cpus} workers"
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_sampling_respects_alpha_cap():
     law = scale_law_from_kernel(GaussianKernel(m=1.0, sigma=0.5), 4)
     alpha = sample_alphas(law, np.array([0.0, 0.5, 1.0 - 1e-16]))
@@ -350,3 +382,41 @@ def test_flat_rws_counts_and_magnitudes():
         assert abs(nz.sum() - mean) < 6 * np.sqrt(mean) + 1
     with pytest.raises(ConfigError, match="alpha0"):
         generate_coefficients(SynthesisConfig(J=10, source=FlatLaw(-0.1)))
+
+
+# sha256 of synthesize(SynthesisConfig(J=18, source, 10, seed=5)) as float64
+# bytes, recorded before exponent sampling was split into chunks: level 17
+# spans two chunks, which the J=12 digests of acceptance a12 never reach.
+J18_SHA256 = {
+    "parabola": "8befb8b0fc90fef2f412ebb771dc53e31cea381eb2bf05893e2f4b53d7aac46a",
+    "gaussian": "8a58cd0d4d4f41ffe58d1cba4ec1b39dc0239e6bf055bd55316c9c25fe75ef87",
+    "gamma": "7dec59bbb062fb4d860a7e549705ba9d8721279ece8109930a9069065df105df",
+    "poisson": "b100a3f2a21fc8f95afa17b9bd8e5859a7fca9578cab54739ff4b6532b5f82d8",
+    "flat": "b9ce9eb42845f63aa4bdc56832e8f4d89a16db5874370da8f4da0ea5550b2621",
+}
+
+J18_SOURCES = {
+    "parabola": parabola_curve(),
+    "gaussian": GaussianKernel(m=1.0, sigma=0.5),
+    "gamma": ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
+    "poisson": ShiftedPoissonKernel(alpha0=0.0, c=1.0),
+    "flat": FlatLaw(0.7),
+}
+
+
+@pytest.mark.parametrize("source", list(J18_SHA256))
+def test_multi_chunk_synthesis_digest(source):
+    threads = threading.active_count()
+    x = synthesize(SynthesisConfig(J=18, source=J18_SOURCES[source], wavelet_order=10, seed=5))
+    assert hashlib.sha256(x.tobytes()).hexdigest() == J18_SHA256[source]
+    assert threading.active_count() == threads  # the sampling pool is shut down
+
+
+def test_single_chunk_levels_start_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(synthesis, "ThreadPoolExecutor", refuse)
+    synthesize(SynthesisConfig(J=12, source=ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), seed=5))
+    with pytest.raises(AssertionError, match="thread pool"):
+        synthesize(SynthesisConfig(J=18, source=FlatLaw(0.7), seed=5))

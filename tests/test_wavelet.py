@@ -16,6 +16,7 @@ from rws import (
     forward_dwt,
     inverse_dwt,
     parse_wavelet_name,
+    wavelet,
 )
 
 # Closed-form db2 taps: (1 +- sqrt(3))/(4 sqrt(2)) family, sum sqrt(2).
@@ -170,3 +171,86 @@ def test_parse_wavelet_name():
     for bad in ("haar", "db", "dbx", "db0", "db11"):
         with pytest.raises(UnsupportedOrderError):
             parse_wavelet_name(bad)
+
+
+# ---------------------------------------------------------------------------
+# polyphase kernels against the textbook forms they replaced
+
+def reference_down_corr(s, taps):
+    """y[k] = sum_m taps[m] * s[(2k+m) mod n]: stride-2 slices of the
+    circular extension, one pass per filter."""
+    n = s.size
+    L = taps.size
+    if n >= L:
+        ext = np.concatenate([s, s[:L]])
+        y = np.zeros(n // 2)
+        for m in range(L):
+            y += taps[m] * ext[m : m + n : 2]
+        return y
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
+    return s[idx] @ taps
+
+
+def reference_up_conv(approx, detail, lo, hi):
+    """s[i] = sum_m lo[m]*ua[(i-m) mod n] + hi[m]*ud[(i-m) mod n] over the
+    zero-filled upsampled inputs ua and ud, every tap at every output."""
+    n = 2 * approx.size
+    L = lo.size
+    ua = np.zeros(n)
+    ua[::2] = approx
+    ud = np.zeros(n)
+    ud[::2] = detail
+    if n >= L:
+        ea = np.concatenate([ua[-(L - 1) :], ua]) if L > 1 else ua
+        ed = np.concatenate([ud[-(L - 1) :], ud]) if L > 1 else ud
+        s = np.zeros(n)
+        for m in range(L):
+            off = L - 1 - m
+            s += lo[m] * ea[off : off + n] + hi[m] * ed[off : off + n]
+        return s
+    idx = (np.arange(n)[:, None] - np.arange(L)[None, :]) % n
+    return ua[idx] @ lo + ud[idx] @ hi
+
+
+def _sparse_signed(gen, size):
+    # synthesized levels hold exact zeros of either sign among their values
+    x = gen.standard_normal(size)
+    x[gen.random(size) < 0.2] = 0.0
+    x[gen.random(size) < 0.2] = -0.0
+    return x
+
+
+def _level_lengths(L):
+    # every level length of a 2^10 signal, and lengths around the filter's
+    # (n < L, n == L, n == L + 2)
+    return sorted({2**e for e in range(1, 11)} | {n for n in (L - 2, L, L + 2) if n >= 2})
+
+
+def _assert_kernels_match_references(order, n, tag):
+    f = daubechies_filter(order)
+    gen = _rng(1000 * order + n + tag)
+    s = _sparse_signed(gen, n)
+    approx, detail = wavelet._down_corr(s, f.lowpass, f.highpass)
+    assert approx.tobytes() == reference_down_corr(s, f.lowpass).tobytes(), f"forward lowpass n={n}"
+    assert detail.tobytes() == reference_down_corr(s, f.highpass).tobytes(), f"forward highpass n={n}"
+    a, d = _sparse_signed(gen, n // 2), _sparse_signed(gen, n // 2)
+    got = wavelet._up_conv(a, d, f.lowpass, f.highpass)
+    assert got.tobytes() == reference_up_conv(a, d, f.lowpass, f.highpass).tobytes(), f"inverse n={n}"
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS)
+def test_polyphase_kernels_are_byte_identical_to_references(order):
+    for n in _level_lengths(2 * order):
+        _assert_kernels_match_references(order, n, 0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 10])
+def test_polyphase_kernels_match_across_blocks(order, monkeypatch):
+    # a block of 3 outputs splits every level into blocks, the last one partial
+    monkeypatch.setattr(wavelet, "DWT_BLOCK", 3)
+    for n in _level_lengths(2 * order):
+        _assert_kernels_match_references(order, n, 1)
+
+
+def test_polyphase_kernels_match_over_full_blocks():
+    _assert_kernels_match_references(10, 4 * wavelet.DWT_BLOCK + 6, 2)
