@@ -17,11 +17,12 @@ import sys
 import numpy as np
 
 from rws import (
+    ConfigError,
     SynthesisConfig,
     analyze_pyramid,
     curve_from_function,
-    daubechies_filter,
     forward_dwt,
+    parse_wavelet_name,
     synthesize,
 )
 from rws.fileio import write_columns, write_estimate_csv, write_signal
@@ -50,12 +51,15 @@ def main(argv=None):
     ap.add_argument("--analysis-wavelet", default="db3")
     ap.add_argument("--out", default="out/nonconcave")
     args = ap.parse_args(argv)
+    try:
+        synth, analysis = [parse_wavelet_name(w) for w in (args.synth_wavelet, args.analysis_wavelet)]
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     curve = curve_from_function(target, 0.5, 1.5)
-    order = int(args.synth_wavelet.removeprefix("db"))
-    cfg = SynthesisConfig(J=args.J, source=curve, wavelet_order=order, seed=args.seed)
+    cfg = SynthesisConfig(J=args.J, source=curve, wavelet_order=synth.order, seed=args.seed)
     x = synthesize(cfg)
-    result = analyze_pyramid(forward_dwt(x, daubechies_filter(int(args.analysis_wavelet.removeprefix("db")))))
+    result = analyze_pyramid(forward_dwt(x, analysis))
     sp = result.spectrum
 
     os.makedirs(args.out, exist_ok=True)

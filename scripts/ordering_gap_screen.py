@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from rws import (
+    ConfigError,
     FlatLaw,
     GaussianKernel,
     ShiftedGammaKernel,
@@ -25,8 +26,8 @@ from rws import (
     SynthesisConfig,
     analyze_pyramid,
     curve_from_function,
-    daubechies_filter,
     forward_dwt,
+    parse_wavelet_name,
     synthesize,
 )
 
@@ -39,9 +40,9 @@ SOURCES = [
 ]
 
 
-def gap(J, source, seed, order):
-    x = synthesize(SynthesisConfig(J=J, source=source, wavelet_order=order, seed=seed))
-    sp = analyze_pyramid(forward_dwt(x, daubechies_filter(order))).spectrum
+def gap(J, source, seed, filt):
+    x = synthesize(SynthesisConfig(J=J, source=source, wavelet_order=filt.order, seed=seed))
+    sp = analyze_pyramid(forward_dwt(x, filt)).spectrum
     both = np.isfinite(sp.d2) & (sp.d1 >= 0.0)
     if not both.any():
         return float("nan")
@@ -55,13 +56,16 @@ def main(argv=None):
     ap.add_argument("--wavelet", default="db10", help="synthesis and analysis wavelet")
     ap.add_argument("--tol", type=float, default=0.05, help="mark seeds above this gap")
     args = ap.parse_args(argv)
-    order = int(args.wavelet.removeprefix("db"))
+    try:
+        filt = parse_wavelet_name(args.wavelet)
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     print(f"J={args.J} wavelet={args.wavelet} (same filter both directions)")
     for name, make in SOURCES:
         row = []
         for seed in range(args.seeds):
-            g = gap(args.J, make(), seed, order)
+            g = gap(args.J, make(), seed, filt)
             mark = "*" if g > args.tol else " "
             row.append(f"{seed}:{g:+.3f}{mark}")
         print(f"{name:9s} " + "  ".join(row))

@@ -5,9 +5,13 @@
     rws kernel VARIANT key=value ... [--out DIR] [--grid-step S]
     rws selftest
 
-Exit codes: 0 success, 1 selftest failure, 2 malformed config or file,
-3 mathematically invalid input (inadmissible spectrum, kernel threshold
-violation, degenerate data).
+Exit codes: 0 success, 1 selftest failure, 2 malformed config, file or
+option, 3 mathematically invalid input (inadmissible spectrum, kernel
+threshold violation, degenerate data).
+
+Options are not checked here: each goes to the library function that
+uses it, which raises ConfigError (exit 2) for a bad value before any
+output is written.
 
 Every writing command drops a ``manifest.txt`` next to its outputs
 recording the resolved parameters, inputs, and outputs in a fixed key
@@ -24,8 +28,9 @@ import numpy as np
 
 from . import fileio
 from .errors import ConfigError, FormatError, MathValidityError, UnsupportedVariantError
-from .estimation import analyze_pyramid
+from .estimation import DEFAULT_SCALE_COUNT, analyze_pyramid
 from .spectra import (
+    DEFAULT_GRID_STEP,
     GaussianKernel,
     LogDensity,
     ShiftedGammaKernel,
@@ -56,22 +61,19 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("signal", help="rws-sig binary or one-sample-per-line text")
     a.add_argument("--out", default=".", help="output directory (default: .)")
     a.add_argument("--wavelet", default="db3", help="analysis wavelet (default: db3)")
-    a.add_argument("--scales", type=int, default=10, help="scales in each fit (default: 10)")
-    a.add_argument("--grid-step", type=float, default=0.005, help="h grid step (default: 0.005)")
+    a.add_argument("--scales", type=int, default=DEFAULT_SCALE_COUNT,
+                   help="scales in each fit (default: %(default)s)")
 
     k = sub.add_parser("kernel", help="tabulate a kernel density and its spectrum")
     k.add_argument("variant", help=" | ".join(fileio.KERNELS))
     k.add_argument("params", nargs="*", help="kernel parameters as key=value")
     k.add_argument("--out", default=".", help="output directory (default: .)")
-    k.add_argument("--grid-step", type=float, default=0.005, help="h grid step (default: 0.005)")
+    for parser in (a, k):
+        parser.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP,
+                            help="h grid step (default: %(default)s)")
 
     sub.add_parser("selftest", help="run built-in consistency checks")
     return p
-
-
-def _check_positive(value: float, name: str) -> None:
-    if not 0 < value < np.inf:
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 def cmd_synth(args) -> int:
@@ -104,9 +106,6 @@ def cmd_synth(args) -> int:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    _check_positive(args.grid_step, "--grid-step")
-    if args.scales < 3:
-        raise ConfigError(f"--scales must be at least 3, got {args.scales}")
     x = fileio.read_signal(args.signal)
     filt = parse_wavelet_name(args.wavelet)
     pyramid = forward_dwt(x, filt)
@@ -151,27 +150,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_cli_params(pairs) -> dict:
-    params = {}
-    for item in pairs:
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            raise ConfigError(f"expected key=value, got {item!r}")
-        if key in params:
-            raise ConfigError(f"duplicate parameter {key!r}")
-        try:
-            params[key] = float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    return params
-
-
 def cmd_kernel(args) -> int:
     t0 = time.perf_counter()
-    _check_positive(args.grid_step, "--grid-step")
-    params = _parse_cli_params(args.params)
+    params = fileio.parse_key_values("\n".join(args.params), "kernel parameter")
     kernel = fileio.build_kernel(args.variant, params)
-    curve = spectrum_from_rho(LogDensity.from_kernel(kernel), grid_step=args.grid_step)
+    curve = spectrum_from_rho(kernel, grid_step=args.grid_step)
     os.makedirs(args.out, exist_ok=True)
     fileio.write_columns(os.path.join(args.out, "rho.csv"), "alpha,rho",
                          curve.h_grid, kernel.rho(curve.h_grid))
@@ -182,7 +165,7 @@ def cmd_kernel(args) -> int:
     except UnsupportedVariantError:
         astar_text = "n/a"
     items = [("command", "kernel"), ("variant", args.variant)]
-    items += sorted(params.items())
+    items += sorted(vars(kernel).items())
     items += [
         ("alpha_star", astar_text),
         ("h_min", curve.h_min),

@@ -24,17 +24,17 @@ needs at least three usable scales, and grid points whose fit or sup is
 undefined stay absent (NaN) end to end.
 """
 
-import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLevelError, InsufficientScalesError
+from .errors import ConfigError, DegenerateLevelError, InsufficientScalesError
+from .spectra import DEFAULT_GRID_STEP, _step_grid
 from .wavelet import CoefficientPyramid
 
 DEFAULT_SCALE_COUNT = 10
-DEFAULT_GRID_STEP = 0.005
 # Coefficients per block of the partition-sum ladder: the running products
 # of one block (512 KiB) stay in cache while every q is walked.  At J = 22
 # on a 2-core VM, 2^16 took 0.55 s per tau fit, 2^15 and 2^17 0.7-0.9 s.
@@ -78,6 +78,8 @@ class TauCurve:
 
 
 def _fit_scales(J: int, scale_count: int):
+    if not isinstance(scale_count, numbers.Integral) or scale_count < 3:
+        raise ConfigError(f"scale_count must be an integer of at least 3, got {scale_count!r}")
     js = list(range(1, J))[-scale_count:]
     if len(js) < 3:
         raise InsufficientScalesError(
@@ -289,8 +291,7 @@ def _default_alpha_grid(field: AlphaField, step: float) -> np.ndarray:
     if finite:
         top = max(float(np.quantile(a, 0.9999)) for a in finite)
         upper = max(upper, top + 1.0)
-    upper = min(upper, 64.0)
-    return step * np.arange(1, int(math.ceil(upper / step)) + 1)
+    return _step_grid(min(upper, 64.0), step)
 
 
 def analyze_pyramid(
@@ -304,6 +305,9 @@ def analyze_pyramid(
     the closure itself (h_max = 1 / sup lambda_bar(alpha)/alpha, plus
     half a grid step of slack): beyond it the formula grows linearly
     out of the last ratio and would fabricate spectrum mass.
+
+    Raises ConfigError unless scale_count is an integer of at least 3
+    and grid_step is positive and finite.
     """
     field_ = AlphaField.from_pyramid(pyramid)
     lam = estimate_lambda(field_, _default_alpha_grid(field_, grid_step), scale_count)

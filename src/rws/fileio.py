@@ -220,7 +220,8 @@ def _kernel_params(name: str) -> tuple:
 
 
 def build_kernel(name: str, params: dict):
-    """Instantiate a kernel from its variant name and parameter dict."""
+    """Instantiate a kernel from its variant name and parameter dict
+    (numbers or number strings); any mismatch raises ConfigError."""
     needed = _kernel_params(name)
     missing = [p for p in needed if p not in params]
     if missing:
@@ -228,7 +229,8 @@ def build_kernel(name: str, params: dict):
     extra = [p for p in params if p not in needed]
     if extra:
         raise ConfigError(f"kernel {name} does not take: {', '.join(extra)}")
-    return KERNELS[name](**{p: float(params[p]) for p in needed})
+    raw = dict(params)   # _take_float pops
+    return KERNELS[name](**{p: _take_float(raw, p, f"kernel {name}") for p in needed})
 
 
 def parse_key_values(text: str, path: str = "<config>") -> dict:
@@ -284,7 +286,7 @@ def load_synthesis_config(path: str):
     wavelet = raw.pop("wavelet", "db10")
     try:
         order = parse_wavelet_name(wavelet).order
-    except Exception as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     resolved = [("mode", mode), ("J", J), ("seed", seed), ("wavelet", f"db{order}")]
 

@@ -44,6 +44,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaincc, gammaincinv, ndtr, ndtri
 
 from .errors import (
+    ConfigError,
     EmptySpectrumError,
     FlatSpectrumError,
     KernelValidityError,
@@ -56,7 +57,7 @@ LOG2E = math.log2(math.e)
 _TOL_ONE = 1e-9       # d(h_max) = 1 and d <= 1 slack
 _TOL_ZERO = 1e-12     # d >= 0 slack
 _TOL_RATIO = 1e-9     # monotonicity slack for d(h)/h
-_DEFAULT_STEP = 0.005
+DEFAULT_GRID_STEP = 0.005   # h grid step of kernel spectra, analyses and sampled curves
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +357,14 @@ class AdmissibilityReport:
     violations: list = field(default_factory=list)
 
 
-def curve_from_function(fn, h_min: float, h_max: float, step: float = _DEFAULT_STEP):
-    """Sample d = fn(h) on [h_min, h_max] with approximately the given step."""
+def curve_from_function(fn, h_min: float, h_max: float):
+    """Sample d = fn(h) on [h_min, h_max] with approximately DEFAULT_GRID_STEP."""
     if h_max < h_min:
         raise MathValidityError("h_max < h_min")
     if h_max == h_min:
         grid = np.array([h_min])
     else:
-        n = max(1, round((h_max - h_min) / step))
+        n = max(1, round((h_max - h_min) / DEFAULT_GRID_STEP))
         grid = np.linspace(h_min, h_max, n + 1)
     d = np.array([fn(h) for h in grid], dtype=np.float64)
     return SpectrumCurve(h_grid=grid, d_values=d, h_min=h_min, h_max=h_max)
@@ -491,18 +492,23 @@ def _merge_points(base, extras, tol=1e-9):
 
 
 def _step_grid(upper, step):
+    """The h grid of kernel spectra and analyses: step * (1..n), the fewest
+    points reaching upper; ConfigError unless step is positive and finite."""
+    if not 0 < step < math.inf:
+        raise ConfigError(f"grid_step must be positive and finite, got {step}")
     n = int(math.ceil(upper / step - 1e-9))
     return step * np.arange(1, n + 1)
 
 
-def spectrum_from_rho(density, grid_step: float = _DEFAULT_STEP) -> SpectrumCurve:
+def spectrum_from_rho(density, grid_step: float = DEFAULT_GRID_STEP) -> SpectrumCurve:
     """Spectrum generated by an upper logarithmic density: any ``Kernel``
     (validated here) or a ``LogDensity.from_samples(...)``.
 
     Raises FlatSpectrumError when rho touches zero but is never
     positive (the constant-exponent sparse construction applies there),
     EmptySpectrumError when rho is negative everywhere, and a validity
-    error when rho is nonnegative arbitrarily close to 0.
+    error when rho is nonnegative arbitrarily close to 0.  A kernel
+    needs a positive, finite grid_step (ConfigError); samples ignore it.
     """
     grid, vals, h_min, h_max = density.spectrum_grid(grid_step)
     # running maximum of rho/alpha over evaluation points <= h

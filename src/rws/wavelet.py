@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidLengthError,
     InvalidPyramidError,
     NonFiniteSampleError,
@@ -205,14 +206,11 @@ def daubechies_filter(order: int) -> WaveletFilter:
 
 
 def parse_wavelet_name(name: str) -> WaveletFilter:
-    """Parse ``db<order>`` strings (used by the CLI and config files)."""
-    if not name.startswith("db"):
-        raise UnsupportedOrderError(f"unknown wavelet {name!r}; expected db1..db10")
-    try:
-        order = int(name[2:])
-    except ValueError:
-        raise UnsupportedOrderError(f"unknown wavelet {name!r}; expected db1..db10") from None
-    return daubechies_filter(order)
+    """The filter named db1..db10 (the CLI and config spelling); any other
+    name raises ConfigError."""
+    if name not in {f"db{order}" for order in SUPPORTED_ORDERS}:
+        raise ConfigError(f"unknown wavelet {name!r}; expected db1..db10")
+    return daubechies_filter(int(name[2:]))
 
 
 @dataclass(eq=False)

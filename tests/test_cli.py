@@ -93,6 +93,9 @@ def test_synth_bad_config_exits_2(tmp_path, capsys):
     write_flat_config(cfg, extra="flavor=mint\n")
     assert cli.main(["synth", str(cfg), "--out", str(tmp_path)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+    write_flat_config(cfg, extra="wavelet=haar\n")
+    assert cli.main(["synth", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: unknown wavelet 'haar'")
     assert cli.main(["synth", str(tmp_path / "absent.cfg")]) == 2
 
 
@@ -172,8 +175,10 @@ def test_analyze_writes_bundle(gaussian_signal, tmp_path, capsys):
 
 
 def test_analyze_option_validation(gaussian_signal, tmp_path):
-    assert cli.main(["analyze", str(gaussian_signal), "--out", str(tmp_path), "--scales", "2"]) == 2
-    assert cli.main(["analyze", str(gaussian_signal), "--out", str(tmp_path), "--grid-step", "0"]) == 2
+    out = tmp_path / "run"
+    for option in (["--scales", "2"], ["--scales", "-2"], ["--grid-step", "0"], ["--grid-step", "-0.005"]):
+        assert cli.main(["analyze", str(gaussian_signal), "--out", str(out), *option]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("step", ["inf", "nan"])
@@ -182,7 +187,20 @@ def test_non_finite_grid_step_exits_2(command, step, gaussian_signal, tmp_path, 
     args = [str(gaussian_signal)] if command == "analyze" else ["gaussian", "m=1.0", "sigma=0.5"]
     out = tmp_path / "run"
     assert cli.main([command, *args, "--out", str(out), "--grid-step", step]) == 2
-    assert "--grid-step must be positive and finite" in capsys.readouterr().err
+    assert "grid_step must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["haar", "db11", "db0"])
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+def test_unknown_wavelet_option_exits_2(command, name, gaussian_signal, tmp_path, capsys):
+    # both commands used to exit 3, the code for mathematically invalid input
+    cfg = tmp_path / "c.cfg"
+    write_gaussian_config(cfg)
+    source = str(cfg) if command == "synth" else str(gaussian_signal)
+    out = tmp_path / "run"
+    assert cli.main([command, source, "--out", str(out), "--wavelet", name]) == 2
+    assert f"unknown wavelet {name!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -346,6 +364,22 @@ def test_synthesis_scripts_run(script, args, row, rows, tmp_path):
     assert len(re.findall(row, done.stdout, flags=re.M)) == rows, done.stdout
 
 
+@pytest.mark.parametrize(("script", "flag"), [
+    ("nonconcave_demo.py", "--synth-wavelet"),
+    ("nonconcave_demo.py", "--analysis-wavelet"),
+    ("ordering_gap_screen.py", "--wavelet"),
+])
+@pytest.mark.parametrize("name", ["haar", "db12"])
+def test_synthesis_scripts_reject_unknown_wavelet(script, flag, name, tmp_path):
+    # a usage error, not a traceback
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "scripts" / script), flag, name],
+                          env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == 2
+    assert f"error: unknown wavelet {name!r}" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_synth_kernel_density_reaching_zero_exits_3(tmp_path, capsys):
     # a valid kernel whose density is nonnegative arbitrarily close to 0
     cfg = tmp_path / "c.cfg"
@@ -382,6 +416,17 @@ def test_kernel_argument_errors_exit_2(tmp_path):
     assert cli.main(["kernel", "gaussian", "m=1", "m=2", "sigma=0.5", "--out", out]) == 2
     assert cli.main(["kernel", "gaussian", "m=x", "sigma=0.5", "--out", out]) == 2
     assert cli.main(["kernel", "gaussian", "m=1.0", "sigma=0.5", "--grid-step", "0"]) == 2
+
+
+def test_kernel_parameters_read_like_config_lines(tmp_path):
+    # blank and '#' arguments are skipped and spaces around '=' are stripped
+    out = tmp_path / "k"
+    assert cli.main(["kernel", "gaussian", "", "# width next", "m = 1", "sigma= 0.5", "--out", str(out)]) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("rho.csv", "spectrum.csv"))
+    assert got == KERNEL_CSV_DIGESTS[("gaussian", "m=1", "sigma=0.5")]
+    manifest = parse_key_values((out / "manifest.txt").read_text())
+    assert (manifest["m"], manifest["sigma"]) == ("1", "0.5")
 
 
 # ---------------------------------------------------------------------------

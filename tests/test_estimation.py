@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rws import (
     AlphaField,
     CoefficientPyramid,
+    ConfigError,
     DegenerateLevelError,
     DiracKernel,
     FlatLaw,
@@ -114,6 +115,18 @@ def test_lambda_needs_three_scales():
     estimate_lambda(field, np.array([0.75]))
     with pytest.raises(InsufficientScalesError, match="3 scales"):
         estimate_lambda(AlphaField.from_pyramid(three_scale_pyramid()), np.array([0.75]))
+
+
+@pytest.mark.parametrize("options", [
+    {"scale_count": 0}, {"scale_count": -2}, {"scale_count": 2}, {"scale_count": 3.0},
+    {"grid_step": 0.0}, {"grid_step": -0.005}, {"grid_step": np.nan}, {"grid_step": np.inf},
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_analyze_pyramid_rejects_bad_options(options):
+    # before the library checked them, scale_count=0 fitted every scale,
+    # -2 all but two, and a step that was not positive gave an empty spectrum
+    pyramid = generate_coefficients(SynthesisConfig(J=12, source=GaussianKernel(m=1.0, sigma=0.5), seed=1))
+    with pytest.raises(ConfigError, match="scale_count|grid_step"):
+        analyze_pyramid(pyramid, **options)
 
 
 def test_lambda_nan_when_counts_too_sparse():

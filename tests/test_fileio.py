@@ -175,6 +175,7 @@ def test_build_kernel_each_variant():
     assert k.beta == 4.0
     assert isinstance(build_kernel("poisson", {"alpha0": 0.3, "c": 1}), ShiftedPoissonKernel)
     assert isinstance(build_kernel("dirac", {"H": 0.8}), DiracKernel)
+    assert build_kernel("gaussian", {"m": "1", "sigma": " 0.5"}) == GaussianKernel(m=1.0, sigma=0.5)
 
 
 def test_build_kernel_errors():
@@ -184,6 +185,8 @@ def test_build_kernel_errors():
         build_kernel("gaussian", {"m": 1})
     with pytest.raises(ConfigError, match="does not take: tail"):
         build_kernel("dirac", {"H": 0.8, "tail": 2})
+    with pytest.raises(ConfigError, match="m must be a number"):
+        build_kernel("gaussian", {"m": "x", "sigma": "0.5"})
 
 
 # ---------------------------------------------------------------------------

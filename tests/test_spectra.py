@@ -12,6 +12,7 @@ from rws import (
     LogDensity,
     MathValidityError,
     ShiftedGammaKernel,
+    ConfigError,
     ShiftedPoissonKernel,
     UnsupportedVariantError,
     check_admissible,
@@ -308,6 +309,12 @@ def test_spectrum_endpoint_values():
         assert abs(out.d_values[i_min]) < 1e-6
         report = check_admissible(out)
         assert report.valid, report.violations
+
+
+@pytest.mark.parametrize("step", [0.0, -0.005, np.nan, np.inf])
+def test_kernel_spectrum_rejects_bad_grid_step(step):
+    with pytest.raises(ConfigError, match="grid_step must be positive and finite"):
+        spectrum_from_rho(GaussianKernel(m=1.0, sigma=0.5), grid_step=step)
 
 
 def test_spectrum_matches_dense_grid_construction():

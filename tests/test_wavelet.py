@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rws import (
     CoefficientPyramid,
+    ConfigError,
     InvalidLengthError,
     InvalidPyramidError,
     NonFiniteSampleError,
@@ -168,8 +169,8 @@ def test_unsupported_orders_rejected():
 def test_parse_wavelet_name():
     assert parse_wavelet_name("db3").order == 3
     assert parse_wavelet_name("db10").name == "db10"
-    for bad in ("haar", "db", "dbx", "db0", "db11"):
-        with pytest.raises(UnsupportedOrderError):
+    for bad in ("haar", "db", "dbx", "db0", "db11", "db 3", "db+3", "db03", "3", "DB3", "db3 "):
+        with pytest.raises(ConfigError):
             parse_wavelet_name(bad)
 
 
