@@ -109,6 +109,7 @@ def cmd_analyze(args) -> int:
     x = fileio.read_signal(args.signal)
     filt = parse_wavelet_name(args.wavelet)
     pyramid = forward_dwt(x, filt)
+    del x  # free the signal (8 * 2^J bytes): analysis reads only the pyramid
     result = analyze_pyramid(pyramid, scale_count=args.scales, grid_step=args.grid_step)
     os.makedirs(args.out, exist_ok=True)
     fileio.write_lambda_csv(

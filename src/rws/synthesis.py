@@ -35,9 +35,7 @@ worker count.
 """
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +48,7 @@ from .spectra import (
     kernel_validity,
     spectrum_from_rho,  # unused here; perfbench/tracing.py hooks it in this module
 )
-from .wavelet import CoefficientPyramid, daubechies_filter, inverse_dwt
+from .wavelet import CoefficientPyramid, _map_blocks, daubechies_filter, inverse_dwt
 
 _LN2 = math.log(2.0)
 # Uniforms per chunk of exponent sampling.  A level of more than one chunk
@@ -191,12 +189,7 @@ def sample_alphas(law, uniforms) -> np.ndarray:
     def fill(i):
         out[i : i + SAMPLE_CHUNK] = law.sample(u[i : i + SAMPLE_CHUNK])
 
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, range(0, u.size, SAMPLE_CHUNK)))
+    _map_blocks(fill, range(0, u.size, SAMPLE_CHUNK))
     return out
 
 

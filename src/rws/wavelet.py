@@ -31,8 +31,16 @@ blocks of DWT_BLOCK, so their bytes equal those of the textbook
 stride-2 correlation and zero-filled convolution.  A level shorter than
 the filter (n < L) wraps more than once and is computed by a matrix
 product over explicit circular indices instead.
+
+``_map_blocks`` is the one worker pool of the package: exponent
+sampling (synthesis) and the partition-sum ladder (estimation) hand it
+their blocks.  The transforms stay serial: with the blocks of each
+forward level on the pool, a J = 22 forward transform on a 2-core VM
+took 0.18 s instead of 0.15 s (median of 5).
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,6 +253,22 @@ class CoefficientPyramid:
 # 0.04 s forward at 2^14, 0.05-0.06 s at 2^12 or 2^16, and 0.15 s and
 # 0.10 s unblocked.
 DWT_BLOCK = 2**14
+
+
+def _map_blocks(fn, starts):
+    """``[fn(b0) for b0 in starts]``, in order.  More than one block runs on
+    one thread per CPU of the process; a single block runs inline and starts
+    no thread.  ``fn`` must call no traced package function, since the
+    tracer keeps one span stack for the main thread."""
+    starts = list(starts)
+    if len(starts) < 2:
+        return [fn(b0) for b0 in starts]
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, starts))
 
 
 def dyadic_exponent(n: int) -> int:

@@ -1,5 +1,9 @@
 """Exponent counting, scaling-law fits, and the two spectrum estimators."""
 
+import hashlib
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -280,6 +284,36 @@ def test_ladder_matches_direct_sums_across_block_boundaries():
         SynthesisConfig(J=18, source=GaussianKernel(m=1.0, sigma=0.5), seed=4))
     assert np.count_nonzero(pyr.levels[17]) > LADDER_BLOCK  # fit levels straddle blocks
     np.testing.assert_allclose(tau_of(pyr).values, reference_tau(pyr), rtol=1e-10, atol=0)
+
+
+# tau(q) values then residuals of the J=18 field below, as the serial
+# block-by-block ladder summed them
+J18_TAU_SHA256 = "3d9491f21a1f0ad66358916301c17f77910da38ba5e8040d1ace5e5ba0f65534"
+
+
+def test_ladder_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    # four blocks, the last levels straddling them; the pool's partial sums
+    # must be added in block order whatever the workers and thread switches
+    field_ = AlphaField.from_pyramid(generate_coefficients(
+        SynthesisConfig(J=18, source=GaussianKernel(m=1.0, sigma=0.5), seed=4)))
+    assert field_.levels[17].size > LADDER_BLOCK
+
+    def digest():
+        tau = structure_function(field_)
+        return hashlib.sha256(tau.values.tobytes() + tau.residuals.tobytes()).hexdigest()
+
+    threads = threading.active_count()
+    assert digest() == J18_TAU_SHA256  # the process's own CPU affinity
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            for _ in range(5):  # block completion order varies from run to run
+                assert digest() == J18_TAU_SHA256, f"{cpus} workers"
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads  # the ladder pool is shut down
 
 
 def test_ladder_matches_direct_sums_on_sparse_levels():

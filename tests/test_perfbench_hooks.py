@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rws import (
     GaussianKernel,
@@ -50,12 +51,38 @@ def test_tracer_counters_run_on_an_analyze_call(monkeypatch, tmp_path):
     assert tracer.counts["tau_qcoef"] == 151 * nonzero
 
 
-def test_spans_nest_around_a_multi_chunk_synthesis(monkeypatch):
-    # the tracer keeps one span stack; a hooked call from a sampling worker
-    # thread would push onto it concurrently with the main thread
+def _synthesize_j18(tmp_path):
+    return lambda tracer: synthesize(
+        SynthesisConfig(J=18, source=ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), seed=5))
+
+
+def _analyze_j18(tmp_path):
+    sig, out = str(tmp_path / "signal.rws"), str(tmp_path / "an")
+    write_signal(sig, synthesize(SynthesisConfig(J=18, source=GaussianKernel(m=1.0, sigma=0.5), seed=5)))
+
+    def item(tracer):  # the benchmark's traced item, with cli.main as the root span
+        assert tracer.wrap("cli.main", cli.main)(["analyze", sig, "--out", out]) == 0
+
+    return item
+
+
+# set-up returning work that spreads blocks over the worker pool, and a
+# span that work must record
+MULTI_BLOCK_CALLS = {
+    "synthesize": (_synthesize_j18, "synthesis.sample"),
+    "analyze": (_analyze_j18, "estimation.tau"),
+}
+
+
+@pytest.mark.parametrize("case", list(MULTI_BLOCK_CALLS))
+def test_spans_nest_around_a_multi_block_call(case, monkeypatch, tmp_path):
+    # the tracer keeps one span stack; a hooked call from a sampling or
+    # ladder worker thread would push onto it concurrently with the main thread
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
+    prepare, stage = MULTI_BLOCK_CALLS[case]
+    run = prepare(tmp_path)  # before the tracer is installed
     off_main = []
 
     class MainThreadTracer(tracing.Tracer):
@@ -72,11 +99,11 @@ def test_spans_nest_around_a_multi_chunk_synthesis(monkeypatch):
     tracer = MainThreadTracer()
     with tracer.installed():
         start = time.perf_counter()
-        synthesize(SynthesisConfig(J=18, source=ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), seed=5))
+        run(tracer)
         wall = time.perf_counter() - start
     assert not off_main
     spans = list(tracer.spans)
-    assert any(name == "synthesis.sample" for name, *_ in spans)
+    assert any(name == stage for name, *_ in spans)
     covered = [0.0] * len(spans)
     for name, begin, end, parent in spans:
         if parent >= 0:

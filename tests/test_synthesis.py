@@ -1,6 +1,7 @@
 """Per-scale exponent laws, coefficient draws, and path realization."""
 
 import hashlib
+import os
 import sys
 import threading
 import warnings
@@ -20,6 +21,7 @@ from rws import (
     ShiftedGammaKernel,
     ShiftedPoissonKernel,
     SynthesisConfig,
+    analyze_pyramid,
     curve_from_function,
     flat_scale_law,
     generate_coefficients,
@@ -30,6 +32,7 @@ from rws import (
     synthesize,
     uniform_field,
     validate_config,
+    wavelet,
 )
 
 # Frozen against adaptive quadrature of the scale-j density
@@ -264,7 +267,7 @@ def test_chunked_sampling_is_bit_identical_to_the_law(name, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 3):
-            monkeypatch.setattr(synthesis.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
             assert sample_alphas(law, u).tobytes() == want, f"{cpus} workers"
     finally:
         sys.setswitchinterval(interval)
@@ -412,11 +415,30 @@ def test_multi_chunk_synthesis_digest(source):
     assert threading.active_count() == threads  # the sampling pool is shut down
 
 
-def test_single_chunk_levels_start_no_thread(monkeypatch):
+# call, then an input whose levels (ladder) fit one block and one that spans
+# several; built when the case runs, before the pool is refused
+ONE_BLOCK_CASES = {
+    "synthesize": lambda: (
+        synthesize,
+        SynthesisConfig(J=12, source=ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), seed=5),
+        SynthesisConfig(J=18, source=FlatLaw(0.7), seed=5),
+    ),
+    "analyze_pyramid": lambda: (
+        analyze_pyramid,
+        generate_coefficients(SynthesisConfig(J=12, source=GaussianKernel(m=1.0, sigma=0.5), seed=5)),
+        generate_coefficients(SynthesisConfig(J=18, source=GaussianKernel(m=1.0, sigma=0.5), seed=5)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_BLOCK_CASES))
+def test_single_chunk_levels_start_no_thread(case, monkeypatch):
+    call, small, large = ONE_BLOCK_CASES[case]()
+
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was created")
 
-    monkeypatch.setattr(synthesis, "ThreadPoolExecutor", refuse)
-    synthesize(SynthesisConfig(J=12, source=ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), seed=5))
+    monkeypatch.setattr(wavelet, "ThreadPoolExecutor", refuse)
+    call(small)
     with pytest.raises(AssertionError, match="thread pool"):
-        synthesize(SynthesisConfig(J=18, source=FlatLaw(0.7), seed=5))
+        call(large)
