@@ -58,12 +58,18 @@ class AlphaField:
 
     @classmethod
     def from_pyramid(cls, pyramid: CoefficientPyramid) -> "AlphaField":
+        """The field of a pyramid's levels 1 .. J-1.  Each level takes one
+        |C| array and one array of its nonzero entries, which becomes the
+        exponents in place: at its peak, the field so far plus one level's
+        size twice."""
         pyramid.validate()
         levels = {}
         for j in range(1, pyramid.J):
             c = np.abs(pyramid.levels[j])
-            nz = c > 0
-            alpha = -np.log2(c[nz]) / j
+            alpha = c[c > 0]
+            np.log2(alpha, out=alpha)
+            np.negative(alpha, out=alpha)
+            alpha /= j
             alpha.sort()
             levels[j] = alpha
         return cls(J=pyramid.J, levels=levels)
@@ -175,21 +181,24 @@ def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT
     sums |C|^q = 2^(-q j alpha) over the field's scale-j exponents.
 
     Each fit level is shifted by its extreme log2|C| = -j alpha, ext_j =
-    max for q >= 0 and min for q < 0 (taken with max/min, so a level need
-    not be sorted), so every term 2^(q (log2|C| - ext_j)) is at most 1
-    and the level's sum is at least 1: log2 S_j(q) = q ext_j + log2 of
-    that sum is finite for any q, and a term that underflows to 0 is
-    below 2^-1074 of the sum.
+    max for q >= 0 and min for q < 0 (-j times the level's min or max
+    alpha, so a level need not be sorted), so every term
+    2^(q (log2|C| - ext_j)) is at most 1 and the level's sum is at least
+    1: log2 S_j(q) = q ext_j + log2 of that sum is finite for any q, and a
+    term that underflows to 0 is below 2^-1074 of the sum.
 
     The terms are built by a power ladder: q = 0 counts the exponents,
     and each side of it is walked outward multiplying by one ratio
     r = 2^(dq (log2|C| - ext_j)), with dq = q[k0 +- 1] - q[k0] read off
     the grid at q[k0] = 0: two exp2 per coefficient.  The walk runs over
-    blocks of LADDER_BLOCK concatenated coefficients so that the running
-    products stay in cache across all q.  The block length is a
-    constant, not a parameter: it changes tau(q) only through the
-    summation order (by ~1e-14 relative), so it is chosen once for speed
-    and a given input always gives the same bits.
+    blocks of LADDER_BLOCK coefficients of the fit levels laid end to end,
+    so that the running products stay in cache across all q.  Each block
+    builds its own slice of -j alpha from the field's levels; no
+    concatenated copy of the levels is made, and beyond the field the
+    ladder holds about six block-sized arrays (3 MB) per worker.  The
+    block length is a constant, not a parameter: it changes tau(q) only
+    through the summation order (by ~1e-14 relative), so it is chosen
+    once for speed and a given input always gives the same bits.
 
     Each block fills its own (q, level) table of partial sums; more than
     one block runs on one thread per CPU of the process, a single block
@@ -204,22 +213,26 @@ def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT
             raise DegenerateLevelError(
                 f"scale {j} has no nonzero coefficients; tau(q) is undefined there"
             )
-    starts = np.cumsum([0] + [field.levels[j].size for j in js])
-    logc = np.empty(starts[-1])
-    for j, a, b in zip(js, starts[:-1], starts[1:]):
-        np.multiply(-j, field.levels[j], out=logc[a:b])
-    top = np.maximum.reduceat(logc, starts[:-1])
-    bottom = np.minimum.reduceat(logc, starts[:-1])
+    levels = [field.levels[j] for j in js]
+    starts = np.cumsum([0] + [level.size for level in levels])
+    # -j alpha is largest at the level's smallest alpha and smallest at its
+    # largest; rounding is monotone, so both extremes are exact
+    top = -x * np.array([np.minimum.reduce(level) for level in levels])
+    bottom = -x * np.array([np.maximum.reduce(level) for level in levels])
     q = default_q_grid()
     k0 = int(np.searchsorted(q, 0.0))
 
     def block_sums(b0):
         # (first level, per-q sums of this block's part of each level it meets)
-        block = logc[b0 : b0 + LADDER_BLOCK]
+        size = min(LADDER_BLOCK, starts[-1] - b0)
         lo = int(np.searchsorted(starts, b0, side="right")) - 1
-        hi = int(np.searchsorted(starts, b0 + block.size))
+        hi = int(np.searchsorted(starts, b0 + size))
         cuts = np.maximum(starts[lo:hi], b0) - b0  # level starts inside the block
-        lengths = np.diff(np.append(cuts, block.size))
+        lengths = np.diff(np.append(cuts, size))
+        block = np.empty(size)  # this block's slice of the levels' -j alpha
+        for i, a, n in zip(range(lo, hi), cuts, lengths):
+            k = b0 + a - starts[i]
+            np.multiply(-js[i], levels[i][k : k + n], out=block[a : a + n])
         part = np.empty((q.size, hi - lo))
         part[k0] = lengths
         for ks, ext in ((range(k0 + 1, q.size), top), (range(k0 - 1, -1, -1), bottom)):
@@ -232,7 +245,7 @@ def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT
         return lo, part
 
     sums = np.zeros((q.size, x.size))
-    for lo, part in _map_blocks(block_sums, range(0, logc.size, LADDER_BLOCK)):
+    for lo, part in _map_blocks(block_sums, range(0, starts[-1], LADDER_BLOCK)):
         sums[:, lo : lo + part.shape[1]] += part  # block order: the serial summation order
     ext = np.where(q[:, None] >= 0, top, bottom)
     y = (q[:, None] * ext + np.log2(sums)).T

@@ -17,6 +17,7 @@ skipped and unknown keys are rejected rather than ignored.
 
 import math
 import os
+import stat
 import struct
 from dataclasses import fields
 
@@ -78,31 +79,20 @@ def write_signal(path: str, samples: np.ndarray) -> None:
         raise FormatError(f"sample count {n} is not a power of two")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, J, 0))
-        f.write(x.tobytes())
+        f.write(x.data)  # the array's own buffer, not a bytes copy of it
 
 
 def read_signal(path: str) -> np.ndarray:
+    """The samples of a signal file, either format; a binary payload is
+    read straight into the returned array."""
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            blob = f.read(_HEADER.size)
+            if blob[:4] == _MAGIC:
+                return _finite_samples(path, _read_payload(path, f, blob))
+            blob += f.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
-    if blob[:4] == _MAGIC:
-        if len(blob) < _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        _, version, J, _reserved = _HEADER.unpack_from(blob)
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported signal format version {version}")
-        if J > 30:
-            raise FormatError(f"{path}: implausible J = {J}")
-        expected = _HEADER.size + 8 * 2**J
-        if len(blob) != expected:
-            raise FormatError(
-                f"{path}: payload is {len(blob) - _HEADER.size} bytes, "
-                f"header promises {8 * 2**J}"
-            )
-        x = np.frombuffer(blob[_HEADER.size :], dtype="<f8").astype(np.float64)
-        return _finite_samples(path, x)
     # text fallback: one sample per line
     try:
         text = blob.decode("utf-8")
@@ -121,6 +111,28 @@ def read_signal(path: str) -> np.ndarray:
     if n == 0 or n & (n - 1):
         raise FormatError(f"{path}: sample count {n} is not a positive power of two")
     return _finite_samples(path, np.array(values, dtype=np.float64))
+
+
+def _read_payload(path: str, f, header: bytes) -> np.ndarray:
+    """The samples after a binary header, read into one new array."""
+    if len(header) < _HEADER.size:
+        raise FormatError(f"{path}: truncated header")
+    _, version, J, _reserved = _HEADER.unpack(header)
+    if version != _VERSION:
+        raise FormatError(f"{path}: unsupported signal format version {version}")
+    if J > 30:
+        raise FormatError(f"{path}: implausible J = {J}")
+    want = 8 * 2**J
+    st = os.fstat(f.fileno())
+    got = st.st_size - _HEADER.size
+    # a file of the wrong size is refused before its array is allocated; a
+    # pipe has no size and is measured by reading it
+    if got == want or not stat.S_ISREG(st.st_mode):
+        x = np.empty(2**J, dtype="<f8")
+        got = f.readinto(x.data.cast("B")) + len(f.read())
+    if got != want:
+        raise FormatError(f"{path}: payload is {got} bytes, header promises {want}")
+    return x.astype(np.float64, copy=False)  # a copy only on a big-endian machine
 
 
 def _finite_samples(path: str, x: np.ndarray) -> np.ndarray:

@@ -226,19 +226,22 @@ def _source_parts(source):
 
 def generate_coefficients(config: SynthesisConfig) -> CoefficientPyramid:
     """Draw the full coefficient pyramid (coarse_mean = 0); |C[0][0]| is
-    1 for kernel sources and 0 otherwise."""
+    1 for kernel sources and 0 otherwise.  A level's exponents turn into
+    its coefficients in place (-j alpha, exp2, sign), so the stage holds
+    the pyramid and the top level's (2, 2**(J-1)) uniforms: about twice
+    the signal's size."""
     law, c00 = validate_config(config)
     levels = []
     for j in range(config.J):
         u = uniform_field(config.seed, j)
-        signs = np.where(u[1] < 0.5, -1.0, 1.0)
         if j == 0:
-            levels.append(signs * c00)
+            levels.append(np.where(u[1] < 0.5, -1.0, 1.0) * c00)
             continue
-        alpha = sample_alphas(law(j), u[0])
-        mag = np.exp2(-j * alpha, out=alpha)  # +0.0 where alpha = +inf
-        mag *= signs
-        levels.append(mag)
+        c = sample_alphas(law(j), u[0])
+        np.multiply(c, -j, out=c)
+        np.exp2(c, out=c)  # +0.0 where alpha = +inf
+        np.negative(c, out=c, where=u[1] < 0.5)  # bit for bit c * -1.0
+        levels.append(c)
     return CoefficientPyramid(J=config.J, levels=levels, coarse_mean=0.0)
 
 

@@ -21,16 +21,25 @@ correction.  ``coarse_mean`` is the signal mean; detail levels
 Polyphase kernels
 -----------------
 Each level runs in polyphase form (Strang & Nguyen, "Wavelets and
-Filter Banks", 1996).  The forward step splits the circularly extended
-input once into its even and odd samples and fills the lowpass and
-highpass outputs from the same slices; the inverse step sends the even
-taps to the even outputs and the odd taps to the odd outputs, so none
-of its multiply-adds is by a zero of the upsampled input.  Both keep
-the tap order m = 0 .. L-1 for every output and walk the outputs in
-blocks of DWT_BLOCK, so their bytes equal those of the textbook
-stride-2 correlation and zero-filled convolution.  A level shorter than
-the filter (n < L) wraps more than once and is computed by a matrix
-product over explicit circular indices instead.
+Filter Banks", 1996).  The forward step reads its input as a row of
+even and a row of odd samples and fills the lowpass and highpass
+outputs from the same slices; the inverse step sends the even taps to
+the even outputs and the odd taps to the odd outputs, so none of its
+multiply-adds is by a zero of the upsampled input.  Both keep the tap
+order m = 0 .. L-1 for every output and walk the outputs in blocks of
+DWT_BLOCK, so their bytes equal those of the textbook stride-2
+correlation and zero-filled convolution.  A level shorter than the
+filter (n < L) wraps more than once and is computed by a matrix product
+over explicit circular indices instead.
+
+Each block copies only the window of input it reads, and the circular
+wrap and the level's scale are applied to that window: 2**(-J/2) on the
+forward transform's signal, 2**(-j/2) on the inverse transform's detail
+level j.  A level thus holds its input, its outputs and block-sized
+temporaries, and neither transform writes to its argument.  Beyond its
+input, the forward transform peaks at about 1.6 times the signal's size
+(the pyramid, the top level's approx and a finiteness mask), the
+inverse at about 1.5 (its output and the last level's approx).
 
 ``_map_blocks`` is the one worker pool of the package: exponent
 sampling (synthesis) and the partition-sum ladder (estimation) hand it
@@ -263,12 +272,15 @@ def _map_blocks(fn, starts):
     starts = list(starts)
     if len(starts) < 2:
         return [fn(b0) for b0 in starts]
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         return list(pool.map(fn, starts))
+
+
+def _worker_count():
+    """The CPUs this process may run on: the threads of ``_map_blocks``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def dyadic_exponent(n: int) -> int:
@@ -278,53 +290,74 @@ def dyadic_exponent(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _down_corr(s, lo, hi):
-    # (approx, detail) with y[k] = sum_m taps[m] * s[(2k+m) mod n], n even.
-    # Tap m reads the even (m even) or odd half of the circular extension
-    # at offset m // 2.
+def _down_corr(s, lo, hi, scale=1.0):
+    # (approx, detail) with y[k] = sum_m taps[m] * (scale * s)[(2k+m) mod n],
+    # n even.  Tap m reads the even (m even) or odd row of the block's
+    # window of sample pairs at offset m // 2; only the windows, never all
+    # of s, are copied and scaled.
     n = s.size
     L = lo.size
+    h = n // 2
     if n >= L:
-        halves = (np.concatenate([s[0::2], s[0:L:2]]), np.concatenate([s[1::2], s[1:L:2]]))
-        out = np.zeros((2, n // 2))
-        for b0 in range(0, n // 2, DWT_BLOCK):
-            approx, detail = out[:, b0 : b0 + DWT_BLOCK]
+        M = (L - 1) // 2
+        pairs = s.reshape(h, 2).T  # row 0 the even samples, row 1 the odd
+        approx = np.zeros(h)
+        detail = np.zeros(h)
+        for b0 in range(0, h, DWT_BLOCK):
+            w = min(DWT_BLOCK, h - b0)
+            if b0 + w + M > h:  # the window runs past the end and wraps
+                halves = np.concatenate([pairs[:, b0:], pairs[:, : b0 + w + M - h]], axis=1)
+            else:
+                halves = pairs[:, b0 : b0 + w + M].copy()
+            if scale != 1.0:
+                halves *= scale
+            a = approx[b0 : b0 + w]
+            d = detail[b0 : b0 + w]
             for m in range(L):
-                k = b0 + m // 2
-                x = halves[m % 2][k : k + approx.size]
-                approx += lo[m] * x
-                detail += hi[m] * x
-        return out[0], out[1]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
-    return s[idx] @ lo, s[idx] @ hi
+                x = halves[m % 2, m // 2 : m // 2 + w]
+                a += lo[m] * x
+                d += hi[m] * x
+        return approx, detail
+    idx = (2 * np.arange(h)[:, None] + np.arange(L)[None, :]) % n
+    windows = s[idx]
+    if scale != 1.0:
+        windows *= scale
+    return windows @ lo, windows @ hi
 
 
-def _up_conv(approx, detail, lo, hi):
+def _up_conv(approx, detail, lo, hi, scale=1.0):
     # s[i] = sum_m lo[m]*ua[(i-m) mod n] + hi[m]*ud[(i-m) mod n], with ua and
-    # ud the zero-upsampled approx and detail.  Tap m adds to output
-    # 2p + m % 2 from approx/detail at p - m // 2 (extended circularly by K
-    # samples).  The terms it skips are exact zeros, and adding a zero never
-    # changes a sum that starts at +0.0: the bytes equal the zero-filled form.
+    # ud the zero-upsampled approx and scale * detail.  Tap m adds to output
+    # 2p + m % 2 from approx/detail at p - m // 2, read from the block's
+    # window that starts K samples early (circularly).  The terms it skips
+    # are exact zeros, and adding a zero never changes a sum that starts at
+    # +0.0: the bytes equal the zero-filled form.
     h = approx.size
     n = 2 * h
     L = lo.size
     if n >= L:
         K = (L + 1) // 2 - 1
-        ea = np.concatenate([approx[h - K :], approx])
-        ed = np.concatenate([detail[h - K :], detail])
         s = np.empty((h, 2))    # row p holds outputs 2p and 2p + 1
         for b0 in range(0, h, DWT_BLOCK):
             w = min(DWT_BLOCK, h - b0)
+            if b0 < K:  # the window starts before sample 0 and wraps
+                ea = np.concatenate([approx[h - K + b0 :], approx[: b0 + w]])
+                ed = np.concatenate([detail[h - K + b0 :], detail[: b0 + w]])
+            else:
+                ea = approx[b0 - K : b0 + w]
+                ed = detail[b0 - K : b0 + w]
+            if scale != 1.0:
+                ed = ed * scale
             phases = np.zeros((2, w))
             for m in range(L):
-                k = b0 + K - m // 2
+                k = K - m // 2
                 phases[m % 2] += lo[m] * ea[k : k + w] + hi[m] * ed[k : k + w]
             s[b0 : b0 + w] = phases.T
         return s.ravel()
     ua = np.zeros(n)
     ua[::2] = approx
     ud = np.zeros(n)
-    ud[::2] = detail
+    np.multiply(detail, scale, out=ud[::2])
     idx = (np.arange(n)[:, None] - np.arange(L)[None, :]) % n
     return ua[idx] @ lo + ud[idx] @ hi
 
@@ -344,11 +377,13 @@ def forward_dwt(signal, filt: WaveletFilter) -> CoefficientPyramid:
     if not finite.all():
         i = int(np.argmin(finite))
         raise NonFiniteSampleError(f"sample {i} is {float(x[i])}; samples must be finite")
-    s = x * 2.0 ** (-0.5 * J)
+    s, scale = x, 2.0 ** (-0.5 * J)  # the top level scales its input per block
     levels = [None] * J
     for j in range(J - 1, -1, -1):
-        s, det = _down_corr(s, filt.lowpass, filt.highpass)
-        levels[j] = det * 2.0 ** (0.5 * j)
+        s, det = _down_corr(s, filt.lowpass, filt.highpass, scale)
+        det *= 2.0 ** (0.5 * j)
+        levels[j] = det
+        scale = 1.0
     return CoefficientPyramid(J=J, levels=levels, coarse_mean=float(s[0]))
 
 
@@ -357,6 +392,7 @@ def inverse_dwt(pyramid: CoefficientPyramid, filt: WaveletFilter) -> np.ndarray:
     pyramid.validate()
     s = np.array([pyramid.coarse_mean], dtype=np.float64)
     for j in range(pyramid.J):
-        det = np.asarray(pyramid.levels[j], dtype=np.float64) * 2.0 ** (-0.5 * j)
-        s = _up_conv(s, det, filt.lowpass, filt.highpass)
-    return s * 2.0 ** (0.5 * pyramid.J)
+        det = np.asarray(pyramid.levels[j], dtype=np.float64)
+        s = _up_conv(s, det, filt.lowpass, filt.highpass, 2.0 ** (-0.5 * j))
+    s *= 2.0 ** (0.5 * pyramid.J)
+    return s

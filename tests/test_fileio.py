@@ -1,5 +1,6 @@
 """Binary signals, CSV curves, key=value manifests, and config parsing."""
 
+import os
 import struct
 
 import numpy as np
@@ -44,6 +45,27 @@ def test_signal_roundtrip_is_exact(tmp_path):
     assert np.array_equal(back, x)
 
 
+def test_write_signal_leaves_its_samples_unchanged(tmp_path):
+    x = _rng().standard_normal(256)
+    before = x.tobytes()
+    write_signal(str(tmp_path / "sig.rws"), x)
+    assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("text", [False, True])
+def test_read_signal_returns_a_writable_native_array(tmp_path, text):
+    x = _rng().standard_normal(64)
+    p = tmp_path / "sig"
+    if text:
+        p.write_text("".join(f"{float(v)!r}\n" for v in x))
+    else:
+        write_signal(str(p), x)
+    back = read_signal(str(p))
+    assert back.dtype == np.float64 and back.dtype.isnative
+    assert back.flags.writeable and back.flags.c_contiguous and back.flags.owndata
+    assert np.array_equal(back, x)
+
+
 def test_write_signal_rejects_odd_lengths(tmp_path):
     with pytest.raises(FormatError, match="power of two"):
         write_signal(str(tmp_path / "bad.rws"), np.zeros(100))
@@ -78,6 +100,34 @@ def test_read_signal_rejects_truncation(tmp_path):
     p.write_bytes(b"RWS1\x01")
     with pytest.raises(FormatError, match="truncated"):
         read_signal(str(p))
+
+
+def test_read_signal_refuses_a_short_payload_before_allocating(tmp_path):
+    # a header promising 2^30 samples (8 GiB) over 64 bytes of payload
+    p = tmp_path / "bad.rws"
+    p.write_bytes(struct.pack("<4sIII", b"RWS1", 1, 30, 0) + b"\x00" * 64)
+    with pytest.raises(FormatError, match="payload is 64 bytes"):
+        read_signal(str(p))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_read_signal_from_a_pipe(tmp_path):
+    x = _rng().standard_normal(16)
+    p = tmp_path / "sig.rws"
+    write_signal(str(p), x)
+    blob = p.read_bytes()
+    for data, ok in ((blob, True), (blob[:-8], False), (blob + b"\x00", False)):
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            if ok:
+                assert np.array_equal(read_signal(f"/dev/fd/{r}"), x)
+            else:
+                with pytest.raises(FormatError, match="payload"):
+                    read_signal(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
 
 def test_read_signal_missing_file():

@@ -255,3 +255,48 @@ def test_polyphase_kernels_match_across_blocks(order, monkeypatch):
 
 def test_polyphase_kernels_match_over_full_blocks():
     _assert_kernels_match_references(10, 4 * wavelet.DWT_BLOCK + 6, 2)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 10])
+@pytest.mark.parametrize("block", ["default", 3])
+def test_polyphase_kernels_scale_like_a_prescaled_input(order, block, monkeypatch):
+    # the forward kernel scales its input, and the inverse its detail, one
+    # block at a time; the bytes equal those of scaling the whole array first
+    if block != "default":
+        monkeypatch.setattr(wavelet, "DWT_BLOCK", block)
+    f = daubechies_filter(order)
+    c = 2.0**-3.5
+    for n in _level_lengths(2 * order):
+        gen = _rng(1000 * order + n + 3)
+        s = _sparse_signed(gen, n)
+        approx, detail = wavelet._down_corr(s, f.lowpass, f.highpass, c)
+        assert approx.tobytes() == reference_down_corr(s * c, f.lowpass).tobytes(), f"n={n}"
+        assert detail.tobytes() == reference_down_corr(s * c, f.highpass).tobytes(), f"n={n}"
+        a, d = _sparse_signed(gen, n // 2), _sparse_signed(gen, n // 2)
+        got = wavelet._up_conv(a, d, f.lowpass, f.highpass, c)
+        assert got.tobytes() == reference_up_conv(a, d * c, f.lowpass, f.highpass).tobytes(), f"n={n}"
+
+
+# (J, order, block): the top level shorter than the filter, one block per
+# level, and several blocks per level with wrapping windows
+NO_MUTATION_CASES = [(4, 10, "default"), (11, 3, "default"), (11, 10, 3)]
+
+
+@pytest.mark.parametrize("J, order, block", NO_MUTATION_CASES)
+def test_forward_dwt_leaves_the_signal_unchanged(J, order, block, monkeypatch):
+    if block != "default":
+        monkeypatch.setattr(wavelet, "DWT_BLOCK", block)
+    x = _sparse_signed(_rng(J), 2**J)
+    before = x.tobytes()
+    forward_dwt(x, daubechies_filter(order))
+    assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("J, order, block", NO_MUTATION_CASES)
+def test_inverse_dwt_leaves_the_pyramid_unchanged(J, order, block, monkeypatch):
+    if block != "default":
+        monkeypatch.setattr(wavelet, "DWT_BLOCK", block)
+    pyr = forward_dwt(_rng(J + 1).standard_normal(2**J), daubechies_filter(order))
+    before = [lev.tobytes() for lev in pyr.levels]
+    inverse_dwt(pyr, daubechies_filter(order))
+    assert [lev.tobytes() for lev in pyr.levels] == before
