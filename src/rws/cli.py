@@ -41,7 +41,8 @@ from .spectra import (
 )
 # validate_config is unused here (generate_coefficients runs it); perfbench/tracing.py hooks it here
 from .synthesis import synthesize, validate_config
-from .wavelet import daubechies_filter, forward_dwt, inverse_dwt, parse_wavelet_name
+from .wavelet import (SUPPORTED_ORDERS, daubechies_filter, forward_dwt, inverse_dwt,
+                      parse_wavelet_name)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,7 +207,7 @@ _SELFTEST_KERNELS = (  # (kernel, closed-form location of its peak)
 def _check_filter_qmf():
     """db1..db10 taps sum to sqrt(2) and are orthonormal to every even shift."""
     worst = 0.0
-    for order in range(1, 11):
+    for order in SUPPORTED_ORDERS:
         lo = daubechies_filter(order).lowpass
         worst = max(worst, abs(float(lo.sum()) - np.sqrt(2.0)))
         for m in range(lo.size // 2):
@@ -220,7 +221,7 @@ def _check_perfect_reconstruction():
     gen = np.random.Generator(np.random.Philox(key=np.array([4242, 0], dtype=np.uint64)))
     x = gen.standard_normal(4096)
     worst = 0.0
-    for order in range(1, 11):
+    for order in SUPPORTED_ORDERS:
         f = daubechies_filter(order)
         worst = max(worst, float(np.max(np.abs(inverse_dwt(forward_dwt(x, f), f) - x))))
     return worst <= 1e-9, f"max_err={worst:.3e} (<=1e-9)"

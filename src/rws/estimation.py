@@ -32,14 +32,13 @@ needs at least three usable scales, and grid points whose fit or sup is
 undefined stay absent (NaN) end to end.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateLevelError, InsufficientScalesError
-from .spectra import DEFAULT_GRID_STEP, _step_grid
+from .errors import DegenerateLevelError, InsufficientScalesError
+from .spectra import DEFAULT_GRID_STEP, _integer, _step_grid
 from .wavelet import CoefficientPyramid, _map_blocks
 
 DEFAULT_SCALE_COUNT = 10
@@ -92,8 +91,7 @@ class TauCurve:
 
 
 def _fit_scales(J: int, scale_count: int):
-    if not isinstance(scale_count, numbers.Integral) or scale_count < 3:
-        raise ConfigError(f"scale_count must be an integer of at least 3, got {scale_count!r}")
+    _integer("scale_count", scale_count, 3)
     js = list(range(1, J))[-scale_count:]
     if len(js) < 3:
         raise InsufficientScalesError(

@@ -11,8 +11,11 @@ followed by rows formatted with 12 significant digits.  An empty cell
 means the value is absent at that grid point (NaN or -inf in memory);
 absent cells round-trip back to NaN / -inf.
 
-Configs are flat ``key=value`` text; ``#`` lines and blank lines are
-skipped and unknown keys are rejected rather than ignored.
+Configs are flat ``key=value`` text; unknown keys are rejected rather
+than ignored.  All three text formats share one line grammar
+(``_records``): lines are stripped, blank and ``#`` lines are skipped,
+and a malformed line is reported as ``path:line``.  Every error in a
+config's text starts with the config's path.
 """
 
 import math
@@ -23,7 +26,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, MathValidityError
 from .spectra import (
     DiracKernel,
     GaussianKernel,
@@ -56,6 +59,14 @@ def _parse_cell(text: str, absent: float, path: str, line: int) -> float:
         return float(text)
     except ValueError:
         raise FormatError(f"{path}:{line}: not a number: {text!r}") from None
+
+
+def _records(text: str):
+    """(line number, stripped line) of each line that is neither blank nor ``#``."""
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield ln, line
 
 
 def _read_text(path: str) -> str:
@@ -98,15 +109,7 @@ def read_signal(path: str) -> np.ndarray:
         text = blob.decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: neither rws-sig binary nor text") from None
-    values = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise FormatError(f"{path}:{ln}: not a number: {line!r}") from None
+    values = [_parse_cell(line, math.nan, path, ln) for ln, line in _records(text)]
     n = len(values)
     if n == 0 or n & (n - 1):
         raise FormatError(f"{path}: sample count {n} is not a positive power of two")
@@ -160,10 +163,7 @@ def read_spectrum_csv(path: str) -> SpectrumCurve:
     """Two-column h,d CSV; h must be finite, positive and strictly
     increasing, and an empty d cell reads as absent (NaN)."""
     hs, ds = [], []
-    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _records(_read_text(path)):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
             raise FormatError(f"{path}:{ln}: expected 2 comma-separated fields, got {len(cells)}")
@@ -174,13 +174,12 @@ def read_spectrum_csv(path: str) -> SpectrumCurve:
         ds.append(_parse_cell(cells[1], math.nan, path, ln))
     if not hs:
         raise FormatError(f"{path}: no data rows")
-    h = np.array(hs)
-    if h[0] <= 0 or np.any(np.diff(h) <= 0):
-        raise FormatError(f"{path}: h column must be positive and strictly increasing")
-    d = np.array(ds)
-    if np.all(np.isnan(d)):
+    if all(map(math.isnan, ds)):
         raise FormatError(f"{path}: every d cell is empty")
-    return curve_from_samples(h, d)
+    try:
+        return curve_from_samples(hs, ds)
+    except MathValidityError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -223,64 +222,48 @@ KERNELS = {
 }
 
 
-def _kernel_params(name: str) -> tuple:
-    """Parameter names of a kernel variant, in declaration order."""
-    if name not in KERNELS:
-        known = ", ".join(sorted(KERNELS))
-        raise ConfigError(f"unknown kernel variant {name!r} (known: {known})")
-    return tuple(f.name for f in fields(KERNELS[name]))
-
-
 def build_kernel(name: str, params: dict):
     """Instantiate a kernel from its variant name and parameter dict
     (numbers or number strings); any mismatch raises ConfigError."""
-    needed = _kernel_params(name)
+    if name not in KERNELS:
+        known = ", ".join(sorted(KERNELS))
+        raise ConfigError(f"unknown kernel variant {name!r} (known: {known})")
+    needed = tuple(f.name for f in fields(KERNELS[name]))
     missing = [p for p in needed if p not in params]
     if missing:
         raise ConfigError(f"kernel {name} is missing parameters: {', '.join(missing)}")
     extra = [p for p in params if p not in needed]
     if extra:
         raise ConfigError(f"kernel {name} does not take: {', '.join(extra)}")
-    raw = dict(params)   # _take_float pops
-    return KERNELS[name](**{p: _take_float(raw, p, f"kernel {name}") for p in needed})
+    raw = dict(params)   # _take pops
+    return KERNELS[name](**{p: _take(raw, p, f"kernel {name}") for p in needed})
 
 
 def parse_key_values(text: str, path: str = "<config>") -> dict:
     out = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _records(text):
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep or not key:
-            raise ConfigError(f"{path}:{ln}: expected key=value, got {raw.strip()!r}")
+            raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
         if key in out:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
 
 
-def _take_float(raw: dict, key: str, path: str) -> float:
-    if key not in raw:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    value = raw.pop(key)
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{path}: {key} must be a number, got {value!r}") from None
-
-
-def _take_int(raw: dict, key: str, path: str, default=None) -> int:
+def _take(raw: dict, key: str, path: str, kind=float, default=None):
+    """Pop raw[key] parsed as kind (float or int), or default; else ConfigError."""
     if key not in raw:
         if default is None:
             raise ConfigError(f"{path}: missing required key {key!r}")
         return default
     value = raw.pop(key)
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(f"{path}: {key} must be an integer, got {value!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}: {key} must be {what}, got {value!r}") from None
 
 
 def load_synthesis_config(path: str):
@@ -293,8 +276,8 @@ def load_synthesis_config(path: str):
     if "mode" not in raw:
         raise ConfigError(f"{path}: missing required key 'mode'")
     mode = raw.pop("mode")
-    J = _take_int(raw, "J", path)
-    seed = _take_int(raw, "seed", path, default=0)
+    J = _take(raw, "J", path, int)
+    seed = _take(raw, "seed", path, int, default=0)
     wavelet = raw.pop("wavelet", "db10")
     try:
         order = parse_wavelet_name(wavelet).order
@@ -313,12 +296,15 @@ def load_synthesis_config(path: str):
         if "kernel" not in raw:
             raise ConfigError(f"{path}: mode=kernel needs a kernel variant")
         name = raw.pop("kernel")
-        params = {p: _take_float(raw, p, path) for p in _kernel_params(name)}
-        source = build_kernel(name, params)
+        try:  # every key left is a kernel parameter
+            source = build_kernel(name, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        raw.clear()
         resolved.append(("kernel", name))
-        resolved.extend(sorted(params.items()))
+        resolved.extend(sorted(vars(source).items()))
     elif mode == "flat":
-        alpha0 = _take_float(raw, "alpha0", path)
+        alpha0 = _take(raw, "alpha0", path)
         source = FlatLaw(alpha0)
         resolved.append(("alpha0", alpha0))
     else:

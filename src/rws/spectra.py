@@ -37,6 +37,7 @@ root of a transcendental equation, solved by bracketed root-finding.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -372,12 +373,7 @@ def curve_from_function(fn, h_min: float, h_max: float):
 
 def curve_from_samples(h_grid, d_values) -> SpectrumCurve:
     """Build a curve from grid samples; h_min/h_max are the present span."""
-    h = np.asarray(h_grid, dtype=np.float64)
-    d = np.asarray(d_values, dtype=np.float64)
-    if h.size != d.size or h.size == 0:
-        raise MathValidityError("h and d grids must be non-empty and equal length")
-    if np.any(np.diff(h) <= 0) or h[0] <= 0:
-        raise MathValidityError("h grid must be strictly increasing and positive")
+    h, d = _sampled_grid(h_grid, d_values, "h", "d")
     present = ~np.isnan(d)
     if not present.any():
         raise MathValidityError("curve has no present values")
@@ -387,13 +383,11 @@ def curve_from_samples(h_grid, d_values) -> SpectrumCurve:
 
 def check_admissible(curve: SpectrumCurve) -> AdmissibilityReport:
     """Diagnose the admissibility conditions; never raises."""
+    try:
+        h, d = _sampled_grid(curve.h_grid, curve.d_values, "h", "d")
+    except MathValidityError as exc:
+        return AdmissibilityReport(False, [str(exc)])
     v = []
-    h = np.asarray(curve.h_grid, dtype=np.float64)
-    d = np.asarray(curve.d_values, dtype=np.float64)
-    if h.size == 0 or h.size != d.size:
-        return AdmissibilityReport(False, ["empty or mismatched grids"])
-    if h[0] <= 0 or (h.size > 1 and np.any(np.diff(h) <= 0)):
-        v.append("h grid must be strictly increasing and positive")
     present = ~np.isnan(d)
     span_tol = _TOL_ONE * max(1.0, abs(curve.h_max))
     inside = (h >= curve.h_min - span_tol) & (h <= curve.h_max + span_tol)
@@ -438,13 +432,8 @@ class LogDensity:
 
     @classmethod
     def from_samples(cls, alpha_grid, rho_values):
-        a = np.asarray(alpha_grid, dtype=np.float64)
-        r = np.array(rho_values, dtype=np.float64)
-        if a.size != r.size or a.size == 0:
-            raise MathValidityError("alpha and rho grids must be non-empty and equal length")
-        if a[0] <= 0 or np.any(np.diff(a) <= 0):
-            raise MathValidityError("alpha grid must be strictly increasing and positive")
-        r[np.isnan(r)] = -np.inf
+        a, r = _sampled_grid(alpha_grid, rho_values, "alpha", "rho")
+        r = np.where(np.isnan(r), -np.inf, r)
         if np.any(r > 1.0 + _TOL_ONE):
             raise MathValidityError("log-density exceeds 1")
         return cls(alpha_grid=a, rho_values=r)
@@ -483,11 +472,11 @@ class LogDensity:
         return grid, vals, h_min, h_max
 
 
-def _merge_points(base, extras, tol=1e-9):
-    """Sorted union of grids; an extra within tol * max(1, |x|) of a base point snaps onto it."""
+def _merge_points(base, extras):
+    """Sorted union of grids; an extra within 1e-9 * max(1, |x|) of a base point snaps onto it."""
     base = np.asarray(base, dtype=np.float64)
     x = np.asarray(extras, dtype=np.float64)
-    near = np.abs(x[:, None] - base) <= tol * np.maximum(1.0, np.abs(x))[:, None]
+    near = np.abs(x[:, None] - base) <= 1e-9 * np.maximum(1.0, np.abs(x))[:, None]
     return np.union1d(base, x[~near.any(axis=1)])
 
 
@@ -498,6 +487,27 @@ def _step_grid(upper, step):
         raise ConfigError(f"grid_step must be positive and finite, got {step}")
     n = int(math.ceil(upper / step - 1e-9))
     return step * np.arange(1, n + 1)
+
+
+def _sampled_grid(x, y, xname, yname):
+    """(x, y) as float64 arrays; MathValidityError unless both are non-empty
+    and of equal length and x is positive and strictly increasing."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size != y.size or x.size == 0:
+        raise MathValidityError(f"{xname} and {yname} grids must be non-empty and equal length")
+    if not (x[0] > 0 and np.all(np.diff(x) > 0)):
+        raise MathValidityError(f"{xname} grid must be strictly increasing and positive")
+    return x, y
+
+
+def _integer(name, value, lo, hi=None):
+    """ConfigError unless value is an integer of any type but bool, in [lo, hi]
+    (no upper bound when hi is None)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo or (hi is not None and value > hi)):
+        bound = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def spectrum_from_rho(density, grid_step: float = DEFAULT_GRID_STEP) -> SpectrumCurve:

@@ -44,11 +44,13 @@ from .errors import AdmissibilityError, ConfigError, MathValidityError
 from .spectra import (
     Kernel,
     SpectrumCurve,
+    _integer,
     check_admissible,
     kernel_validity,
     spectrum_from_rho,  # unused here; perfbench/tracing.py hooks it in this module
 )
-from .wavelet import CoefficientPyramid, _map_blocks, daubechies_filter, inverse_dwt
+from .wavelet import (SUPPORTED_ORDERS, CoefficientPyramid, _map_blocks, daubechies_filter,
+                      inverse_dwt)
 
 _LN2 = math.log(2.0)
 # Uniforms per chunk of exponent sampling.  A level of more than one chunk
@@ -76,12 +78,9 @@ class SynthesisConfig:
 def validate_config(config: SynthesisConfig):
     """The one gate for synthesis input: check the config, validate the source
     once, warn if h_max > wavelet order - 1; return ``(law, c00)``."""
-    if not 4 <= config.J <= 24:
-        raise ConfigError(f"J must be in [4, 24], got {config.J}")
-    if config.wavelet_order not in range(1, 11):
-        raise ConfigError(f"wavelet order must be in 1..10, got {config.wavelet_order}")
-    if not isinstance(config.seed, int) or not 0 <= config.seed < 2**64:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed}")
+    _integer("J", config.J, 4, 24)
+    _integer("wavelet order", config.wavelet_order, SUPPORTED_ORDERS[0], SUPPORTED_ORDERS[-1])
+    _integer("seed", config.seed, 0, 2**64 - 1)
     law, c00, h_max = _source_parts(config.source)
     if h_max > config.wavelet_order - 1:
         warnings.warn(
@@ -107,13 +106,21 @@ class ScaleLawTable:
     def sample(self, u):
         out = np.full(u.shape, np.inf)
         finite = u <= self.cdf[-1]
-        idx = np.searchsorted(self.cdf, u[finite], side="right")
-        idx = np.clip(idx, 1, self.cdf.size - 1)
-        c0 = self.cdf[idx - 1]
-        c1 = self.cdf[idx]
-        g0 = self.alpha_grid[idx - 1]
-        g1 = self.alpha_grid[idx]
-        out[finite] = g0 + (u[finite] - c0) * (g1 - g0) / (c1 - c0)
+        x = u[finite]
+        idx = np.clip(np.searchsorted(self.cdf, x, side="right"), 1, self.cdf.size - 1)
+        c1, g1 = self.cdf[idx], self.alpha_grid[idx]
+        idx -= 1
+        # g0 + (x - c0) * (g1 - g0) / (c1 - c0) in place, in that order of operations
+        c0 = self.cdf[idx]
+        x -= c0
+        c1 -= c0
+        del c0
+        g0 = self.alpha_grid[idx]
+        g1 -= g0
+        x *= g1
+        x /= c1
+        x += g0
+        out[finite] = x
         return out
 
 
@@ -178,12 +185,10 @@ def scale_law_from_kernel(kernel: Kernel, j: int) -> KernelScaleLaw:
 def sample_alphas(law, uniforms) -> np.ndarray:
     """Map a vector of uniforms in [0, 1) to exponents by ``law.sample``.
 
-    Above SAMPLE_CHUNK uniforms the chunks are sampled on one thread per
-    CPU of the process; the bits equal ``law.sample(uniforms)`` because
-    every law samples elementwise."""
+    The uniforms are sampled in chunks of SAMPLE_CHUNK, on one thread per
+    CPU of the process when there is more than one chunk; the bits equal
+    ``law.sample(uniforms)`` because every law samples elementwise."""
     u = np.asarray(uniforms, dtype=np.float64)
-    if u.size <= SAMPLE_CHUNK:
-        return law.sample(u)
     out = np.empty(u.shape)
 
     def fill(i):

@@ -99,6 +99,23 @@ def test_synth_bad_config_exits_2(tmp_path, capsys):
     assert cli.main(["synth", str(tmp_path / "absent.cfg")]) == 2
 
 
+@pytest.mark.parametrize("config", [
+    "mode=kernel\nkernel=cauchy\nJ=10\n",
+    "mode=kernel\nkernel=gaussian\nm=1.0\nJ=10\n",
+    "mode=kernel\nkernel=gaussian\nm=one\nsigma=0.5\nJ=10\n",
+    "mode=kernel\nkernel=dirac\nH=0.8\nflavor=mint\nJ=10\n",
+    "mode=flat\nalpha0=0.7\nJ=ten\n",
+], ids=["unknown-kernel", "missing-parameter", "parameter-not-a-number", "unknown-key",
+        "J-not-an-integer"])
+def test_synth_config_errors_start_with_the_config_path(config, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "run"
+    assert cli.main(["synth", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert not out.exists()
+
+
 def test_synth_negative_seed_exits_2(tmp_path):
     cfg = tmp_path / "c.cfg"
     write_flat_config(cfg)

@@ -17,13 +17,17 @@ from rws import (
     AlphaField,
     GaussianKernel,
     SynthesisConfig,
+    curve_from_function,
     daubechies_filter,
     forward_dwt,
+    scale_law_from_spectrum,
     structure_function,
     synthesize,
+    uniform_field,
 )
 from rws.estimation import LADDER_BLOCK
 from rws.fileio import read_signal, write_signal
+from rws.synthesis import SAMPLE_CHUNK
 from rws.wavelet import _worker_count
 
 
@@ -49,6 +53,16 @@ def test_synthesize_memory_budget():
     J = 18
     peak = _traced_peak(synthesize, SynthesisConfig(J=J, source=GaussianKernel(m=1.0, sigma=0.5), seed=5))
     assert peak <= 3.5 * 8 * 2**J
+
+
+def test_scale_law_table_sample_memory_budget():
+    # one sampling chunk of the parabola law at j = 17, where 35% of the
+    # uniforms fall below the table's mass: measured 2.87 chunks (the output,
+    # the mask and five arrays the size of that 35%); 3.92 when each step of
+    # the interpolation made a new temporary
+    law = scale_law_from_spectrum(curve_from_function(lambda h: (h - 0.5) ** 2, 0.5, 1.5), 17)
+    u = uniform_field(5, 17)[0, :SAMPLE_CHUNK]
+    assert _traced_peak(law.sample, u) <= 3.3 * 8 * SAMPLE_CHUNK
 
 
 @pytest.mark.parametrize("order", [3, 10])

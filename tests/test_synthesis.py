@@ -70,6 +70,25 @@ def test_config_bounds(entry):
         entry(SynthesisConfig(J=10, source=curve, seed=2**64))
 
 
+@pytest.mark.parametrize("entry", [validate_config, generate_coefficients, synthesize])
+@pytest.mark.parametrize(("option", "value"), [
+    ("J", 10.0), ("J", 10.5), ("wavelet_order", 3.0), ("seed", True),
+])
+def test_integer_options_refuse_floats_and_bools(entry, option, value):
+    cfg = SynthesisConfig(J=10, source=GaussianKernel(m=1.0, sigma=0.5), wavelet_order=3)
+    setattr(cfg, option, value)
+    with pytest.raises(ConfigError, match=f"{option.replace('_', ' ')} must be an integer"):
+        entry(cfg)
+
+
+def test_integer_options_take_numpy_integers():
+    source = GaussianKernel(m=1.0, sigma=0.5)
+    want = synthesize(SynthesisConfig(J=10, source=source, wavelet_order=3, seed=3))
+    got = synthesize(SynthesisConfig(J=np.int64(10), source=source,
+                                     wavelet_order=np.int32(3), seed=np.uint64(3)))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_config_rejects_inadmissible_spectrum():
     bump = curve_from_function(lambda h: 1.0 - ((h - 1.0) / 0.5) ** 2, 0.5, 1.5)
     with pytest.raises(AdmissibilityError):
