@@ -57,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=".", help="output directory (default: .)")
     s.add_argument("--seed", type=int, default=None, help="override the config seed")
     s.add_argument("--wavelet", default=None, help="override the config wavelet (db1..db10)")
+    s.set_defaults(run=cmd_synth)
 
     a = sub.add_parser("analyze", help="estimate the spectrum of a sampled signal")
     a.add_argument("signal", help="rws-sig binary or one-sample-per-line text")
@@ -64,43 +65,48 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--wavelet", default="db3", help="analysis wavelet (default: db3)")
     a.add_argument("--scales", type=int, default=DEFAULT_SCALE_COUNT,
                    help="scales in each fit (default: %(default)s)")
+    a.set_defaults(run=cmd_analyze)
 
     k = sub.add_parser("kernel", help="tabulate a kernel density and its spectrum")
     k.add_argument("variant", help=" | ".join(fileio.KERNELS))
     k.add_argument("params", nargs="*", help="kernel parameters as key=value")
     k.add_argument("--out", default=".", help="output directory (default: .)")
+    k.set_defaults(run=cmd_kernel)
     for parser in (a, k):
         parser.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP,
                             help="h grid step (default: %(default)s)")
 
-    sub.add_parser("selftest", help="run built-in consistency checks")
+    sub.add_parser("selftest", help="run built-in consistency checks").set_defaults(run=cmd_selftest)
     return p
+
+
+def _write_manifest(args, items, t0) -> None:
+    """manifest.txt in args.out: the command, then items, then the seconds since t0."""
+    fileio.write_key_values(
+        os.path.join(args.out, "manifest.txt"),
+        [("command", args.command)] + items + [("duration_s", time.perf_counter() - t0)],
+    )
 
 
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     cfg, resolved = fileio.load_synthesis_config(args.config)
+    overrides = {}
     if args.seed is not None:
-        cfg.seed = args.seed   # validated with the config by synthesize
-        resolved = [(k, cfg.seed if k == "seed" else v) for k, v in resolved]
+        cfg.seed = overrides["seed"] = args.seed   # validated with the config by synthesize
     if args.wavelet is not None:
-        cfg.wavelet_order = parse_wavelet_name(args.wavelet).order
-        resolved = [(k, f"db{cfg.wavelet_order}" if k == "wavelet" else v) for k, v in resolved]
+        filt = parse_wavelet_name(args.wavelet)
+        cfg.wavelet_order, overrides["wavelet"] = filt.order, filt.name
+    resolved = [(k, overrides.get(k, v)) for k, v in resolved]
     signal = synthesize(cfg)
     os.makedirs(args.out, exist_ok=True)
     sig_path = os.path.join(args.out, "signal.rws")
     fileio.write_signal(sig_path, signal)
-    fileio.write_key_values(
-        os.path.join(args.out, "manifest.txt"),
-        [("command", "synth")]
-        + resolved
-        + [
-            ("input", args.config),
-            ("output", "signal.rws"),
-            ("samples", 2**cfg.J),
-            ("duration_s", time.perf_counter() - t0),
-        ],
-    )
+    _write_manifest(args, resolved + [
+        ("input", args.config),
+        ("output", "signal.rws"),
+        ("samples", 2**cfg.J),
+    ], t0)
     print(f"wrote {sig_path} ({2**cfg.J} samples, J={cfg.J}, seed={cfg.seed})")
     return 0
 
@@ -133,18 +139,13 @@ def cmd_analyze(args) -> int:
             ("q_c_found", int(meta["q_c_found"])),
         ],
     )
-    fileio.write_key_values(
-        os.path.join(args.out, "manifest.txt"),
-        [
-            ("command", "analyze"),
-            ("wavelet", filt.name),
-            ("scales", args.scales),
-            ("grid_step", args.grid_step),
-            ("input", args.signal),
-            ("output", "lambda.csv,tau.csv,spectrum.csv,meta.txt"),
-            ("duration_s", time.perf_counter() - t0),
-        ],
-    )
+    _write_manifest(args, [
+        ("wavelet", filt.name),
+        ("scales", args.scales),
+        ("grid_step", args.grid_step),
+        ("input", args.signal),
+        ("output", "lambda.csv,tau.csv,spectrum.csv,meta.txt"),
+    ], t0)
     print(
         f"analyzed {args.signal}: q_c={meta['q_c']:.4g}, "
         f"h range [{meta['h_min']:.4g}, {meta['h_max']:.4g}], scales {j0}..{j1}"
@@ -166,17 +167,13 @@ def cmd_kernel(args) -> int:
         astar_text = f"{kernel.alpha_star():.12g}"
     except UnsupportedVariantError:
         astar_text = "n/a"
-    items = [("command", "kernel"), ("variant", args.variant)]
-    items += sorted(vars(kernel).items())
-    items += [
+    _write_manifest(args, [("variant", args.variant)] + sorted(vars(kernel).items()) + [
         ("alpha_star", astar_text),
         ("h_min", curve.h_min),
         ("h_max", curve.h_max),
         ("grid_step", args.grid_step),
         ("output", "rho.csv,spectrum.csv"),
-        ("duration_s", time.perf_counter() - t0),
-    ]
-    fileio.write_key_values(os.path.join(args.out, "manifest.txt"), items)
+    ], t0)
     print(
         f"kernel {args.variant}: h_min={curve.h_min:.6g}, h_max={curve.h_max:.6g}, "
         f"alpha*={astar_text}"
@@ -278,14 +275,8 @@ def cmd_selftest(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {
-        "synth": cmd_synth,
-        "analyze": cmd_analyze,
-        "kernel": cmd_kernel,
-        "selftest": cmd_selftest,
-    }[args.command]
     try:
-        return handler(args)
+        return args.run(args)
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

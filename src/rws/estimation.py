@@ -135,8 +135,7 @@ def estimate_lambda(
     for row, j in enumerate(x.astype(int)):
         counts[row] = np.searchsorted(field.levels[j], alpha_grid, side="right")
     mask = counts >= 1
-    with np.errstate(divide="ignore"):
-        y = np.where(mask, np.log2(np.maximum(counts, 1.0)), 0.0)
+    y = np.where(mask, np.log2(np.maximum(counts, 1.0)), 0.0)
     slope, rms = _masked_ols(x, y, mask)
     return LambdaCurve(
         alpha_grid=np.asarray(alpha_grid, dtype=np.float64),
@@ -345,8 +344,7 @@ def analyze_pyramid(
     lam = estimate_lambda(field_, _default_alpha_grid(field_, grid_step), scale_count)
     closed = upper_closure(lam)
     d2 = large_deviation_spectrum(closed)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = closed.values / closed.alpha_grid
+    ratios = closed.values / closed.alpha_grid
     sup_all = np.nanmax(ratios) if np.isfinite(ratios).any() else np.nan
     h_max_est = 1.0 / sup_all if (np.isfinite(sup_all) and sup_all > 0) else np.nan
     nonneg = np.isfinite(closed.values) & (closed.values >= 0)

@@ -52,9 +52,10 @@ def _format_cell(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_cell(text: str, absent: float, path: str, line: int) -> float:
+def _parse_cell(text: str, path: str, line: int) -> float:
+    """A number; an empty cell is absent (NaN)."""
     if text == "":
-        return absent
+        return math.nan
     try:
         return float(text)
     except ValueError:
@@ -109,7 +110,7 @@ def read_signal(path: str) -> np.ndarray:
         text = blob.decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: neither rws-sig binary nor text") from None
-    values = [_parse_cell(line, math.nan, path, ln) for ln, line in _records(text)]
+    values = [_parse_cell(line, path, ln) for ln, line in _records(text)]
     n = len(values)
     if n == 0 or n & (n - 1):
         raise FormatError(f"{path}: sample count {n} is not a positive power of two")
@@ -167,11 +168,11 @@ def read_spectrum_csv(path: str) -> SpectrumCurve:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
             raise FormatError(f"{path}:{ln}: expected 2 comma-separated fields, got {len(cells)}")
-        h = _parse_cell(cells[0], math.nan, path, ln)
+        h = _parse_cell(cells[0], path, ln)
         if not math.isfinite(h):
             raise FormatError(f"{path}:{ln}: h cell must be a finite number")
         hs.append(h)
-        ds.append(_parse_cell(cells[1], math.nan, path, ln))
+        ds.append(_parse_cell(cells[1], path, ln))
     if not hs:
         raise FormatError(f"{path}: no data rows")
     if all(map(math.isnan, ds)):
@@ -277,13 +278,12 @@ def load_synthesis_config(path: str):
         raise ConfigError(f"{path}: missing required key 'mode'")
     mode = raw.pop("mode")
     J = _take(raw, "J", path, int)
-    seed = _take(raw, "seed", path, int, default=0)
-    wavelet = raw.pop("wavelet", "db10")
+    seed = _take(raw, "seed", path, int, default=SynthesisConfig.seed)
     try:
-        order = parse_wavelet_name(wavelet).order
+        filt = parse_wavelet_name(raw.pop("wavelet", f"db{SynthesisConfig.wavelet_order}"))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    resolved = [("mode", mode), ("J", J), ("seed", seed), ("wavelet", f"db{order}")]
+    resolved = [("mode", mode), ("J", J), ("seed", seed), ("wavelet", filt.name)]
 
     if mode == "spectrum":
         if "spectrum_file" not in raw:
@@ -313,5 +313,5 @@ def load_synthesis_config(path: str):
     if raw:
         keys = ", ".join(sorted(raw))
         raise ConfigError(f"{path}: unknown config keys: {keys}")
-    cfg = SynthesisConfig(J=J, source=source, wavelet_order=order, seed=seed)
+    cfg = SynthesisConfig(J=J, source=source, wavelet_order=filt.order, seed=seed)
     return cfg, resolved

@@ -32,8 +32,11 @@ formulas as methods: the density ``rho`` and its derivative
 ``spectrum_from_rho`` and the synthesis regularity warning), and the
 scale-j exponent law of the self-similarity semigroup (``scale_cap``,
 ``scale_quantile``).  The validity threshold guarantees rho < 0 near 0;
-for the gamma and poisson families it is ``alpha_star``, the largest
-root of a transcendental equation, solved by bracketed root-finding.
+for the gamma and poisson families it is ``alpha_star``, minus the left
+zero of the family's own shifted density, found by the same search as
+``h_min`` (a poisson density that is nonnegative at its shift point,
+c <= ln 2, has no left zero and takes the zero beyond its peak).  Every
+root goes through one bracketed solver, ``_root``.
 """
 
 import math
@@ -63,6 +66,23 @@ DEFAULT_GRID_STEP = 0.005   # h grid step of kernel spectra, analyses and sample
 
 # ---------------------------------------------------------------------------
 # kernel laws
+
+def _root(f, lo, hi):
+    """The zero of f bracketed by [lo, hi], by Brent's method to machine precision."""
+    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+
+def _left_zero(f, origin, peak):
+    """The zero of f between origin (excluded) and peak, where f >= 0: the
+    bracket starts just right of origin and walks toward it while f >= 0."""
+    # halving the step, not the point: origin + step reaches origin itself
+    # once step is below half an ulp of it, where halving the point can
+    # round back up to origin + 1 ulp forever
+    step = (peak - origin) * 1e-12
+    while f(origin + step) >= 0.0:
+        step /= 2.0
+    return _root(f, origin + step, peak)
+
 
 def gaussian_threshold(sigma: float) -> float:
     """Smallest admissible mean for a gaussian kernel of width sigma."""
@@ -98,10 +118,7 @@ class Kernel:
         # shifted poisson with c <= ln 2 has h_min = alpha0, where rho is
         # -inf and rho' undefined, so its bracket starts just inside.
         lo = h_min if np.isfinite(self.rho(h_min)) else h_min + (peak - h_min) * 1e-12
-        alpha_t = brentq(
-            lambda a: self.rho_prime(a) * a - self.rho(a),
-            lo, peak, xtol=1e-15, rtol=8.9e-16,
-        )
+        alpha_t = _root(lambda a: self.rho_prime(a) * a - self.rho(a), lo, peak)
         return alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
 
     def spectrum_grid(self, grid_step: float):
@@ -122,7 +139,8 @@ class Kernel:
 class _ShiftedKernel(Kernel):
     """Families supported on (alpha0, inf): rho = -inf at and left of
     alpha0, valid iff alpha0 > alpha*; subclasses supply
-    ``_rho_shifted(t)`` for t = a - alpha0 > 0 and ``alpha_star``."""
+    ``_rho_shifted(t)`` for t = a - alpha0 > 0 and the mode offset
+    ``_offset()``, where rho = 1."""
 
     def _rho(self, a):
         t = a - self.alpha0
@@ -131,18 +149,22 @@ class _ShiftedKernel(Kernel):
         out[pos] = self._rho_shifted(t[pos])
         return out
 
+    def peak(self) -> float:
+        return self.alpha0 + self._offset()
+
     def validate(self) -> None:
         if not self.alpha0 > self.alpha_star():
             params = ", ".join(f.name for f in fields(self) if f.name != "alpha0")
             raise KernelValidityError(f"alpha0 <= alpha*({params})")
 
+    def alpha_star(self) -> float:
+        """Minus the left zero of the shifted density: alpha0 > alpha* puts
+        that zero, h_min, right of 0."""
+        return -_left_zero(self._rho_shifted, 0.0, self._offset())
+
     def h_min(self) -> float:
-        """Left zero of rho, bracketed from just inside alpha0 to the peak."""
-        peak = self.peak()
-        lo = self.alpha0 + (peak - self.alpha0) * 1e-12
-        while self.rho(lo) >= 0.0:
-            lo = self.alpha0 + (lo - self.alpha0) / 2.0
-        return brentq(self.rho, lo, peak, xtol=1e-15, rtol=8.9e-16)
+        """Left zero of rho."""
+        return _left_zero(self.rho, self.alpha0, self.peak())
 
 
 @dataclass(frozen=True)
@@ -200,33 +222,16 @@ class ShiftedGammaKernel(_ShiftedKernel):
         t = a - self.alpha0
         return self.nu / (t * math.log(2.0)) - self.beta * LOG2E
 
-    def peak(self) -> float:
-        return self.alpha0 + self.nu / self.beta
+    def _offset(self) -> float:
+        return self.nu / self.beta
 
     def alpha_star(self) -> float:
-        """Largest root of 1 + nu log2(-a) + beta log2(e) a + nu log2(beta e/nu) = 0.
-
-        The equation attains 1 at its maximizer -nu/beta, so the root is
-        bracketed between that point and 0; Brent's method to machine
-        precision.
-        """
-        nu, beta = self.nu, self.beta
-        if nu <= 0 or beta <= 0:
+        if self.nu <= 0 or self.beta <= 0:
             raise KernelValidityError("nu <= 0 or beta <= 0")
-
-        def f(a):
-            return 1.0 + nu * np.log2(-a) + beta * LOG2E * a + nu * math.log2(beta * math.e / nu)
-
-        lo = -nu / beta            # f(lo) = 1 exactly
-        hi = lo / 2.0
-        while f(hi) >= 0.0:
-            hi /= 2.0
-        return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        return super().alpha_star()
 
     def scale_cap(self, j: int) -> float:
-        mean = self.nu / self.beta
-        sd = math.sqrt(self.nu / j) / self.beta
-        return self.alpha0 + mean + 12.0 * sd
+        return self.peak() + 12.0 * (math.sqrt(self.nu / j) / self.beta)
 
     def scale_quantile(self, j: int, u):
         x = gammaincinv(j * self.nu, u) / self.beta
@@ -250,35 +255,20 @@ class ShiftedPoissonKernel(_ShiftedKernel):
         t = a - self.alpha0
         return math.log2(self.c * math.e / t) - LOG2E
 
-    def peak(self) -> float:
-        return self.alpha0 + self.c
+    def _offset(self) -> float:
+        return self.c
 
     def alpha_star(self) -> float:
-        """Largest root of 1 - c log2(e) - a log2(c e / (-a)) = 0.
-
-        At a = -t the equation attains 1 at t = c.  For c > ln 2 the
-        largest root lies between 0 and that maximizer; for c <= ln 2 the
-        equation has a single root, beyond it.  Brent's method to machine
-        precision.
-        """
-        c = self.c
-        if c <= 0:
+        """For c <= ln 2 the shifted density is nonnegative at 0+ and has
+        one zero, beyond its peak at t = c."""
+        if self.c <= 0:
             raise KernelValidityError("c <= 0")
-
-        def g(t):   # equation at a = -t, t > 0
-            return 1.0 - c * LOG2E + t * np.log2(c * math.e / t)
-
-        if 1.0 - c * LOG2E < 0.0:
-            lo = c / 2.0           # g -> 1 - c log2(e) < 0 as t -> 0+
-            while g(lo) >= 0.0:
-                lo /= 2.0
-            t = brentq(g, lo, c, xtol=1e-15, rtol=8.9e-16)
-        else:
-            hi = 2.0 * c           # single root beyond the maximizer t = c
-            while g(hi) >= 0.0:
-                hi *= 2.0
-            t = brentq(g, c, hi, xtol=1e-15, rtol=8.9e-16)
-        return -t
+        if 1.0 - self.c * LOG2E < 0.0:
+            return super().alpha_star()
+        hi = 2.0 * self.c
+        while self._rho_shifted(hi) >= 0.0:
+            hi *= 2.0
+        return -_root(self._rho_shifted, self.c, hi)
 
     def h_min(self) -> float:
         if 1.0 - self.c * LOG2E >= 0.0:
@@ -286,7 +276,7 @@ class ShiftedPoissonKernel(_ShiftedKernel):
         return super().h_min()
 
     def scale_cap(self, j: int) -> float:
-        return self.alpha0 + self.c + 12.0 * math.sqrt(self.c / j)
+        return self.peak() + 12.0 * math.sqrt(self.c / j)
 
     def scale_quantile(self, j: int, u):
         mu = j * self.c
@@ -491,13 +481,13 @@ def _step_grid(upper, step):
 
 def _sampled_grid(x, y, xname, yname):
     """(x, y) as float64 arrays; MathValidityError unless both are non-empty
-    and of equal length and x is positive and strictly increasing."""
+    and of equal length and x is positive, finite and strictly increasing."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size == 0:
         raise MathValidityError(f"{xname} and {yname} grids must be non-empty and equal length")
-    if not (x[0] > 0 and np.all(np.diff(x) > 0)):
-        raise MathValidityError(f"{xname} grid must be strictly increasing and positive")
+    if not (x[0] > 0 and x[-1] < math.inf and np.all(np.diff(x) > 0)):
+        raise MathValidityError(f"{xname} grid must be strictly increasing, positive and finite")
     return x, y
 
 

@@ -309,8 +309,7 @@ def _down_corr(s, lo, hi, scale=1.0):
                 halves = np.concatenate([pairs[:, b0:], pairs[:, : b0 + w + M - h]], axis=1)
             else:
                 halves = pairs[:, b0 : b0 + w + M].copy()
-            if scale != 1.0:
-                halves *= scale
+            halves *= scale
             a = approx[b0 : b0 + w]
             d = detail[b0 : b0 + w]
             for m in range(L):
@@ -320,8 +319,7 @@ def _down_corr(s, lo, hi, scale=1.0):
         return approx, detail
     idx = (2 * np.arange(h)[:, None] + np.arange(L)[None, :]) % n
     windows = s[idx]
-    if scale != 1.0:
-        windows *= scale
+    windows *= scale
     return windows @ lo, windows @ hi
 
 
@@ -346,8 +344,7 @@ def _up_conv(approx, detail, lo, hi, scale=1.0):
             else:
                 ea = approx[b0 - K : b0 + w]
                 ed = detail[b0 - K : b0 + w]
-            if scale != 1.0:
-                ed = ed * scale
+            ed = ed * scale
             phases = np.zeros((2, w))
             for m in range(L):
                 k = K - m // 2

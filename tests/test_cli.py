@@ -63,6 +63,21 @@ def test_synth_writes_signal_and_manifest(tmp_path, capsys):
     assert (out / "manifest.txt").read_text().splitlines()[-1].startswith("duration_s=")
 
 
+@pytest.mark.parametrize("command", ["synth", "analyze", "kernel"])
+def test_manifest_starts_with_the_command_and_ends_with_the_duration(command, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    write_gaussian_config(cfg)
+    assert cli.main(["synth", str(cfg), "--out", str(tmp_path / "synth")]) == 0
+    args = {"synth": [str(cfg)], "analyze": [str(tmp_path / "synth" / "signal.rws")],
+            "kernel": ["dirac", "H=0.8"]}[command]
+    out = tmp_path / command
+    assert cli.main([command, *args, "--out", str(out)]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert lines[0] == f"command={command}"
+    assert lines[-1].startswith("duration_s=")
+    assert sum(line.startswith(("command=", "duration_s=")) for line in lines) == 2
+
+
 def test_synth_is_deterministic(tmp_path):
     cfg = tmp_path / "c.cfg"
     write_gaussian_config(cfg)
@@ -105,8 +120,9 @@ def test_synth_bad_config_exits_2(tmp_path, capsys):
     "mode=kernel\nkernel=gaussian\nm=one\nsigma=0.5\nJ=10\n",
     "mode=kernel\nkernel=dirac\nH=0.8\nflavor=mint\nJ=10\n",
     "mode=flat\nalpha0=0.7\nJ=ten\n",
+    "mode=kernel\nJ=10\n",
 ], ids=["unknown-kernel", "missing-parameter", "parameter-not-a-number", "unknown-key",
-        "J-not-an-integer"])
+        "J-not-an-integer", "no-kernel-variant"])
 def test_synth_config_errors_start_with_the_config_path(config, tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config)
@@ -313,6 +329,15 @@ def test_kernel_poisson_small_c_with_positive_shift(tmp_path):
     assert read_signal(str(tmp_path / "s" / "signal.rws")).size == 1024
 
 
+def test_kernel_gamma_with_a_zero_below_resolution(tmp_path, capsys):
+    # the left zero of rho lies ~1e-33 right of alpha0, under brentq's 1e-15 tolerance
+    out = tmp_path / "k"
+    assert cli.main(["kernel", "gamma", "alpha0=0.1", "nu=0.01", "beta=4", "--out", str(out)]) == 0
+    assert "h_min=0.1," in capsys.readouterr().out
+    manifest = parse_key_values((out / "manifest.txt").read_text())
+    assert -1e-15 < float(manifest["alpha_star"]) <= 0.0
+
+
 # sha256 of (rho.csv, spectrum.csv) at the default grid step
 KERNEL_CSV_DIGESTS = {
     ("gaussian", "m=1", "sigma=0.5"): (
@@ -454,6 +479,16 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "4 of 4 checks passed" in out
+
+
+def test_selftest_reports_a_check_that_raises(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("no reference")
+    monkeypatch.setattr(cli, "SELFTEST_CHECKS", cli.SELFTEST_CHECKS + (("broken", broken),))
+    assert cli.main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL broken: RuntimeError: no reference" in out
+    assert "4 of 5 checks passed" in out
 
 
 def test_selftest_reports_broken_reference(monkeypatch, capsys):

@@ -373,6 +373,12 @@ def test_critical_q_returns_exact_grid_zero():
     assert critical_q(line_tau(np.array([0.0, 1.0, 2.0]), 1.0)) == 1.0
 
 
+def test_critical_q_returns_a_zero_at_the_last_grid_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert critical_q(line_tau(np.array([0.0, 1.0, 2.0]), 1.0, intercept=-2.0)) == 2.0
+
+
 def test_critical_q_warns_without_sign_change():
     with pytest.warns(UserWarning, match="no sign change"):
         q_c = critical_q(line_tau(default_q_grid(), 0.05))

@@ -197,6 +197,13 @@ def test_spectrum_csv_validation(tmp_path):
         read_spectrum_csv(str(p))
 
 
+def test_spectrum_csv_must_be_utf8_text(tmp_path):
+    p = tmp_path / "curve.csv"
+    p.write_bytes(b"0.5,\xff\xfe\n")
+    with pytest.raises(FormatError, match="not a text file"):
+        read_spectrum_csv(str(p))
+
+
 # ---------------------------------------------------------------------------
 # key=value files
 

@@ -1,5 +1,8 @@
 """Kernel densities, validity thresholds, and the density-to-spectrum map."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from rws import (
     ShiftedGammaKernel,
     ConfigError,
     ShiftedPoissonKernel,
+    SpectrumCurve,
     UnsupportedVariantError,
     check_admissible,
     curve_from_function,
@@ -116,6 +120,46 @@ def test_poisson_validity_uses_threshold():
         kernel_validity(ShiftedPoissonKernel(alpha0=-1.55, c=0.5))
     with pytest.raises(KernelValidityError):
         kernel_validity(ShiftedPoissonKernel(alpha0=0.0, c=0.0))
+
+
+THRESHOLD_KERNELS = [
+    ShiftedGammaKernel(alpha0=0.0, nu=1.0, beta=3.0),
+    ShiftedGammaKernel(alpha0=0.0, nu=1.5, beta=4.0),
+    ShiftedGammaKernel(alpha0=0.0, nu=0.3, beta=9.0),
+    ShiftedPoissonKernel(alpha0=0.0, c=1.0),
+    ShiftedPoissonKernel(alpha0=0.0, c=3.0),
+]
+
+
+@pytest.mark.parametrize("alpha0", [0.0, 0.3])
+@pytest.mark.parametrize("kernel", THRESHOLD_KERNELS, ids=repr)
+def test_alpha_star_is_minus_the_left_zero_of_the_shifted_density(kernel, alpha0):
+    # h_min and alpha* are one zero of one density, seen from alpha0 and from 0
+    k = dataclasses.replace(kernel, alpha0=alpha0)
+    star = k.alpha_star()
+    assert abs((k.h_min() - alpha0) + star) < 1e-12
+    assert abs(k._rho_shifted(-star)) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", THRESHOLD_KERNELS, ids=repr)
+def test_validity_switches_at_alpha_star(kernel):
+    star = kernel.alpha_star()
+    with pytest.raises(KernelValidityError, match="alpha0 <= alpha"):
+        kernel_validity(dataclasses.replace(kernel, alpha0=star - 1e-9))
+    above = dataclasses.replace(kernel, alpha0=star + 1e-9)
+    kernel_validity(above)
+    assert above.h_min() > 0
+
+
+@pytest.mark.parametrize("alpha0", [0.1, 0.3])
+def test_gamma_zero_below_resolution_walks_its_bracket_to_the_shift_point(alpha0):
+    # nu = 0.01 puts the left zero ~1e-33 right of alpha0, below one ulp of
+    # it: the bracket walk must end at alpha0 itself (0.3 has an odd last
+    # mantissa bit, where alpha0 + ulp/2 rounds up to alpha0 + ulp)
+    k = ShiftedGammaKernel(alpha0=alpha0, nu=0.01, beta=4.0)
+    assert alpha0 <= k.h_min() <= alpha0 + 1e-15 + 8.9e-16 * alpha0
+    assert -1e-15 < k.alpha_star() <= 0.0
+    kernel_validity(k)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -266,6 +310,57 @@ def test_curve_from_samples_validation():
         curve_from_samples(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(MathValidityError):
         curve_from_samples(np.array([-0.5, 1.0]), np.array([0.5, 0.5]))
+
+
+def test_curve_from_function_span():
+    with pytest.raises(MathValidityError, match="h_max < h_min"):
+        curve_from_function(lambda h: 1.0, 0.8, 0.7)
+    point = curve_from_function(lambda h: 1.0, 0.8, 0.8)
+    assert point.h_grid.tolist() == [0.8] and point.d_values.tolist() == [1.0]
+    assert check_admissible(point).valid
+
+
+def test_curve_from_samples_needs_a_present_value():
+    with pytest.raises(MathValidityError, match="no present values"):
+        curve_from_samples([0.5, 1.0], [np.nan, np.nan])
+
+
+def test_infinite_grid_points_are_rejected():
+    with pytest.raises(MathValidityError, match="finite"):
+        curve_from_samples([0.5, np.inf], [0.0, 1.0])
+    with pytest.raises(MathValidityError, match="finite"):
+        LogDensity.from_samples([0.5, np.inf], [0.5, 1.0])
+
+
+def test_admissibility_reports_an_infinite_grid_point_without_warnings():
+    curve = SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]),
+                          h_min=0.5, h_max=np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_admissible(curve)
+    assert not report.valid
+    assert report.violations == ["h grid must be strictly increasing, positive and finite"]
+
+
+def test_admissibility_reports_a_broken_grid():
+    curve = SpectrumCurve(h_grid=np.array([1.0, 0.5]), d_values=np.array([0.5, 1.0]),
+                          h_min=0.5, h_max=1.0)
+    report = check_admissible(curve)
+    assert not report.valid and "increasing" in report.violations[0]
+
+
+def test_admissibility_reports_present_values_outside_the_span():
+    curve = curve_from_function(lambda h: h - 0.5, 0.5, 1.5)
+    curve.h_min = 0.75
+    assert check_admissible(curve).violations == ["present value outside [h_min, h_max]"]
+
+
+def test_admissibility_reports_a_curve_with_no_present_values():
+    curve = SpectrumCurve(h_grid=np.array([0.5, 1.0]), d_values=np.full(2, np.nan),
+                          h_min=0.5, h_max=1.0)
+    report = check_admissible(curve)
+    assert not report.valid
+    assert "curve has no present values" in report.violations
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from rws import (
     MathValidityError,
     ShiftedGammaKernel,
     ShiftedPoissonKernel,
+    SpectrumCurve,
     SynthesisConfig,
     analyze_pyramid,
     curve_from_function,
@@ -136,6 +137,14 @@ def test_sources_are_validated_independently_of_J(source, monkeypatch):
     assert len(at_8) == 1 and sorted(calls) == at_8
 
 
+def test_synthesize_rejects_an_infinite_h_grid_point():
+    # an infinite h_max would overflow the scale-law grid
+    curve = SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]),
+                          h_min=0.5, h_max=np.inf)
+    with pytest.raises(AdmissibilityError, match="finite"):
+        synthesize(SynthesisConfig(J=8, source=curve))
+
+
 def test_config_rejects_bad_flat_and_unknown_source():
     with pytest.raises(ConfigError, match="alpha0"):
         validate_config(SynthesisConfig(J=10, source=FlatLaw(0.0)))
@@ -170,6 +179,13 @@ def test_spectrum_law_rejects_inadmissible():
     bump = curve_from_function(lambda h: 1.0 - ((h - 1.0) / 0.5) ** 2, 0.5, 1.5)
     with pytest.raises(AdmissibilityError):
         generate_coefficients(SynthesisConfig(J=10, source=bump))
+
+
+def test_spectrum_law_refuses_mass_above_one():
+    # d = 1 on [0.01, 1] breaks d(h_max)/h_max >= d(h)/h; its scale law has mass j ln2 * 0.99
+    flat_top = curve_from_function(lambda h: 1.0, 0.01, 1.0)
+    with pytest.raises(MathValidityError, match="mass .* > 1"):
+        scale_law_from_spectrum(flat_top, 10)
 
 
 def test_flat_law_is_single_atom():
