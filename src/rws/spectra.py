@@ -37,6 +37,13 @@ zero of the family's own shifted density, found by the same search as
 ``h_min`` (a poisson density that is nonnegative at its shift point,
 c <= ln 2, has no left zero and takes the zero beyond its peak).  Every
 root goes through one bracketed solver, ``_root``.
+
+scipy is imported where a kernel law needs it, on first call, and
+nowhere else: ``_root`` (brentq) and the ``scale_quantile`` of the
+gaussian (ndtr, ndtri), gamma (gammaincinv) and poisson (gammaincc)
+families.  Loading scipy.special and scipy.optimize takes about 0.6 s,
+three quarters of a cold ``import rws.cli`` on a 2-core machine, and
+spectrum curves, flat laws and the estimators never call them.
 """
 
 import math
@@ -44,8 +51,6 @@ import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaincc, gammaincinv, ndtr, ndtri
 
 from .errors import (
     ConfigError,
@@ -69,18 +74,23 @@ DEFAULT_GRID_STEP = 0.005   # h grid step of kernel spectra, analyses and sample
 
 def _root(f, lo, hi):
     """The zero of f bracketed by [lo, hi], by Brent's method to machine precision."""
+    from scipy.optimize import brentq
+
     return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def _left_zero(f, origin, peak):
     """The zero of f between origin (excluded) and peak, where f >= 0: the
-    bracket starts just right of origin and walks toward it while f >= 0."""
+    bracket starts just right of origin and walks toward it while f >= 0.
+    A zero nearer origin than the least subnormal step is origin itself."""
     # halving the step, not the point: origin + step reaches origin itself
     # once step is below half an ulp of it, where halving the point can
     # round back up to origin + 1 ulp forever
     step = (peak - origin) * 1e-12
     while f(origin + step) >= 0.0:
         step /= 2.0
+        if step == 0.0:   # f(origin) may be log2(0); not evaluated
+            return origin
     return _root(f, origin + step, peak)
 
 
@@ -198,6 +208,8 @@ class GaussianKernel(Kernel):
         return self.m + 12.0 * self.sigma / math.sqrt(j)
 
     def scale_quantile(self, j: int, u):
+        from scipy.special import ndtr, ndtri
+
         s = self.sigma / math.sqrt(j)
         z0 = ndtr(-self.m / s)          # one-draw conditioning on alpha > 0
         return self.m + s * ndtri(z0 + u * (1.0 - z0))
@@ -234,6 +246,8 @@ class ShiftedGammaKernel(_ShiftedKernel):
         return self.peak() + 12.0 * (math.sqrt(self.nu / j) / self.beta)
 
     def scale_quantile(self, j: int, u):
+        from scipy.special import gammaincinv
+
         x = gammaincinv(j * self.nu, u) / self.beta
         return self.alpha0 + x / j
 
@@ -279,6 +293,8 @@ class ShiftedPoissonKernel(_ShiftedKernel):
         return self.peak() + 12.0 * math.sqrt(self.c / j)
 
     def scale_quantile(self, j: int, u):
+        from scipy.special import gammaincc
+
         mu = j * self.c
         kmax = int(math.ceil(mu + 12.0 * math.sqrt(mu))) + 20
         cdf = gammaincc(np.arange(1, kmax + 2, dtype=np.float64), mu)

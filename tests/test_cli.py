@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,16 @@ def test_kernel_gamma_with_a_zero_below_resolution(tmp_path, capsys):
     assert -1e-15 < float(manifest["alpha_star"]) <= 0.0
 
 
+def test_kernel_gamma_with_a_zero_below_the_least_subnormal(tmp_path, capsys):
+    # the left zero of the shifted density underflows to 0: no log2(0) warning
+    out = tmp_path / "k"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["kernel", "gamma", "alpha0=0.1", "nu=1e-4", "beta=4", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert float(parse_key_values((out / "manifest.txt").read_text())["alpha_star"]) == 0.0
+
+
 # sha256 of (rho.csv, spectrum.csv) at the default grid step
 KERNEL_CSV_DIGESTS = {
     ("gaussian", "m=1", "sigma=0.5"): (
@@ -498,3 +509,52 @@ def test_selftest_reports_broken_reference(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL spectrum-identity" in out
     assert "3 of 4 checks passed" in out
+
+
+# ---------------------------------------------------------------------------
+# start-up: only the kernel laws load scipy
+
+def run_python(code, *args):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_scipy():
+    out = run_python("import sys, rws; a = 'scipy' in sys.modules; import rws.cli; "
+                     "print(a, 'scipy' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
+# synth and analyze of each config named in argv[3:], under argv[2]/<index>;
+# with argv[1] == "block" any import of scipy raises ImportError
+SYNTH_AND_ANALYZE = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
+from rws import cli
+for i, cfg in enumerate(sys.argv[3:]):
+    out = f"{sys.argv[2]}/{i}"
+    assert cli.main(["synth", cfg, "--out", out]) == 0
+    assert cli.main(["analyze", out + "/signal.rws", "--out", out + "/an"]) == 0
+"""
+
+
+def test_spectrum_and_flat_commands_run_without_scipy(tmp_path):
+    parabola = curve_from_function(lambda v: (v - 0.5) ** 2, 0.5, 1.5)
+    write_columns(str(tmp_path / "parabola.csv"), "h,d", parabola.h_grid, parabola.d_values)
+    (tmp_path / "spectrum.cfg").write_text("mode=spectrum\nspectrum_file=parabola.csv\nJ=10\nseed=2\n")
+    write_flat_config(tmp_path / "flat.cfg")
+    configs = [str(tmp_path / "spectrum.cfg"), str(tmp_path / "flat.cfg")]
+    outputs = {}
+    for mode in ("block", "load"):
+        run_python(SYNTH_AND_ANALYZE, mode, str(tmp_path / mode), *configs)
+        outputs[mode] = [
+            (tmp_path / mode / str(i) / name).read_bytes()
+            for i in range(len(configs))
+            for name in ("signal.rws", "an/meta.txt", "an/lambda.csv", "an/tau.csv", "an/spectrum.csv")
+        ]
+    assert outputs["block"] == outputs["load"]

@@ -162,6 +162,21 @@ def test_gamma_zero_below_resolution_walks_its_bracket_to_the_shift_point(alpha0
     kernel_validity(k)
 
 
+@pytest.mark.parametrize(("nu", "star"), [
+    (1e-3, -6.413338752028713e-306),   # a normal float: the walk stops short of it
+    (3e-4, 0.0),
+    (1e-4, 0.0),
+    (1e-5, 0.0),
+])
+def test_gamma_alpha_star_below_the_least_subnormal_is_zero(nu, star):
+    # from nu ~ 3e-4 down the left zero of the shifted density underflows:
+    # the walk's step halves to 0.0 and alpha* is 0, without evaluating log2(0)
+    k = ShiftedGammaKernel(alpha0=0.1, nu=nu, beta=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert k.alpha_star() == star
+
+
 @pytest.mark.parametrize("kernel", [
     GaussianKernel(m=np.inf, sigma=0.5),
     GaussianKernel(m=1.0, sigma=np.nan),

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -324,6 +325,40 @@ def test_uniform_field_is_keyed_by_scale_and_seed():
     assert a.shape == (2, 32)
     assert not np.array_equal(a, uniform_field(8, 5))
     assert not np.array_equal(a, uniform_field(7, 6))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("j", [17, 18])
+def test_chunked_uniforms_equal_one_generator(j, cpus, monkeypatch):
+    # each chunk advances its own Philox stream to the chunk's offset
+    key = np.array([9, j], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).random((2, 2**j))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert uniform_field(9, j).tobytes() == want.tobytes()
+
+
+# as the first kernel call of a fresh process, sampling a two-chunk gamma
+# level makes both pool threads import scipy.special at once
+FIRST_KERNEL_IMPORT = """
+import os, sys
+import numpy as np
+from rws import ShiftedGammaKernel, sample_alphas, scale_law_from_kernel
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.setswitchinterval(1e-6)
+law = scale_law_from_kernel(ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), 17)
+u = np.random.Generator(np.random.Philox(key=np.array([3, 17], dtype=np.uint64))).random(2**17)
+assert "scipy" not in sys.modules
+got = sample_alphas(law, u)
+assert got.tobytes() == law.sample(u).tobytes()
+"""
+
+
+def test_first_kernel_import_on_worker_threads():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    done = subprocess.run([sys.executable, "-c", FIRST_KERNEL_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_generation_is_deterministic_and_schedule_free():
