@@ -6,8 +6,9 @@
     rws selftest
 
 Exit codes: 0 success, 1 selftest failure, 2 malformed config, file or
-option, 3 mathematically invalid input (inadmissible spectrum, kernel
-threshold violation, degenerate data).
+option (including an output path that cannot be written), 3
+mathematically invalid input (inadmissible spectrum, kernel threshold
+violation, degenerate data).
 
 Options are not checked here: each goes to the library function that
 uses it, which raises ConfigError (exit 2) for a bad value before any
@@ -283,6 +284,9 @@ def main(argv=None) -> int:
     except MathValidityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # fileio turns read failures into FormatError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

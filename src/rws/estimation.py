@@ -344,9 +344,8 @@ def analyze_pyramid(
     lam = estimate_lambda(field_, _default_alpha_grid(field_, grid_step), scale_count)
     closed = upper_closure(lam)
     d2 = large_deviation_spectrum(closed)
-    ratios = closed.values / closed.alpha_grid
-    sup_all = np.nanmax(ratios) if np.isfinite(ratios).any() else np.nan
-    h_max_est = 1.0 / sup_all if (np.isfinite(sup_all) and sup_all > 0) else np.nan
+    sup_all = np.fmax.reduce(closed.values / closed.alpha_grid)
+    h_max_est = 1.0 / sup_all if sup_all > 0 else np.nan
     nonneg = np.isfinite(closed.values) & (closed.values >= 0)
     h_min_est = float(closed.alpha_grid[nonneg][0]) if nonneg.any() else np.nan
     if np.isfinite(h_max_est):

@@ -67,6 +67,11 @@ _TOL_ONE = 1e-9       # d(h_max) = 1 and d <= 1 slack
 _TOL_ZERO = 1e-12     # d >= 0 slack
 _TOL_RATIO = 1e-9     # monotonicity slack for d(h)/h
 DEFAULT_GRID_STEP = 0.005   # h grid step of kernel spectra, analyses and sampled curves
+# Steps of the largest h or alpha grid sized from outside input (a grid step,
+# a kernel parameter, a spectrum's h_max).  Default grids hold at most 12,800
+# points (an analysis) or under 1,000 (a kernel); an analysis at the bound
+# builds a 1.3 GB (h x q) Legendre table.
+MAX_GRID_STEPS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +493,20 @@ def _merge_points(base, extras):
 
 def _step_grid(upper, step):
     """The h grid of kernel spectra and analyses: step * (1..n), the fewest
-    points reaching upper; ConfigError unless step is positive and finite."""
+    points reaching upper; ConfigError unless step is positive and finite
+    and n is at most MAX_GRID_STEPS."""
     if not 0 < step < math.inf:
         raise ConfigError(f"grid_step must be positive and finite, got {step}")
-    n = int(math.ceil(upper / step - 1e-9))
+    n = _grid_steps(upper / step - 1e-9, f"an h grid up to {upper:.6g} at grid_step {step:g}")
     return step * np.arange(1, n + 1)
+
+
+def _grid_steps(steps, what):
+    """ceil(steps), the steps of a grid; ConfigError naming ``what`` unless
+    that is at most MAX_GRID_STEPS.  Checked before any grid is allocated."""
+    if not steps <= MAX_GRID_STEPS:
+        raise ConfigError(f"{what} needs {steps:.6g} steps, more than {MAX_GRID_STEPS}")
+    return int(math.ceil(steps))
 
 
 def _sampled_grid(x, y, xname, yname):

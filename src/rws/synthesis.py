@@ -25,15 +25,13 @@ Philox stream with key (seed, j); coefficient k reads column k of the
 (2, 2**j) uniform matrix (row 0 drives the exponent, row 1 the sign).
 Any coefficient is therefore reproducible in isolation.
 
-Both the uniforms and the exponents are made in fixed chunks of
-SAMPLE_CHUNK values; a matrix (j > 15) or level (j > 16) of more than
-one chunk spreads its chunks over one thread per CPU of the process, and
-smaller ones run inline.  A chunk of uniforms draws from its own Philox
-stream with the level's key, advanced to the chunk's offset, so it holds
-the bits of the single-stream draw.  Every law maps each uniform on its
-own, with no state shared between elements, so a chunk's exponents are
-the same bits whichever thread computes them and in whatever order: the
-output does not depend on the worker count.
+The uniform matrix is one draw.  The exponents are sampled in fixed
+chunks of SAMPLE_CHUNK values; a level of more than one chunk (j > 16)
+spreads its chunks over one thread per CPU of the process, and smaller
+ones run inline.  Every law maps each uniform on its own, with no state
+shared between elements, so a chunk's exponents are the same bits
+whichever thread computes them and in whatever order: the output does
+not depend on the worker count.
 """
 
 import math
@@ -46,6 +44,7 @@ from .errors import AdmissibilityError, ConfigError, MathValidityError
 from .spectra import (
     Kernel,
     SpectrumCurve,
+    _grid_steps,
     _integer,
     check_admissible,
     kernel_validity,
@@ -55,11 +54,10 @@ from .wavelet import (SUPPORTED_ORDERS, CoefficientPyramid, _map_blocks, daubech
                       inverse_dwt)
 
 _LN2 = math.log(2.0)
-# Values per chunk of the uniform draws and of exponent sampling, a multiple
-# of Philox's 4-draw counter block.  A matrix or level of more than one
-# chunk is made on one thread per CPU; Philox fills and the special
-# functions release the GIL.  At J = 22 on a 2-core VM, gamma quantiles of
-# 2^21 uniforms took 1.27 s on one thread and 0.64 s on two.
+# Uniforms per chunk of exponent sampling.  A level of more than one chunk
+# is sampled on one thread per CPU; the special functions release the GIL.
+# At J = 22 on a 2-core VM, gamma quantiles of 2^21 uniforms took 1.27 s
+# on one thread and 0.64 s on two.
 SAMPLE_CHUNK = 2**16
 
 
@@ -145,7 +143,7 @@ def scale_law_from_spectrum(curve: SpectrumCurve, j: int) -> ScaleLawTable:
     the curve must be admissible (``check_admissible``)."""
     h_max = curve.h_max
     step = min(0.002, h_max / 2048.0)
-    n = int(math.ceil(h_max / step))
+    n = _grid_steps(h_max / step, f"the scale-{j} law of a spectrum with h_max {h_max:g}")
     grid = np.linspace(0.0, h_max, n + 1)
     present = curve.present()
     d = np.interp(grid, curve.h_grid[present], curve.d_values[present])
@@ -202,21 +200,9 @@ def sample_alphas(law, uniforms) -> np.ndarray:
 
 
 def uniform_field(seed: int, j: int) -> np.ndarray:
-    """(2, 2**j) uniforms from the Philox stream keyed by (seed, j).
-
-    The matrix fills in chunks of SAMPLE_CHUNK uniforms, on one thread per
-    CPU of the process when there is more than one chunk (j > 15); the
-    bits equal ``Generator(Philox(key)).random((2, 2**j))``."""
+    """(2, 2**j) uniforms from the Philox stream keyed by (seed, j)."""
     key = np.array([seed, j], dtype=np.uint64)
-    out = np.empty(2 * 2**j)
-
-    def fill(i):
-        bits = np.random.Philox(key=key)
-        bits.advance(i // 4)   # counter blocks of 4 draws; i is a multiple of SAMPLE_CHUNK
-        np.random.Generator(bits).random(out=out[i : i + SAMPLE_CHUNK])
-
-    _map_blocks(fill, range(0, out.size, SAMPLE_CHUNK))
-    return out.reshape(2, 2**j)
+    return np.random.Generator(np.random.Philox(key=key)).random((2, 2**j))
 
 
 def _source_parts(source):

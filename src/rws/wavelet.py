@@ -41,11 +41,11 @@ input, the forward transform peaks at about 1.6 times the signal's size
 (the pyramid, the top level's approx and a finiteness mask), the
 inverse at about 1.5 (its output and the last level's approx).
 
-``_map_blocks`` is the one worker pool of the package: uniform draws
-and exponent sampling (synthesis) and the partition-sum ladder
-(estimation) hand it their blocks.  The transforms stay serial: with the
-blocks of each forward level on the pool, a J = 22 forward transform on
-a 2-core VM took 0.18 s instead of 0.15 s (median of 5).
+``_map_blocks`` is the one worker pool of the package: exponent
+sampling (synthesis) and the partition-sum ladder (estimation) hand it
+their blocks.  The transforms stay serial: with the blocks of each
+forward level on the pool, a J = 22 forward transform on a 2-core VM
+took 0.18 s instead of 0.15 s (median of 5).
 """
 
 import os

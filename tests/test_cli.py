@@ -176,6 +176,42 @@ def test_synth_rejected_config_writes_nothing(config, code, tmp_path):
     assert not (out / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["synth", "analyze", "kernel"])
+def test_unwritable_out_exits_2(command, under, gaussian_signal, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    write_flat_config(cfg)
+    args = {"synth": [str(cfg)], "analyze": [str(gaussian_signal)],
+            "kernel": ["dirac", "H=0.8"]}[command]
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "run" if under else taken
+    assert cli.main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and str(out) in err and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
+# each asks the unbounded grid for 10^12 points or more (terabytes)
+@pytest.mark.parametrize("case", ["analyze-step", "kernel-step", "kernel-dirac", "synth-spectrum"])
+def test_grid_beyond_the_step_bound_exits_2(case, gaussian_signal, tmp_path, capsys):
+    (tmp_path / "far.csv").write_text("1e11,0.1\n1e12,1\n")
+    (tmp_path / "c.cfg").write_text("mode=spectrum\nspectrum_file=far.csv\nJ=10\n")
+    args = {
+        "analyze-step": ["analyze", str(gaussian_signal), "--grid-step", "1e-12"],
+        "kernel-step": ["kernel", "gaussian", "m=1", "sigma=0.5", "--grid-step", "1e-12"],
+        "kernel-dirac": ["kernel", "dirac", "H=1e12"],
+        "synth-spectrum": ["synth", str(tmp_path / "c.cfg")],
+    }[case]
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # h_max 1e12 is beyond db10's regularity
+        assert cli.main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"more than {2**20}" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -427,6 +427,14 @@ def test_kernel_spectrum_rejects_bad_grid_step(step):
         spectrum_from_rho(GaussianKernel(m=1.0, sigma=0.5), grid_step=step)
 
 
+def test_kernel_grid_stops_at_the_step_bound():
+    # a dirac grid reaches 4 H: H = 1 at step 2^-18 takes 2^20 steps, the bound
+    out = spectrum_from_rho(DiracKernel(H=1.0), grid_step=2.0**-18)
+    assert out.h_grid[-1] == 4.0
+    with pytest.raises(ConfigError, match=f"more than {2**20}"):
+        spectrum_from_rho(DiracKernel(H=1.0), grid_step=2.0**-18 * (1 - 1e-6))
+
+
 def test_spectrum_matches_dense_grid_construction():
     # independent evaluation: brute-force running sup on a 10x finer grid
     kernel = GaussianKernel(m=1.0, sigma=0.5)

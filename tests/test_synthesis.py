@@ -327,14 +327,13 @@ def test_uniform_field_is_keyed_by_scale_and_seed():
     assert not np.array_equal(a, uniform_field(7, 6))
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("j", [17, 18])
-def test_chunked_uniforms_equal_one_generator(j, cpus, monkeypatch):
-    # each chunk advances its own Philox stream to the chunk's offset
-    key = np.array([9, j], dtype=np.uint64)
-    want = np.random.Generator(np.random.Philox(key=key)).random((2, 2**j))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert uniform_field(9, j).tobytes() == want.tobytes()
+def test_uniform_draws_start_no_thread(monkeypatch):
+    # a level's matrix is one Philox draw on the calling thread, at any j
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(wavelet, "ThreadPoolExecutor", refuse)
+    assert uniform_field(5, 20).shape == (2, 2**20)
 
 
 # as the first kernel call of a fresh process, sampling a two-chunk gamma
