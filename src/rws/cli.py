@@ -17,13 +17,15 @@ output is written.
 Every writing command drops a ``manifest.txt`` next to its outputs
 recording the resolved parameters, inputs, and outputs in a fixed key
 order with the wall-clock duration last, so two runs of the same
-command differ at most in paths and duration.
+command differ at most in paths and duration.  An earlier manifest goes
+before the first output, so a manifest stands only beside a whole bundle.
 """
 
 import argparse
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -81,6 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _start_bundle(args) -> None:
+    os.makedirs(args.out, exist_ok=True)
+    Path(args.out, "manifest.txt").unlink(missing_ok=True)
+
+
 def _write_manifest(args, items, t0) -> None:
     """manifest.txt in args.out: the command, then items, then the seconds since t0."""
     fileio.write_key_values(
@@ -100,7 +107,7 @@ def cmd_synth(args) -> int:
         cfg.wavelet_order, overrides["wavelet"] = filt.order, filt.name
     resolved = [(k, overrides.get(k, v)) for k, v in resolved]
     signal = synthesize(cfg)
-    os.makedirs(args.out, exist_ok=True)
+    _start_bundle(args)
     sig_path = os.path.join(args.out, "signal.rws")
     fileio.write_signal(sig_path, signal)
     _write_manifest(args, resolved + [
@@ -119,7 +126,7 @@ def cmd_analyze(args) -> int:
     pyramid = forward_dwt(x, filt)
     del x  # free the signal (8 * 2^J bytes): analysis reads only the pyramid
     result = analyze_pyramid(pyramid, scale_count=args.scales, grid_step=args.grid_step)
-    os.makedirs(args.out, exist_ok=True)
+    _start_bundle(args)
     fileio.write_lambda_csv(
         os.path.join(args.out, "lambda.csv"), result.lambda_curve, result.closed_curve
     )
@@ -159,7 +166,7 @@ def cmd_kernel(args) -> int:
     params = fileio.parse_key_values("\n".join(args.params), "kernel parameter")
     kernel = fileio.build_kernel(args.variant, params)
     curve = spectrum_from_rho(kernel, grid_step=args.grid_step)
-    os.makedirs(args.out, exist_ok=True)
+    _start_bundle(args)
     fileio.write_columns(os.path.join(args.out, "rho.csv"), "alpha,rho",
                          curve.h_grid, kernel.rho(curve.h_grid))
     fileio.write_columns(os.path.join(args.out, "spectrum.csv"), "h,d",

@@ -3,7 +3,8 @@
 Both routes from a coefficient pyramid to a spectrum on a common h grid
 read one exponent field: ``AlphaField.from_pyramid`` drops the zero
 coefficients of each scale j and holds alpha[j][k] = -log2|C[j][k]| / j,
-and nothing downstream takes log2|C| again.
+and nothing downstream takes log2|C| again.  Any field sorts its levels
+when it is made, so its readers take counts, extremes and quantiles by index.
 
   * large-deviation: cumulative counts N_j(alpha) = #{alpha[j][k] <=
     alpha}, log-count growth rates lambda(alpha) fitted across scales,
@@ -50,10 +51,14 @@ LADDER_BLOCK = 2**16
 
 @dataclass
 class AlphaField:
-    """Per-scale exponents, sorted ascending within each scale."""
+    """Per-scale exponents; construction sorts each level in place, ascending."""
 
     J: int
     levels: dict  # j -> sorted ndarray of finite alphas (zeros dropped)
+
+    def __post_init__(self):
+        for alpha in self.levels.values():
+            alpha.sort()
 
     @classmethod
     def from_pyramid(cls, pyramid: CoefficientPyramid) -> "AlphaField":
@@ -69,7 +74,6 @@ class AlphaField:
             np.log2(alpha, out=alpha)
             np.negative(alpha, out=alpha)
             alpha /= j
-            alpha.sort()
             levels[j] = alpha
         return cls(J=pyramid.J, levels=levels)
 
@@ -166,11 +170,8 @@ def large_deviation_spectrum(curve: LambdaCurve) -> np.ndarray:
     negative the point is absent either way.
     """
     h = curve.alpha_grid
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sup = np.fmax.accumulate(curve.values / h)
-        d2 = h * sup
-        d2 = np.where(np.isnan(sup) | (sup < 0), np.nan, d2)
-    return d2
+    sup = np.fmax.accumulate(curve.values / h)
+    return np.where(np.isnan(sup) | (sup < 0), np.nan, h * sup)
 
 
 def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT) -> TauCurve:
@@ -178,8 +179,8 @@ def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT
     sums |C|^q = 2^(-q j alpha) over the field's scale-j exponents.
 
     Each fit level is shifted by its extreme log2|C| = -j alpha, ext_j =
-    max for q >= 0 and min for q < 0 (-j times the level's min or max
-    alpha, so a level need not be sorted), so every term
+    max for q >= 0 and min for q < 0 (-j times the level's first or last
+    alpha), so every term
     2^(q (log2|C| - ext_j)) is at most 1 and the level's sum is at least
     1: log2 S_j(q) = q ext_j + log2 of that sum is finite for any q, and a
     term that underflows to 0 is below 2^-1074 of the sum.
@@ -212,10 +213,9 @@ def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT
             )
     levels = [field.levels[j] for j in js]
     starts = np.cumsum([0] + [level.size for level in levels])
-    # -j alpha is largest at the level's smallest alpha and smallest at its
-    # largest; rounding is monotone, so both extremes are exact
-    top = -x * np.array([np.minimum.reduce(level) for level in levels])
-    bottom = -x * np.array([np.maximum.reduce(level) for level in levels])
+    # a sorted level's ends give the extremes of -j alpha exactly (monotone rounding)
+    top = -x * np.array([level[0] for level in levels])
+    bottom = -x * np.array([level[-1] for level in levels])
     q = default_q_grid()
     k0 = int(np.searchsorted(q, 0.0))
 
@@ -256,7 +256,8 @@ def critical_q(curve: TauCurve) -> float:
 
     Scans ascending q for a sign change and bisects that segment down
     to 1e-8.  Without any sign change the smallest grid q is returned
-    with a warning (the zero lies outside the grid).
+    with a warning (the zero lies outside the grid).  Known defect: ``f``
+    reads ``lo`` as bisection moves it, missing the zero (ROADMAP item 1).
     """
     q = curve.q_grid
     t = curve.values
@@ -316,12 +317,20 @@ def default_q_grid() -> np.ndarray:
     return np.arange(-50, 101) / 10.0
 
 
+def _upper_quantile(a) -> float:
+    """np.quantile(a, 0.9999) of a sorted level, bit for bit, without partitioning a
+    copy: numpy's linear rule reads index v = (n - 1) q, which on the slice
+    a[i : i + 2], i = floor(v), is v - i."""
+    v = (a.size - 1) * 0.9999
+    i = int(v)
+    return float(np.quantile(a[i : i + 2], v - i))
+
+
 def _default_alpha_grid(field: AlphaField, step: float) -> np.ndarray:
     upper = 2.0
-    finite = [a for a in field.levels.values() if a.size]
-    if finite:
-        top = max(float(np.quantile(a, 0.9999)) for a in finite)
-        upper = max(upper, top + 1.0)
+    for a in field.levels.values():
+        if a.size:
+            upper = max(upper, _upper_quantile(a) + 1.0)
     return _step_grid(min(upper, 64.0), step)
 
 
@@ -348,8 +357,7 @@ def analyze_pyramid(
     h_max_est = 1.0 / sup_all if sup_all > 0 else np.nan
     nonneg = np.isfinite(closed.values) & (closed.values >= 0)
     h_min_est = float(closed.alpha_grid[nonneg][0]) if nonneg.any() else np.nan
-    if np.isfinite(h_max_est):
-        d2 = np.where(closed.alpha_grid > h_max_est + 0.5 * grid_step, np.nan, d2)
+    d2 = np.where(closed.alpha_grid > h_max_est + 0.5 * grid_step, np.nan, d2)
     tau = structure_function(field_, scale_count)
     q_c = critical_q(tau)
     # critical_q falls back to q_grid[0], where tau is nonzero, only without a sign change

@@ -15,7 +15,7 @@ Configs are flat ``key=value`` text; unknown keys are rejected rather
 than ignored.  All three text formats share one line grammar
 (``_records``): lines are stripped, blank and ``#`` lines are skipped,
 and a malformed line is reported as ``path:line``.  Every error in a
-config's text starts with the config's path.
+config's text or values, ranges included, starts with the config's path.
 """
 
 import math
@@ -35,7 +35,7 @@ from .spectra import (
     SpectrumCurve,
     curve_from_samples,
 )
-from .synthesis import FlatLaw, SynthesisConfig
+from .synthesis import FlatLaw, SynthesisConfig, _check_settings
 from .wavelet import parse_wavelet_name
 
 _MAGIC = b"RWS1"
@@ -237,7 +237,10 @@ def build_kernel(name: str, params: dict):
     if extra:
         raise ConfigError(f"kernel {name} does not take: {', '.join(extra)}")
     raw = dict(params)   # _take pops
-    return KERNELS[name](**{p: _take(raw, p, f"kernel {name}") for p in needed})
+    try:
+        return KERNELS[name](**{p: _take(raw, p) for p in needed})
+    except ConfigError as exc:
+        raise ConfigError(f"kernel {name}: {exc}") from None
 
 
 def parse_key_values(text: str, path: str = "<config>") -> dict:
@@ -253,65 +256,49 @@ def parse_key_values(text: str, path: str = "<config>") -> dict:
     return out
 
 
-def _take(raw: dict, key: str, path: str, kind=float, default=None):
-    """Pop raw[key] parsed as kind (float or int), or default; else ConfigError."""
+def _take(raw: dict, key: str, kind=float, default=None):
+    """Pop raw[key] parsed as kind (float, int or str), or default; else ConfigError."""
     if key not in raw:
         if default is None:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+            raise ConfigError(f"missing required key {key!r}")
         return default
     value = raw.pop(key)
     try:
         return kind(value)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path}: {key} must be {what}, got {value!r}") from None
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
 def load_synthesis_config(path: str):
-    """Parse a synth config file.
-
-    Returns (SynthesisConfig, resolved) where resolved is the ordered
-    list of (key, value) pairs actually in effect, for the manifest.
-    """
+    """(SynthesisConfig, resolved) of a range-checked synth config file, where
+    resolved lists the (key, value) pairs in effect, in order, for the manifest."""
     raw = parse_key_values(_read_text(path), path)
-    if "mode" not in raw:
-        raise ConfigError(f"{path}: missing required key 'mode'")
-    mode = raw.pop("mode")
-    J = _take(raw, "J", path, int)
-    seed = _take(raw, "seed", path, int, default=SynthesisConfig.seed)
     try:
+        mode = _take(raw, "mode", str)
+        J = _take(raw, "J", int)
+        seed = _take(raw, "seed", int, default=SynthesisConfig.seed)
         filt = parse_wavelet_name(raw.pop("wavelet", f"db{SynthesisConfig.wavelet_order}"))
+        resolved = [("mode", mode), ("J", J), ("seed", seed), ("wavelet", filt.name)]
+        if mode == "spectrum":
+            rel = _take(raw, "spectrum_file", str)
+            spath = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), rel))
+            source = read_spectrum_csv(spath)
+            resolved.append(("spectrum_file", rel))
+        elif mode == "kernel":
+            name = _take(raw, "kernel", str)
+            source = build_kernel(name, raw)   # every key left is a kernel parameter
+            raw.clear()
+            resolved += [("kernel", name)] + sorted(vars(source).items())
+        elif mode == "flat":
+            source = FlatLaw(_take(raw, "alpha0"))
+            resolved.append(("alpha0", source.alpha0))
+        else:
+            raise ConfigError(f"unknown mode {mode!r} (known: spectrum, kernel, flat)")
+        if raw:
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(raw))}")
+        cfg = SynthesisConfig(J=J, source=source, wavelet_order=filt.order, seed=seed)
+        _check_settings(cfg)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    resolved = [("mode", mode), ("J", J), ("seed", seed), ("wavelet", filt.name)]
-
-    if mode == "spectrum":
-        if "spectrum_file" not in raw:
-            raise ConfigError(f"{path}: mode=spectrum needs spectrum_file")
-        rel = raw.pop("spectrum_file")
-        spath = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), rel))
-        source = read_spectrum_csv(spath)
-        resolved.append(("spectrum_file", rel))
-    elif mode == "kernel":
-        if "kernel" not in raw:
-            raise ConfigError(f"{path}: mode=kernel needs a kernel variant")
-        name = raw.pop("kernel")
-        try:  # every key left is a kernel parameter
-            source = build_kernel(name, raw)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        raw.clear()
-        resolved.append(("kernel", name))
-        resolved.extend(sorted(vars(source).items()))
-    elif mode == "flat":
-        alpha0 = _take(raw, "alpha0", path)
-        source = FlatLaw(alpha0)
-        resolved.append(("alpha0", alpha0))
-    else:
-        raise ConfigError(f"{path}: unknown mode {mode!r} (known: spectrum, kernel, flat)")
-
-    if raw:
-        keys = ", ".join(sorted(raw))
-        raise ConfigError(f"{path}: unknown config keys: {keys}")
-    cfg = SynthesisConfig(J=J, source=source, wavelet_order=filt.order, seed=seed)
     return cfg, resolved

@@ -471,10 +471,7 @@ class LogDensity:
                 "(constant-exponent) construction instead"
             )
         h_min = self.h_min()   # positive: from_samples requires alpha > 0
-        with np.errstate(invalid="ignore"):
-            ratios = rho / self.alpha_grid
-        smax = float(np.max(ratios[finite]))
-        h_max = 1.0 / smax
+        h_max = 1.0 / float(np.max(rho[finite] / self.alpha_grid[finite]))
         grid = _merge_points(self.alpha_grid, [h_max])
         # merged grid differs from the density grid only by the inserted
         # h_max, whose running max is already the global one
@@ -542,9 +539,7 @@ def spectrum_from_rho(density, grid_step: float = DEFAULT_GRID_STEP) -> Spectrum
     """
     grid, vals, h_min, h_max = density.spectrum_grid(grid_step)
     # running maximum of rho/alpha over evaluation points <= h
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(np.isfinite(vals), vals / grid, -np.inf)
-    run = np.maximum.accumulate(ratios)
+    run = np.maximum.accumulate(np.where(np.isfinite(vals), vals / grid, -np.inf))
     span_tol = _TOL_ZERO * max(1.0, h_max)
     inside = (grid >= h_min - span_tol) & (grid <= h_max + span_tol)
     d_raw = grid * run

@@ -67,6 +67,10 @@ class FlatLaw:
 
     alpha0: float
 
+    def __post_init__(self):
+        if not 0 < self.alpha0 < math.inf:
+            raise ConfigError("flat law needs a finite alpha0 > 0")
+
 
 @dataclass
 class SynthesisConfig:
@@ -76,12 +80,17 @@ class SynthesisConfig:
     seed: int = 0
 
 
-def validate_config(config: SynthesisConfig):
-    """The one gate for synthesis input: check the config, validate the source
-    once, warn if h_max > wavelet order - 1; return ``(law, c00)``."""
+def _check_settings(config: SynthesisConfig) -> None:
+    """ConfigError unless J, the wavelet order and the seed are integers in range."""
     _integer("J", config.J, 4, 24)
     _integer("wavelet order", config.wavelet_order, SUPPORTED_ORDERS[0], SUPPORTED_ORDERS[-1])
     _integer("seed", config.seed, 0, 2**64 - 1)
+
+
+def validate_config(config: SynthesisConfig):
+    """The one gate for synthesis input: check the config, validate the source
+    once, warn if h_max > wavelet order - 1; return ``(law, c00)``."""
+    _check_settings(config)
     law, c00, h_max = _source_parts(config.source)
     if h_max > config.wavelet_order - 1:
         warnings.warn(
@@ -223,8 +232,6 @@ def _source_parts(source):
         kernel_validity(source)
         return (lambda j: scale_law_from_kernel(source, j)), 1.0, source.ratio_max()[1]
     if isinstance(source, FlatLaw):
-        if not 0 < source.alpha0 < math.inf:
-            raise ConfigError("flat law needs a finite alpha0 > 0")
         return (lambda j: flat_scale_law(source.alpha0, j)), 0.0, source.alpha0
     raise ConfigError(f"unknown synthesis source {type(source).__name__}")
 

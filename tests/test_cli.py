@@ -122,8 +122,11 @@ def test_synth_bad_config_exits_2(tmp_path, capsys):
     "mode=kernel\nkernel=dirac\nH=0.8\nflavor=mint\nJ=10\n",
     "mode=flat\nalpha0=0.7\nJ=ten\n",
     "mode=kernel\nJ=10\n",
+    "mode=flat\nalpha0=0.7\nJ=3\n",
+    "mode=flat\nalpha0=0.7\nJ=10\nseed=-1\n",
+    "mode=flat\nalpha0=0\nJ=10\n",
 ], ids=["unknown-kernel", "missing-parameter", "parameter-not-a-number", "unknown-key",
-        "J-not-an-integer", "no-kernel-variant"])
+        "J-not-an-integer", "no-kernel-variant", "J-3", "seed-negative", "flat-alpha0-0"])
 def test_synth_config_errors_start_with_the_config_path(config, tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config)
@@ -133,10 +136,31 @@ def test_synth_config_errors_start_with_the_config_path(config, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(("mode", "key"), [("spectrum", "spectrum_file"), ("kernel", "kernel")])
+def test_synth_mode_without_its_source_names_the_missing_key(mode, key, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"mode={mode}\nJ=10\n")
+    assert cli.main(["synth", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: missing required key '{key}'\n"
+
+
 def test_synth_negative_seed_exits_2(tmp_path):
     cfg = tmp_path / "c.cfg"
     write_flat_config(cfg)
     assert cli.main(["synth", str(cfg), "--out", str(tmp_path), "--seed", "-1"]) == 2
+
+
+def test_the_file_seed_is_checked_with_the_path_even_when_overridden(tmp_path, capsys):
+    # a config is checked as written; a --seed value is checked by synthesis, without a path
+    cfg = tmp_path / "c.cfg"
+    write_flat_config(cfg, extra="seed=-1\n")
+    out = tmp_path / "run"
+    assert cli.main(["synth", str(cfg), "--out", str(out), "--seed", "3"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: seed must be an integer")
+    write_flat_config(cfg)
+    assert cli.main(["synth", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be an integer")
+    assert not out.exists()
 
 
 def test_synth_seed_beyond_64_bits_exits_2(tmp_path, capsys):
@@ -190,6 +214,23 @@ def test_unwritable_out_exits_2(command, under, gaussian_signal, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and str(out) in err and "Traceback" not in err
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize(("command", "blocked"), [
+    ("synth", "signal.rws"), ("analyze", "spectrum.csv"), ("kernel", "rho.csv")])
+def test_a_failed_rerun_leaves_no_manifest(command, blocked, gaussian_signal, tmp_path, capsys):
+    # the manifest is written last: a directory with one holds a complete bundle
+    cfg = tmp_path / "c.cfg"
+    write_flat_config(cfg)
+    args = {"synth": [str(cfg)], "analyze": [str(gaussian_signal)],
+            "kernel": ["dirac", "H=0.8"]}[command]
+    out = tmp_path / "pw"
+    assert cli.main([command, *args, "--out", str(out)]) == 0
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    assert cli.main([command, *args, "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
 
 
 # each asks the unbounded grid for 10^12 points or more (terabytes)
@@ -505,6 +546,12 @@ def test_kernel_argument_errors_exit_2(tmp_path):
     assert cli.main(["kernel", "gaussian", "m=1", "m=2", "sigma=0.5", "--out", out]) == 2
     assert cli.main(["kernel", "gaussian", "m=x", "sigma=0.5", "--out", out]) == 2
     assert cli.main(["kernel", "gaussian", "m=1.0", "sigma=0.5", "--grid-step", "0"]) == 2
+
+
+def test_kernel_parameter_errors_name_the_kernel(tmp_path, capsys):
+    args = ["kernel", "gamma", "alpha0=0.1", "nu=x", "beta=4", "--out", str(tmp_path / "k")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "error: kernel gamma: nu must be a number, got 'x'\n"
 
 
 def test_kernel_parameters_read_like_config_lines(tmp_path):

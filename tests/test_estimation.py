@@ -37,7 +37,7 @@ from rws import (
     synthesize,
     upper_closure,
 )
-from rws.estimation import LADDER_BLOCK
+from rws.estimation import LADDER_BLOCK, _default_alpha_grid, _upper_quantile
 
 # Frozen as the least-squares slope of log2(j) against j over scales 6..15;
 # the flat generator has expected occupancy j at scale j.
@@ -80,6 +80,32 @@ def test_field_drops_zeros_and_sorts():
         assert alpha.size == nz
         assert np.all(np.diff(alpha) >= 0)
         assert np.all(np.isfinite(alpha))
+
+
+def test_a_shuffled_field_reads_as_its_sorted_self():
+    # a hand-built field sorts its levels when it is made, so every reader
+    # (counts, ladder extremes, grid quantile) sees the order from_pyramid gives
+    pyr = generate_coefficients(SynthesisConfig(J=12, source=GaussianKernel(m=1.0, sigma=0.5), seed=2))
+    ordered = AlphaField.from_pyramid(pyr)
+    rng = np.random.default_rng(5)
+    shuffled = AlphaField(J=12, levels={j: rng.permutation(a) for j, a in ordered.levels.items()})
+    grid = _default_alpha_grid(ordered, 0.005)
+    np.testing.assert_array_equal(_default_alpha_grid(shuffled, 0.005), grid)
+    for a, b in ((estimate_lambda(shuffled, grid), estimate_lambda(ordered, grid)),
+                 (structure_function(shuffled), structure_function(ordered))):
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.residuals, b.residuals)
+    for j, a in shuffled.levels.items():
+        np.testing.assert_array_equal(a, ordered.levels[j])
+
+
+@pytest.mark.parametrize("gaps", ["close", "far"])
+def test_upper_quantile_is_numpys_quantile_of_a_sorted_level(gaps):
+    # far-apart neighbours expose any difference in the interpolation weight
+    rng = np.random.default_rng(11)
+    for n in [*range(1, 301), 2**10, 2**16 - 1, 2**16, 2**21]:
+        a = np.cumsum(rng.exponential(1e-4 if gaps == "close" else 1.0, n)) + 0.3
+        assert _upper_quantile(a) == float(np.quantile(a, 0.9999)), n
 
 
 def test_counts_are_inclusive_at_the_threshold():
@@ -377,6 +403,15 @@ def test_critical_q_returns_a_zero_at_the_last_grid_point():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert critical_q(line_tau(np.array([0.0, 1.0, 2.0]), 1.0, intercept=-2.0)) == 2.0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: late-bound `lo`; fixed together "
+                   "with re-recorded perfbench references")
+def test_critical_q_is_the_interpolant_zero():
+    q = default_q_grid()
+    for values, zero in ((q - 0.66, 0.66), (2 * (q - 1.234), 1.234)):
+        tau = TauCurve(q_grid=q, values=values, residuals=np.zeros(q.size), scale_range=(6, 15))
+        assert abs(critical_q(tau) - zero) <= 1e-12
 
 
 def test_critical_q_warns_without_sign_change():

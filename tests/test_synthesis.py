@@ -146,6 +146,12 @@ def test_synthesize_rejects_an_infinite_h_grid_point():
         synthesize(SynthesisConfig(J=8, source=curve))
 
 
+@pytest.mark.parametrize("alpha0", [0.0, np.inf, np.nan])
+def test_flat_law_refuses_a_bad_alpha0_when_made(alpha0):
+    with pytest.raises(ConfigError, match="finite alpha0 > 0"):
+        FlatLaw(alpha0)
+
+
 def test_config_rejects_bad_flat_and_unknown_source():
     with pytest.raises(ConfigError, match="alpha0"):
         validate_config(SynthesisConfig(J=10, source=FlatLaw(0.0)))
