@@ -25,6 +25,7 @@ import argparse
 import os
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from .wavelet import (SUPPORTED_ORDERS, daubechies_filter, forward_dwt, inverse_
                       parse_wavelet_name)
 
 
+@lru_cache(maxsize=1)  # parsing leaves a parser unchanged, so one per process serves every main()
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rws",

@@ -318,12 +318,17 @@ def default_q_grid() -> np.ndarray:
 
 
 def _upper_quantile(a) -> float:
-    """np.quantile(a, 0.9999) of a sorted level, bit for bit, without partitioning a
-    copy: numpy's linear rule reads index v = (n - 1) q, which on the slice
-    a[i : i + 2], i = floor(v), is v - i."""
+    """np.quantile(a, 0.9999) of a sorted level a, bit for bit, by numpy's
+    linear rule: at v = (n - 1) q it reads lo = a[i] and hi = a[i + 1],
+    i = floor(v), g = v - i, and returns hi - (hi - lo) (1 - g) if g >= 1/2,
+    else lo + (hi - lo) g.  test_upper_quantile_is_numpys_quantile_of_a_sorted_level
+    holds the two equal."""
+    if a.size == 1:
+        return float(a[0])
     v = (a.size - 1) * 0.9999
-    i = int(v)
-    return float(np.quantile(a[i : i + 2], v - i))
+    lo, hi = a[int(v) : int(v) + 2]
+    d, g = hi - lo, v - int(v)
+    return float(hi - d * (1 - g) if g >= 0.5 else lo + d * g)
 
 
 def _default_alpha_grid(field: AlphaField, step: float) -> np.ndarray:

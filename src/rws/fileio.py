@@ -7,9 +7,11 @@ per line.  Readers sniff the magic, so either format can be handed to
 any command.
 
 Tabular outputs are comment-headed CSV: a single ``# col,col`` line
-followed by rows formatted with 12 significant digits.  An empty cell
-means the value is absent at that grid point (NaN or -inf in memory);
-absent cells round-trip back to NaN / -inf.
+followed by one row per grid point, each number written with 12
+significant digits (``%.12g``, -0.0 as ``0``).  A table is formatted in
+one ``%`` pass over its stacked columns, which must all have the same
+length.  An empty cell means the value is absent at that grid point (NaN
+or +-inf in memory); absent cells read back as NaN.
 
 Configs are flat ``key=value`` text; unknown keys are rejected rather
 than ignored.  All three text formats share one line grammar
@@ -41,15 +43,6 @@ from .wavelet import parse_wavelet_name
 _MAGIC = b"RWS1"
 _HEADER = struct.Struct("<4sIII")
 _VERSION = 1
-
-
-def _format_cell(x: float) -> str:
-    """12-significant-digit cell; non-finite values serialize as absent."""
-    if not math.isfinite(x):
-        return ""
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return f"{x:.12g}"
 
 
 def _parse_cell(text: str, path: str, line: int) -> float:
@@ -152,12 +145,19 @@ def _finite_samples(path: str, x: np.ndarray) -> np.ndarray:
 # CSV tables
 
 def write_columns(path: str, header: str, *cols) -> None:
-    """Comment-headed CSV with one row per grid point; header is "a,b,..."."""
-    # Python floats format faster than numpy scalars, to the same text
-    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in cols))
-    lines = [f"# {header}"] + [",".join(map(_format_cell, row)) for row in rows]
+    """Comment-headed CSV with one row per grid point; header is "a,b,...".
+
+    Columns of unequal length raise ValueError before the file is opened.
+    Every cell goes through one ``%.12g`` template.  A non-finite value is
+    written as ``nan`` and every ``nan`` is then erased, leaving its cell
+    empty; no number's text contains that string.
+    """
+    table = np.stack([np.asarray(c, dtype=np.float64) for c in cols], axis=1)
+    table = np.where(np.isfinite(table), table + 0.0, np.nan)  # + 0.0 turns -0.0 into 0.0
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    body = (row * table.shape[0]) % tuple(table.ravel().tolist())
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f"# {header}\n" + body.replace("nan", ""))
 
 
 def read_spectrum_csv(path: str) -> SpectrumCurve:
@@ -201,13 +201,8 @@ def write_estimate_csv(path: str, spectrum) -> None:
 
 def write_key_values(path: str, items) -> None:
     """key=value lines; floats get 12 significant digits, rest str()."""
-    lines = []
-    for key, value in items:
-        if isinstance(value, float):
-            text = f"{value:.12g}"
-        else:
-            text = str(value)
-        lines.append(f"{key}={text}")
+    lines = [f"{key}={value:.12g}" if isinstance(value, float) else f"{key}={value}"
+             for key, value in items]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -285,6 +285,29 @@ def test_analyze_writes_bundle(gaussian_signal, tmp_path, capsys):
     assert sp_header == "# h,d2,d1"
 
 
+# sha256 of lambda.csv, tau.csv and spectrum.csv of one J=12 analysis
+ANALYSIS_CSV_DIGESTS = {
+    "lambda.csv": "062ceea7ac2f8a65a5d01a5508deb62e179eb00e8e3212cf9ee070cd8b90923a",
+    "tau.csv": "bc441faee30448b94c737bd2ca6398c6ea1098e8052a6fa105f8173d54dbe929",
+    "spectrum.csv": "dc8dc7c15be6a45f1cd572134caaa7f193eafcff7704d283092f2a681c7f9c7c",
+}
+
+
+def test_analysis_csv_digests(tmp_path):
+    # gaussian, seed 3: lambda is absent on part of the alpha grid and d2
+    # above h_max, so the digests also pin how absent cells are written
+    cfg = tmp_path / "c.cfg"
+    write_gaussian_config(cfg, J=12)
+    assert cli.main(["synth", str(cfg), "--out", str(tmp_path), "--seed", "3"]) == 0
+    out = tmp_path / "an"
+    assert cli.main(["analyze", str(tmp_path / "signal.rws"), "--out", str(out)]) == 0
+    tables = {name: (out / name).read_bytes() for name in ANALYSIS_CSV_DIGESTS}
+    assert re.search(rb"^[^,#]+,,", tables["lambda.csv"], re.M)
+    assert re.search(rb"^[^,#]+,,[^,]+$", tables["spectrum.csv"], re.M)
+    got = {name: hashlib.sha256(blob).hexdigest() for name, blob in tables.items()}
+    assert got == ANALYSIS_CSV_DIGESTS
+
+
 def test_analyze_option_validation(gaussian_signal, tmp_path):
     out = tmp_path / "run"
     for option in (["--scales", "2"], ["--scales", "-2"], ["--grid-step", "0"], ["--grid-step", "-0.005"]):
@@ -563,6 +586,35 @@ def test_kernel_parameters_read_like_config_lines(tmp_path):
     assert got == KERNEL_CSV_DIGESTS[("gaussian", "m=1", "sigma=0.5")]
     manifest = parse_key_values((out / "manifest.txt").read_text())
     assert (manifest["m"], manifest["sigma"]) == ("1", "0.5")
+
+
+# ---------------------------------------------------------------------------
+# one argument parser serves every call in a process
+
+def test_a_seed_override_does_not_outlive_its_call(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    write_gaussian_config(cfg)
+    assert cli.main(["synth", str(cfg), "--out", str(tmp_path / "a"), "--seed", "7"]) == 0
+    assert cli.main(["synth", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert parse_key_values((tmp_path / "b" / "manifest.txt").read_text())["seed"] == "1"
+    assert capsys.readouterr().out.splitlines()[-1].endswith("seed=1)")
+
+
+def test_a_scales_option_does_not_outlive_its_call(gaussian_signal, tmp_path):
+    assert cli.main(["analyze", str(gaussian_signal), "--out", str(tmp_path / "a"), "--scales", "5"]) == 0
+    assert cli.main(["analyze", str(gaussian_signal), "--out", str(tmp_path / "b")]) == 0
+    assert parse_key_values((tmp_path / "b" / "manifest.txt").read_text())["scales"] == "10"
+
+
+def test_a_rejected_argument_leaves_the_next_call_unaffected(gaussian_signal, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", str(gaussian_signal), "--scales", "five"])
+    assert exc.value.code == 2
+    assert "--scales" in capsys.readouterr().err
+    out = tmp_path / "an"
+    assert cli.main(["analyze", str(gaussian_signal), "--out", str(out)]) == 0
+    assert parse_key_values((out / "manifest.txt").read_text())["scales"] == "10"
+    assert parse_key_values((out / "meta.txt").read_text())["scales"] == "1..9"
 
 
 # ---------------------------------------------------------------------------

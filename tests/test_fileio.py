@@ -172,6 +172,55 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert back.h_max == 1.5
 
 
+def _cell(x):
+    # one cell at a time: 12 significant digits, "" for a non-finite value,
+    # -0.0 written as 0
+    if not np.isfinite(x):
+        return ""
+    return f"{abs(x) if x == 0.0 else x:.12g}"
+
+
+WRITE_CASES = {
+    "signed-zeros": [0.0, -0.0, 0.0],
+    "non-finite": [np.nan, np.inf, -np.inf],
+    "subnormals": [5e-324, -5e-324, 2.2250738585072014e-308],
+    "large-and-small": [1e16, -1e16, 1e-5],
+    "rounding": [0.1 + 0.2, 1 / 3, 123456789012.5],
+    "extremes": [-1e-300, 1e300, 99999999999.95],
+}
+
+
+@pytest.mark.parametrize("case", list(WRITE_CASES))
+def test_write_columns_formats_each_cell_like_the_per_cell_rule(case, tmp_path):
+    rng = _rng()
+    a = np.array(WRITE_CASES[case])
+    b = np.r_[a[1:], a[:1]]
+    c = rng.standard_normal(a.size) * 10.0 ** rng.integers(-20, 20, a.size)
+    p = tmp_path / "t.csv"
+    write_columns(str(p), "a,b,c", a, b, c)
+    rows = ["# a,b,c"] + [",".join(map(_cell, r)) for r in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert p.read_text() == "\n".join(rows) + "\n"
+
+
+def test_write_columns_writes_the_cells_of_a_known_table(tmp_path):
+    p = tmp_path / "t.csv"
+    write_columns(str(p), "x,y", [-0.0, np.nan, 1e16, 1 / 3], [np.inf, 1e-5, -np.inf, 5e-324])
+    assert p.read_text() == "# x,y\n0,\n,1e-05\n1e+16,\n0.333333333333,4.94065645841e-324\n"
+
+
+def test_write_columns_of_no_rows_writes_the_header(tmp_path):
+    p = tmp_path / "t.csv"
+    write_columns(str(p), "h,d", np.empty(0), [])
+    assert p.read_text() == "# h,d\n"
+
+
+def test_write_columns_refuses_columns_of_unequal_length(tmp_path):
+    p = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write_columns(str(p), "h,d", [0.5, 0.6, 0.7], [0.1, 0.2])
+    assert not p.exists()
+
+
 def test_spectrum_csv_validation(tmp_path):
     p = tmp_path / "curve.csv"
     p.write_text("# h,d\n")
