@@ -101,18 +101,17 @@ def _write_manifest(args, items, t0) -> None:
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     cfg, resolved = fileio.load_synthesis_config(args.config)
-    overrides = {}
     if args.seed is not None:
-        cfg.seed = overrides["seed"] = args.seed   # validated with the config by synthesize
+        cfg.seed = args.seed   # validated with the config by synthesize
     if args.wavelet is not None:
-        filt = parse_wavelet_name(args.wavelet)
-        cfg.wavelet_order, overrides["wavelet"] = filt.order, filt.name
-    resolved = [(k, overrides.get(k, v)) for k, v in resolved]
+        cfg.wavelet_order = parse_wavelet_name(args.wavelet).order
+    # the values in effect; a dict update keeps each key where the config put it
+    resolved = dict(resolved, seed=cfg.seed, wavelet=f"db{cfg.wavelet_order}")
     signal = synthesize(cfg)
     _start_bundle(args)
     sig_path = os.path.join(args.out, "signal.rws")
     fileio.write_signal(sig_path, signal)
-    _write_manifest(args, resolved + [
+    _write_manifest(args, list(resolved.items()) + [
         ("input", args.config),
         ("output", "signal.rws"),
         ("samples", 2**cfg.J),

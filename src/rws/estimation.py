@@ -171,7 +171,7 @@ def large_deviation_spectrum(curve: LambdaCurve) -> np.ndarray:
     """
     h = curve.alpha_grid
     sup = np.fmax.accumulate(curve.values / h)
-    return np.where(np.isnan(sup) | (sup < 0), np.nan, h * sup)
+    return np.where(sup < 0, np.nan, h * sup)  # a NaN sup gives h * NaN
 
 
 def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT) -> TauCurve:
@@ -360,7 +360,7 @@ def analyze_pyramid(
     d2 = large_deviation_spectrum(closed)
     sup_all = np.fmax.reduce(closed.values / closed.alpha_grid)
     h_max_est = 1.0 / sup_all if sup_all > 0 else np.nan
-    nonneg = np.isfinite(closed.values) & (closed.values >= 0)
+    nonneg = closed.values >= 0  # a fitted slope is finite or NaN, and NaN >= 0 is False
     h_min_est = float(closed.alpha_grid[nonneg][0]) if nonneg.any() else np.nan
     d2 = np.where(closed.alpha_grid > h_max_est + 0.5 * grid_step, np.nan, d2)
     tau = structure_function(field_, scale_count)

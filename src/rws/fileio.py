@@ -2,9 +2,11 @@
 
 Signals travel either as ``rws-sig`` binary (magic ``RWS1``, three
 little-endian uint32 header words: version = 1, J, reserved = 0, then
-2**J float64 samples, little-endian) or as plain text with one sample
-per line.  Readers sniff the magic, so either format can be handed to
-any command.
+2**J float64 samples, little-endian, J <= 30) or as plain text with one
+sample per line.  Readers sniff the magic, so either format can be
+handed to any command.  The writer and both readers take only what the
+transforms take (``dyadic_exponent``): a power of two of at least 2
+samples.
 
 Tabular outputs are comment-headed CSV: a single ``# col,col`` line
 followed by one row per grid point, each number written with 12
@@ -28,7 +30,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, MathValidityError
+from .errors import ConfigError, FormatError, InvalidLengthError, MathValidityError
 from .spectra import (
     DiracKernel,
     GaussianKernel,
@@ -38,7 +40,7 @@ from .spectra import (
     curve_from_samples,
 )
 from .synthesis import FlatLaw, SynthesisConfig, _check_settings
-from .wavelet import parse_wavelet_name
+from .wavelet import dyadic_exponent, parse_wavelet_name
 
 _MAGIC = b"RWS1"
 _HEADER = struct.Struct("<4sIII")
@@ -76,12 +78,18 @@ def _read_text(path: str) -> str:
 # ---------------------------------------------------------------------------
 # signals
 
+def _sample_exponent(path: str, n: int) -> int:
+    """J of a signal of n samples by the transforms' rule (``dyadic_exponent``:
+    a power of two >= 2); any other count raises FormatError."""
+    try:
+        return dyadic_exponent(n)
+    except InvalidLengthError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def write_signal(path: str, samples: np.ndarray) -> None:
     x = np.ascontiguousarray(samples, dtype="<f8")
-    n = x.size
-    J = n.bit_length() - 1
-    if n != 2**J:
-        raise FormatError(f"sample count {n} is not a power of two")
+    J = _sample_exponent(path, x.size)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, J, 0))
         f.write(x.data)  # the array's own buffer, not a bytes copy of it
@@ -104,9 +112,7 @@ def read_signal(path: str) -> np.ndarray:
     except UnicodeDecodeError:
         raise FormatError(f"{path}: neither rws-sig binary nor text") from None
     values = [_parse_cell(line, path, ln) for ln, line in _records(text)]
-    n = len(values)
-    if n == 0 or n & (n - 1):
-        raise FormatError(f"{path}: sample count {n} is not a positive power of two")
+    _sample_exponent(path, len(values))
     return _finite_samples(path, np.array(values, dtype=np.float64))
 
 
@@ -119,6 +125,7 @@ def _read_payload(path: str, f, header: bytes) -> np.ndarray:
         raise FormatError(f"{path}: unsupported signal format version {version}")
     if J > 30:
         raise FormatError(f"{path}: implausible J = {J}")
+    _sample_exponent(path, 2**J)
     want = 8 * 2**J
     st = os.fstat(f.fileno())
     got = st.st_size - _HEADER.size

@@ -28,9 +28,14 @@ the even outputs and the odd taps to the odd outputs, so none of its
 multiply-adds is by a zero of the upsampled input.  Both keep the tap
 order m = 0 .. L-1 for every output and walk the outputs in blocks of
 DWT_BLOCK, so their bytes equal those of the textbook stride-2
-correlation and zero-filled convolution.  A level shorter than the
-filter (n < L) wraps more than once and is computed by a matrix product
-over explicit circular indices instead.
+correlation and zero-filled convolution.  The forward step has one path
+for every level: a level of fewer than (L-1)//2 sample pairs is first
+extended circularly to (L-1)//2 pairs more, so no window wraps twice.
+It makes no BLAS call, and its bytes do not depend on the machine's BLAS
+kernel.  The inverse step still computes a level shorter than the filter
+(n < L) by a matrix product over explicit circular indices, whose
+summation order is the BLAS kernel's own: the db4-db10 synthesis bytes
+hold only for the OpenBLAS kernel family they were recorded with.
 
 Each block copies only the window of input it reads, and the circular
 wrap and the level's scale are applied to that window: 2**(-J/2) on the
@@ -295,32 +300,28 @@ def _down_corr(s, lo, hi, scale=1.0):
     # n even.  Tap m reads the even (m even) or odd row of the block's
     # window of sample pairs at offset m // 2; only the windows, never all
     # of s, are copied and scaled.
-    n = s.size
-    L = lo.size
-    h = n // 2
-    if n >= L:
-        M = (L - 1) // 2
-        pairs = s.reshape(h, 2).T  # row 0 the even samples, row 1 the odd
-        approx = np.zeros(h)
-        detail = np.zeros(h)
-        for b0 in range(0, h, DWT_BLOCK):
-            w = min(DWT_BLOCK, h - b0)
-            if b0 + w + M > h:  # the window runs past the end and wraps
-                halves = np.concatenate([pairs[:, b0:], pairs[:, : b0 + w + M - h]], axis=1)
-            else:
-                halves = pairs[:, b0 : b0 + w + M].copy()
-            halves *= scale
-            a = approx[b0 : b0 + w]
-            d = detail[b0 : b0 + w]
-            for m in range(L):
-                x = halves[m % 2, m // 2 : m // 2 + w]
-                a += lo[m] * x
-                d += hi[m] * x
-        return approx, detail
-    idx = (2 * np.arange(h)[:, None] + np.arange(L)[None, :]) % n
-    windows = s[idx]
-    windows *= scale
-    return windows @ lo, windows @ hi
+    h = s.size // 2
+    M = (lo.size - 1) // 2
+    if h < M:  # a window would wrap more than once: extend the level circularly
+        s = np.resize(s, 2 * (h + M))
+    pairs = s.reshape(-1, 2).T  # row 0 the even samples, row 1 the odd
+    width = pairs.shape[1]
+    approx = np.zeros(h)
+    detail = np.zeros(h)
+    for b0 in range(0, h, DWT_BLOCK):
+        w = min(DWT_BLOCK, h - b0)
+        if b0 + w + M > width:  # the window runs past the end and wraps
+            halves = np.concatenate([pairs[:, b0:], pairs[:, : b0 + w + M - width]], axis=1)
+        else:
+            halves = pairs[:, b0 : b0 + w + M].copy()
+        halves *= scale
+        a = approx[b0 : b0 + w]
+        d = detail[b0 : b0 + w]
+        for m in range(lo.size):
+            x = halves[m % 2, m // 2 : m // 2 + w]
+            a += lo[m] * x
+            d += hi[m] * x
+    return approx, detail
 
 
 def _up_conv(approx, detail, lo, hi, scale=1.0):

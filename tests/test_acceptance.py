@@ -13,6 +13,7 @@ from scipy import stats
 
 from rws import (
     AlphaField,
+    CoefficientPyramid,
     DiracKernel,
     FlatLaw,
     GaussianKernel,
@@ -29,6 +30,7 @@ from rws import (
     scale_law_from_spectrum,
     structure_function,
     synthesize,
+    validate_config,
 )
 from rws import cli
 
@@ -266,3 +268,51 @@ def test_a12_synthesis_digest(source, order):
     cfg = SynthesisConfig(J=12, source=DIGEST_SOURCES[source], wavelet_order=order, seed=5)
     got = hashlib.sha256(synthesize(cfg).tobytes()).hexdigest()
     report(f"a12 digest {source} db{order}", got == SYNTH_SHA256[source, order], f"sha256={got}")
+
+
+def stratified_pyramid(J, source):
+    """The noise-free realization of a source: at each scale j >= 1 the
+    uniforms (k + 1/2) / 2^j, k < 2^j, go through the scale law synthesis
+    samples, so every count of exponents is 2^j F_j(alpha) to within one.
+    Coefficients are 2^(-j alpha) and level 0 holds c00; no wavelet is used."""
+    law, c00 = validate_config(SynthesisConfig(J=J, source=source))
+    levels = [np.array([c00])]
+    for j in range(1, J):
+        u = (np.arange(2**j) + 0.5) / 2**j
+        levels.append(np.exp2(-j * law(j).sample(u)))
+    return CoefficientPyramid(J=J, levels=levels)
+
+
+def test_a14_noise_free_oracle_within_a01_and_a09_bounds():
+    # the estimators' own bias, with no sampling noise: a01's parabola at
+    # J=20 and each a09 source at J=16 must meet those gates' bounds
+    sp = analyze_pyramid(stratified_pyramid(20, parabola_curve())).spectrum
+
+    def sup_err(lo, hi):
+        m = (sp.h_grid >= lo) & (sp.h_grid <= hi)
+        if not np.all(np.isfinite(sp.d2[m])):
+            return math.inf
+        return float(np.max(np.abs(sp.d2[m] - (sp.h_grid[m] - 0.5) ** 2)))
+
+    wide = sup_err(0.7, 1.4)
+    core = sup_err(0.9, 1.3)
+    gaps = {}
+    for name, source in (
+        ("parabola", parabola_curve()),
+        ("gaussian", GaussianKernel(m=1.0, sigma=0.5)),
+        ("gamma", ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0)),
+        ("poisson", ShiftedPoissonKernel(alpha0=0.3, c=1.0)),
+        ("flat", FlatLaw(0.7)),
+    ):
+        est = analyze_pyramid(stratified_pyramid(16, source)).spectrum
+        both = np.isfinite(est.d2) & (est.d1 >= 0.0)
+        assert both.any(), f"{name}: estimators share no support"
+        gaps[name] = float(np.max(est.d2[both] - est.d1[both]))
+    ok = wide <= 0.15 and core <= 0.10 and max(gaps.values()) <= 0.05
+    report(
+        "a14 noise-free oracle (stratified uniforms, no wavelet)",
+        ok,
+        f"parabola J=20 sup_err[0.7,1.4]={wide:.4f} (<=0.15), sup_err[0.9,1.3]={core:.4f} "
+        f"(<=0.10); J=16 max(d2-d1): "
+        + ", ".join(f"{name} {gap:+.3f}" for name, gap in gaps.items()) + " (<=0.05)",
+    )

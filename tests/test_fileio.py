@@ -71,6 +71,13 @@ def test_write_signal_rejects_odd_lengths(tmp_path):
         write_signal(str(tmp_path / "bad.rws"), np.zeros(100))
 
 
+def test_write_signal_refuses_a_single_sample(tmp_path):
+    p = tmp_path / "one.rws"
+    with pytest.raises(FormatError, match=r"signal length 1 is not a power of two >= 2"):
+        write_signal(str(p), [1.0])
+    assert not p.exists()
+
+
 def test_read_signal_rejects_foreign_binary(tmp_path):
     p = tmp_path / "bad.rws"
     p.write_bytes(b"XWS1" + b"\xff\xfe\x00\x01" * 8)
@@ -89,6 +96,14 @@ def test_read_signal_rejects_implausible_size(tmp_path):
     p = tmp_path / "bad.rws"
     p.write_bytes(struct.pack("<4sIII", b"RWS1", 1, 31, 0))
     with pytest.raises(FormatError, match="implausible"):
+        read_signal(str(p))
+
+
+def test_read_signal_refuses_a_header_of_one_sample(tmp_path):
+    # J = 0 promises one sample, which no transform takes
+    p = tmp_path / "one.rws"
+    p.write_bytes(struct.pack("<4sIII", b"RWS1", 1, 0, 0) + struct.pack("<d", 1.0))
+    with pytest.raises(FormatError, match=r"signal length 1 is not a power of two >= 2"):
         read_signal(str(p))
 
 
@@ -145,6 +160,13 @@ def test_text_signal_needs_power_of_two(tmp_path):
     p = tmp_path / "sig.txt"
     p.write_text("1\n2\n3\n")
     with pytest.raises(FormatError, match="power of two"):
+        read_signal(str(p))
+
+
+def test_text_signal_of_one_sample_is_refused(tmp_path):
+    p = tmp_path / "sig.txt"
+    p.write_text("# one sample\n1.5\n")
+    with pytest.raises(FormatError, match=r"signal length 1 is not a power of two >= 2"):
         read_signal(str(p))
 
 

@@ -1,5 +1,11 @@
 """Filter bank invariants and transform roundtrips."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,14 +188,11 @@ def reference_down_corr(s, taps):
     circular extension, one pass per filter."""
     n = s.size
     L = taps.size
-    if n >= L:
-        ext = np.concatenate([s, s[:L]])
-        y = np.zeros(n // 2)
-        for m in range(L):
-            y += taps[m] * ext[m : m + n : 2]
-        return y
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
-    return s[idx] @ taps
+    ext = np.resize(s, n + L)  # s repeated: the circular extension at any length
+    y = np.zeros(n // 2)
+    for m in range(L):
+        y += taps[m] * ext[m : m + n : 2]
+    return y
 
 
 def reference_up_conv(approx, detail, lo, hi):
@@ -300,3 +303,77 @@ def test_inverse_dwt_leaves_the_pyramid_unchanged(J, order, block, monkeypatch):
     before = [lev.tobytes() for lev in pyr.levels]
     inverse_dwt(pyr, daubechies_filter(order))
     assert [lev.tobytes() for lev in pyr.levels] == before
+
+
+# ---------------------------------------------------------------------------
+# bytes that do not depend on the BLAS kernel
+
+# JSON digests of a 16x20 matrix-vector product ("probe"), of forward_dwt of
+# one J=12 normal signal ("forward") and of synthesize(J=12, gaussian m=1
+# sigma=0.5, seed 1) ("synth"), for db1..db10
+BLAS_DIGESTS = """
+import hashlib, json, warnings
+import numpy as np
+from rws import GaussianKernel, SynthesisConfig, daubechies_filter, forward_dwt, synthesize
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+warnings.simplefilter("ignore")  # db1 and db2 warn below the gaussian's h_max
+gen = np.random.Generator(np.random.Philox(key=np.array([9012, 0], dtype=np.uint64)))
+w, v, x = gen.standard_normal((16, 20)), gen.standard_normal(20), gen.standard_normal(2**12)
+source = GaussianKernel(m=1.0, sigma=0.5)
+print(json.dumps({
+    "probe": digest(w @ v),
+    "forward": [digest(*forward_dwt(x, daubechies_filter(k)).levels) for k in range(1, 11)],
+    "synth": [digest(synthesize(SynthesisConfig(J=12, source=source, wavelet_order=k, seed=1)))
+              for k in range(1, 11)],
+}))
+"""
+
+
+def _cpu_has_avx2():
+    # numpy's own record of the CPU features it detected at import
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX2"))
+
+
+@pytest.fixture(scope="module")
+def digests_by_blas_kernel():
+    """(Haswell, Sandybridge) digests, each from a fresh process with
+    OPENBLAS_CORETYPE set; skips where the setting cannot change a product's
+    bytes, so the strict xfail below cannot pass by accident."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy that does not report its build as a dict
+        pytest.skip("numpy does not report its BLAS")
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    if not _cpu_has_avx2():
+        pytest.skip("the CPU reports no AVX2, which the Haswell kernel needs")
+    root = Path(__file__).resolve().parents[1]
+    runs = []
+    for coretype in ("Haswell", "Sandybridge"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_CORETYPE": coretype}
+        done = subprocess.run([sys.executable, "-c", BLAS_DIGESTS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    if runs[0]["probe"] == runs[1]["probe"]:
+        pytest.skip("OPENBLAS_CORETYPE leaves a matrix-vector product's bytes unchanged here")
+    return runs
+
+
+def test_forward_bytes_do_not_depend_on_the_blas_kernel(digests_by_blas_kernel):
+    haswell, sandybridge = digests_by_blas_kernel
+    assert haswell["forward"] == sandybridge["forward"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: `_up_conv`'s n < L fallback is a BLAS "
+                   "product; it goes with the re-recorded synthesis digests")
+def test_synthesis_bytes_do_not_depend_on_the_blas_kernel(digests_by_blas_kernel):
+    haswell, sandybridge = digests_by_blas_kernel
+    assert haswell["synth"] == sandybridge["synth"]
