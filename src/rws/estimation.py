@@ -1,10 +1,14 @@
 """Multifractal spectrum estimation from wavelet coefficients.
 
 Both routes from a coefficient pyramid to a spectrum on a common h grid
-read one exponent field: ``AlphaField.from_pyramid`` drops the zero
+read one exponent field: ``AlphaField.from_pyramid`` keeps the fit levels
+(the finest ``scale_count`` of levels 1 .. J-1), drops the zero
 coefficients of each scale j and holds alpha[j][k] = -log2|C[j][k]| / j,
-and nothing downstream takes log2|C| again.  Any field sorts its levels
-when it is made, so its readers take counts, extremes and quantiles by index.
+and nothing downstream takes log2|C| again.  The field is the fit range:
+both estimators fit every level of the field they are given, and the
+default alpha grid spans only those levels' exponents.  Any field sorts its
+levels when it is made, so its readers take counts, extremes and quantiles
+by index.
 
   * large-deviation: cumulative counts N_j(alpha) = #{alpha[j][k] <=
     alpha}, log-count growth rates lambda(alpha) fitted across scales,
@@ -61,14 +65,22 @@ class AlphaField:
             alpha.sort()
 
     @classmethod
-    def from_pyramid(cls, pyramid: CoefficientPyramid) -> "AlphaField":
-        """The field of a pyramid's levels 1 .. J-1.  Each level takes one
-        |C| array and one array of its nonzero entries, which becomes the
-        exponents in place: at its peak, the field so far plus one level's
-        size twice."""
+    def from_pyramid(
+        cls, pyramid: CoefficientPyramid, scale_count: int = DEFAULT_SCALE_COUNT
+    ) -> "AlphaField":
+        """The field of the fit levels: the finest scale_count of a pyramid's
+        levels 1 .. J-1 (all of them if there are fewer).  This is where the
+        fit range is chosen; both estimators fit every level of the field.
+        Each level takes one |C| array and one array of its nonzero entries,
+        which becomes the exponents in place: at its peak, the field so far
+        plus one level's size twice.
+
+        Raises ConfigError unless scale_count is an integer of at least 3.
+        """
         pyramid.validate()
+        _integer("scale_count", scale_count, 3)
         levels = {}
-        for j in range(1, pyramid.J):
+        for j in range(1, pyramid.J)[-int(scale_count):]:  # int(): -np.uint64 wraps
             c = np.abs(pyramid.levels[j])
             alpha = c[c > 0]
             np.log2(alpha, out=alpha)
@@ -94,12 +106,14 @@ class TauCurve:
     scale_range: tuple
 
 
-def _fit_scales(J: int, scale_count: int):
-    _integer("scale_count", scale_count, 3)
-    js = list(range(1, J))[-scale_count:]
+def _fit_scales(field: AlphaField):
+    """The field's scales, ascending, as the regression abscissae: every fit
+    reads every level of the field it is given, so the field is the fit
+    range (``from_pyramid`` chooses it)."""
+    js = sorted(field.levels)
     if len(js) < 3:
         raise InsufficientScalesError(
-            f"need at least 3 scales for regression, have {len(js)} (J = {J})"
+            f"need at least 3 scales for regression, have {len(js)} (J = {field.J})"
         )
     return np.array(js, dtype=np.float64)
 
@@ -128,18 +142,14 @@ def _masked_ols(x, y, mask):
     return slope, rms
 
 
-def estimate_lambda(
-    field: AlphaField,
-    alpha_grid: np.ndarray,
-    scale_count: int = DEFAULT_SCALE_COUNT,
-) -> LambdaCurve:
-    """Fit log2 N_j(alpha) against j over the largest available scales."""
-    x = _fit_scales(field.J, scale_count)
+def estimate_lambda(field: AlphaField, alpha_grid: np.ndarray) -> LambdaCurve:
+    """Fit log2 N_j(alpha) against j over every scale of the field."""
+    x = _fit_scales(field)
     counts = np.empty((x.size, alpha_grid.size))
     for row, j in enumerate(x.astype(int)):
         counts[row] = np.searchsorted(field.levels[j], alpha_grid, side="right")
     mask = counts >= 1
-    y = np.where(mask, np.log2(np.maximum(counts, 1.0)), 0.0)
+    y = np.log2(np.maximum(counts, 1.0))  # 0 where the count is 0
     slope, rms = _masked_ols(x, y, mask)
     return LambdaCurve(
         alpha_grid=np.asarray(alpha_grid, dtype=np.float64),
@@ -174,9 +184,10 @@ def large_deviation_spectrum(curve: LambdaCurve) -> np.ndarray:
     return np.where(sup < 0, np.nan, h * sup)  # a NaN sup gives h * NaN
 
 
-def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT) -> TauCurve:
-    """Fit log2 S_j(q) against -j on ``default_q_grid()``, where S_j(q)
-    sums |C|^q = 2^(-q j alpha) over the field's scale-j exponents.
+def structure_function(field: AlphaField) -> TauCurve:
+    """Fit log2 S_j(q) against -j on ``default_q_grid()`` over every scale
+    of the field, where S_j(q) sums |C|^q = 2^(-q j alpha) over the field's
+    scale-j exponents.
 
     Each fit level is shifted by its extreme log2|C| = -j alpha, ext_j =
     max for q >= 0 and min for q < 0 (-j times the level's first or last
@@ -189,7 +200,7 @@ def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT
     and each side of it is walked outward multiplying by one ratio
     r = 2^(dq (log2|C| - ext_j)), with dq = q[k0 +- 1] - q[k0] read off
     the grid at q[k0] = 0: two exp2 per coefficient.  The walk runs over
-    blocks of LADDER_BLOCK coefficients of the fit levels laid end to end,
+    blocks of LADDER_BLOCK coefficients of the field's levels laid end to end,
     so that the running products stay in cache across all q.  Each block
     builds its own slice of -j alpha from the field's levels; no
     concatenated copy of the levels is made, and beyond the field the
@@ -200,11 +211,11 @@ def structure_function(field: AlphaField, scale_count: int = DEFAULT_SCALE_COUNT
 
     Each block fills its own (q, level) table of partial sums; more than
     one block runs on one thread per CPU of the process, a single block
-    (J <= 16 with the default scales) inline.  The tables are added into
-    the sums in block order, as the serial loop does, so the bits do not
-    depend on the CPU count.
+    (a field of J <= 16 with the default scales) inline.  The tables are
+    added into the sums in block order, as the serial loop does, so the
+    bits do not depend on the CPU count.
     """
-    x = _fit_scales(field.J, scale_count)
+    x = _fit_scales(field)
     js = x.astype(int)
     for j in js:
         if not field.levels[j].size:
@@ -354,8 +365,8 @@ def analyze_pyramid(
     Raises ConfigError unless scale_count is an integer of at least 3
     and grid_step is positive and finite.
     """
-    field_ = AlphaField.from_pyramid(pyramid)
-    lam = estimate_lambda(field_, _default_alpha_grid(field_, grid_step), scale_count)
+    field_ = AlphaField.from_pyramid(pyramid, scale_count)
+    lam = estimate_lambda(field_, _default_alpha_grid(field_, grid_step))
     closed = upper_closure(lam)
     d2 = large_deviation_spectrum(closed)
     sup_all = np.fmax.reduce(closed.values / closed.alpha_grid)
@@ -363,7 +374,7 @@ def analyze_pyramid(
     nonneg = closed.values >= 0  # a fitted slope is finite or NaN, and NaN >= 0 is False
     h_min_est = float(closed.alpha_grid[nonneg][0]) if nonneg.any() else np.nan
     d2 = np.where(closed.alpha_grid > h_max_est + 0.5 * grid_step, np.nan, d2)
-    tau = structure_function(field_, scale_count)
+    tau = structure_function(field_)
     q_c = critical_q(tau)
     # critical_q falls back to q_grid[0], where tau is nonzero, only without a sign change
     q_c_found = not (q_c == tau.q_grid[0] and tau.values[0] != 0.0)

@@ -159,6 +159,56 @@ def test_analyze_pyramid_rejects_bad_options(options):
         analyze_pyramid(pyramid, **options)
 
 
+# ---------------------------------------------------------------------------
+# the fit range: chosen by from_pyramid, read from the field by both fits
+
+def gaussian_pyramid(J=14, seed=1):
+    return generate_coefficients(SynthesisConfig(J=J, source=GaussianKernel(m=1.0, sigma=0.5), seed=seed))
+
+
+def assert_same_analysis(a, b):
+    for curve in ("lambda_curve", "closed_curve", "tau_curve"):
+        x, y = getattr(a, curve), getattr(b, curve)
+        for name in ("values", "residuals"):
+            np.testing.assert_array_equal(getattr(x, name), getattr(y, name))
+        assert x.scale_range == y.scale_range
+    np.testing.assert_array_equal(a.lambda_curve.alpha_grid, b.lambda_curve.alpha_grid)
+    for name in ("h_grid", "d2", "d1"):
+        np.testing.assert_array_equal(getattr(a.spectrum, name), getattr(b.spectrum, name))
+    np.testing.assert_equal(a.spectrum.meta, b.spectrum.meta)
+
+
+@pytest.mark.parametrize("kind", [np.uint8, np.uint64, np.int16])
+def test_numpy_scale_count_fits_like_a_python_int(kind):
+    # -scale_count wraps for an unsigned type: the slice kept no scale
+    pyramid = gaussian_pyramid()
+    assert_same_analysis(analyze_pyramid(pyramid, scale_count=kind(10)),
+                         analyze_pyramid(pyramid, scale_count=10))
+
+
+def test_a_level_outside_the_fit_changes_no_output():
+    # level 1 lies outside the ten fit scales of J = 14; rounding noise there
+    # (alpha = 56.5) must not stretch the alpha grid, nor move any estimate
+    pyramid = gaussian_pyramid()
+    levels = list(pyramid.levels)
+    levels[1] = np.array([1e-17, -1.0])
+    noisy = CoefficientPyramid(J=14, levels=levels, coarse_mean=pyramid.coarse_mean)
+    clean = analyze_pyramid(pyramid)
+    assert clean.spectrum.meta["scale_range"] == (4, 13)
+    assert_same_analysis(analyze_pyramid(noisy), clean)
+
+
+def test_a_hand_built_field_is_fitted_on_exactly_its_scales():
+    # scale j holds 2^j exponents 0.5: log2 N_j = j and log2 S_j(q) = j (1 - q/2)
+    field = AlphaField(J=16, levels={j: np.full(2**j, 0.5) for j in (4, 9, 15)})
+    lam = estimate_lambda(field, np.array([0.4, 0.5, 1.0]))
+    tau = structure_function(field)
+    assert lam.scale_range == tau.scale_range == (4, 15)
+    assert np.isnan(lam.values[0])
+    np.testing.assert_allclose(lam.values[1:], 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tau.values, tau.q_grid / 2 - 1, rtol=0, atol=1e-9)
+
+
 def test_lambda_nan_when_counts_too_sparse():
     # alpha 0.5 occupied at two scales only, 0.9 at all ten
     levels = {j: np.array([0.9]) for j in range(1, 16)}
