@@ -550,7 +550,7 @@ def test_pipeline_estimates_respect_the_formalism_order():
 
 
 # Analysis numbers of three J=14 signals, one without a zero crossing of tau.
-# ROADMAP items 1 (amplitude- and boundary-safe counting) and 7 (the
+# ROADMAP items 4 (amplitude- and boundary-safe counting) and 1 (the
 # critical_q fix) move them, and each re-records them.
 PINNED_ANALYSES = [  # source, seed; q_c, q_c_found, h_min, h_max, tau at q = -2, 0, 2, 5
     pytest.param(GaussianKernel(m=1.0, sigma=0.5), 1,

@@ -188,11 +188,36 @@ def test_spectrum_law_rejects_inadmissible():
         generate_coefficients(SynthesisConfig(J=10, source=bump))
 
 
-def test_spectrum_law_refuses_mass_above_one():
-    # d = 1 on [0.01, 1] breaks d(h_max)/h_max >= d(h)/h; its scale law has mass j ln2 * 0.99
+def test_flat_top_spectrum_is_refused_at_the_gate():
+    # d = 1 on [0.01, 1] breaks d(h_max)/h_max >= d(h)/h; its scale law would have
+    # mass j ln2 * 0.99.  Admissibility is judged by check_admissible, not the law.
     flat_top = curve_from_function(lambda h: 1.0, 0.01, 1.0)
-    with pytest.raises(MathValidityError, match="mass .* > 1"):
-        scale_law_from_spectrum(flat_top, 10)
+    with pytest.raises(AdmissibilityError, match="not non-decreasing"):
+        generate_coefficients(SynthesisConfig(J=10, source=flat_top))
+
+
+# At the admissible maximum d(h) = h/h_max the trapezoid rule over-integrates
+# the convex density: the tabulated mass exceeds 1 by a few 1e-6 at j ~ 18..23
+EDGE_CURVES = {
+    "h-on-0.1-1": curve_from_function(lambda h: h, 0.1, 1.0),
+    "h/3-on-0.01-3": curve_from_function(lambda h: h / 3.0, 0.01, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_CURVES))
+def test_spectrum_law_builds_at_the_admissible_edge(name):
+    curve = EDGE_CURVES[name]
+    for j in range(1, 24):
+        law = scale_law_from_spectrum(curve, j)
+        assert np.all(np.diff(law.cdf) >= 0), j
+        assert law.cdf[0] >= 0.0 and law.cdf[-1] <= 1.0, j
+        assert 0.0 <= law.p_inf <= 1.0, j
+
+
+def test_edge_spectrum_synthesizes_at_J21():
+    pyramid = generate_coefficients(SynthesisConfig(J=21, source=EDGE_CURVES["h-on-0.1-1"]))
+    assert pyramid.J == 21
+    assert [level.size for level in pyramid.levels] == [2**j for j in range(21)]
 
 
 def test_flat_law_is_single_atom():
@@ -313,6 +338,26 @@ def test_chunked_sampling_is_bit_identical_to_the_law(name, monkeypatch):
             assert sample_alphas(law, u).tobytes() == want, f"{cpus} workers"
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_worker_exception_reaches_the_caller_and_the_pool_shuts_down(monkeypatch):
+    # _map_blocks is the one pool (exponent sampling and the tau ladder); a law
+    # that raises on the second of three chunks must surface its own exception
+    class _SecondChunkFails(Exception):
+        pass
+
+    class FailingLaw:
+        def sample(self, u):
+            if u[0] == 0.5:
+                raise _SecondChunkFails("second chunk")
+            return u.copy()
+
+    u = np.repeat([0.25, 0.5, 0.75], synthesis.SAMPLE_CHUNK)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = threading.active_count()
+    with pytest.raises(_SecondChunkFails, match="second chunk"):
+        sample_alphas(FailingLaw(), u)
+    assert threading.active_count() == threads
 
 
 def test_sampling_respects_alpha_cap():
