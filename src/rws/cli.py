@@ -107,7 +107,10 @@ def cmd_synth(args) -> int:
         cfg.wavelet_order = parse_wavelet_name(args.wavelet).order
     # the values in effect; a dict update keeps each key where the config put it
     resolved = dict(resolved, seed=cfg.seed, wavelet=f"db{cfg.wavelet_order}")
-    signal = synthesize(cfg)
+    try:
+        signal = synthesize(cfg)
+    except MathValidityError as exc:   # the config's values, framed like its other errors
+        raise type(exc)(f"{args.config}: {exc}") from None
     _start_bundle(args)
     sig_path = os.path.join(args.out, "signal.rws")
     fileio.write_signal(sig_path, signal)
@@ -251,9 +254,9 @@ def _check_spectrum_identity():
     """The reference curves are admissible and regenerate from their densities."""
     worst = 0.0
     for curve in _selftest_curves():
-        report = check_admissible(curve)
-        if not report.valid:
-            return False, f"reference curve inadmissible: {'; '.join(report.violations)}"
+        violations = check_admissible(curve)
+        if violations:
+            return False, f"reference curve inadmissible: {'; '.join(violations)}"
         out = spectrum_from_rho(LogDensity.from_samples(curve.h_grid, curve.d_values))
         idx = np.searchsorted(out.h_grid, curve.h_grid)
         worst = max(worst, float(np.nanmax(np.abs(out.d_values[idx] - curve.d_values))))

@@ -2,11 +2,12 @@
 
 A spectrum curve assigns to each Hoelder exponent h a dimension d(h) in
 [0, 1], sampled on a finite grid; absent values (exponents that do not
-occur) are stored as NaN and never enter arithmetic unmasked.  An
-admissible target spectrum satisfies:
+occur) are stored as NaN and never enter arithmetic unmasked.  The span
+[h_min, h_max] of a curve runs from its first to its last present sample.
+An admissible target spectrum satisfies:
 
   * d(h) <= 1 everywhere it is present,
-  * d is present exactly on [h_min, h_max] and nonnegative there,
+  * d is present on every grid point of [h_min, h_max] and nonnegative there,
   * h -> d(h)/h is non-decreasing,
   * d(h_max) = 1.
 
@@ -48,7 +49,7 @@ spectrum curves, flat laws and the estimators never call them.
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,8 +108,8 @@ def gaussian_threshold(sigma: float) -> float:
 class Kernel:
     """Base of the kernel families; subclasses supply ``_rho`` (on an
     array), ``rho_prime``, ``peak``, ``validate``, ``h_min``,
-    ``scale_cap`` and ``scale_quantile``.  Scale-j laws have p_inf = 0:
-    kernels produce no zero coefficients."""
+    ``scale_cap`` and ``scale_quantile``.  Scale-j laws put no mass at
+    +inf: kernels produce no zero coefficients."""
 
     def rho(self, alpha):
         """Upper logarithmic density (vectorized; -inf allowed; a scalar
@@ -186,7 +187,8 @@ class _ShiftedKernel(Kernel):
 class GaussianKernel(Kernel):
     """rho(a) = 1 - log2(e) (a-m)^2 / (2 sigma^2); valid iff m > sigma*sqrt(2 ln 2).
 
-    Scale j: Normal(m, sigma^2/j) conditioned on alpha > 0."""
+    Scale j: Normal(m, sigma^2/j) conditioned on alpha > 0; a sampled
+    alpha is >= 0, the quantile clipped at 0, where it can round below."""
 
     m: float
     sigma: float
@@ -217,7 +219,7 @@ class GaussianKernel(Kernel):
 
         s = self.sigma / math.sqrt(j)
         z0 = ndtr(-self.m / s)          # one-draw conditioning on alpha > 0
-        return self.m + s * ndtri(z0 + u * (1.0 - z0))
+        return np.maximum(self.m + s * ndtri(z0 + u * (1.0 - z0)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -352,25 +354,30 @@ def kernel_validity(kernel) -> None:
 
 @dataclass(eq=False)
 class SpectrumCurve:
-    """Spectrum d(h) sampled on an increasing positive grid; NaN = absent."""
+    """Spectrum d(h) sampled on an increasing positive grid; NaN = absent.
+    The span [h_min, h_max] is read off the first and last present samples."""
 
     h_grid: np.ndarray
     d_values: np.ndarray
-    h_min: float
-    h_max: float
 
     def present(self):
         return ~np.isnan(self.d_values)
 
+    @property
+    def h_min(self) -> float:
+        return float(self.h_grid[self.present()][0])
 
-@dataclass
-class AdmissibilityReport:
-    valid: bool
-    violations: list = field(default_factory=list)
+    @property
+    def h_max(self) -> float:
+        return float(self.h_grid[self.present()][-1])
 
 
 def curve_from_function(fn, h_min: float, h_max: float):
-    """Sample d = fn(h) on [h_min, h_max] with approximately DEFAULT_GRID_STEP."""
+    """Sample d = fn(h) on [h_min, h_max] with approximately DEFAULT_GRID_STEP.
+
+    As in ``curve_from_samples``, the span is that of the present samples:
+    a NaN at either end narrows it, and a NaN inside it is an absent value
+    that ``check_admissible`` reports."""
     if h_max < h_min:
         raise MathValidityError("h_max < h_min")
     if h_max == h_min:
@@ -379,49 +386,40 @@ def curve_from_function(fn, h_min: float, h_max: float):
         n = max(1, round((h_max - h_min) / DEFAULT_GRID_STEP))
         grid = np.linspace(h_min, h_max, n + 1)
     d = np.array([fn(h) for h in grid], dtype=np.float64)
-    return SpectrumCurve(h_grid=grid, d_values=d, h_min=h_min, h_max=h_max)
+    return SpectrumCurve(h_grid=grid, d_values=d)
 
 
 def curve_from_samples(h_grid, d_values) -> SpectrumCurve:
-    """Build a curve from grid samples; h_min/h_max are the present span."""
+    """Build a curve from grid samples, at least one of them present."""
     h, d = _sampled_grid(h_grid, d_values, "h", "d")
-    present = ~np.isnan(d)
-    if not present.any():
+    if np.isnan(d).all():
         raise MathValidityError("curve has no present values")
-    return SpectrumCurve(h_grid=h, d_values=d, h_min=float(h[present][0]),
-                         h_max=float(h[present][-1]))
+    return SpectrumCurve(h_grid=h, d_values=d)
 
 
-def check_admissible(curve: SpectrumCurve) -> AdmissibilityReport:
-    """Diagnose the admissibility conditions; never raises."""
+def check_admissible(curve: SpectrumCurve) -> list[str]:
+    """The admissibility conditions the curve violates, as messages; an
+    empty list means admissible.  Never raises."""
     try:
         h, d = _sampled_grid(curve.h_grid, curve.d_values, "h", "d")
     except MathValidityError as exc:
-        return AdmissibilityReport(False, [str(exc)])
+        return [str(exc)]
+    idx = np.flatnonzero(~np.isnan(d))
+    if not idx.size:
+        return ["curve has no present values"]
     v = []
-    present = ~np.isnan(d)
-    span_tol = _TOL_ONE * max(1.0, abs(curve.h_max))
-    inside = (h >= curve.h_min - span_tol) & (h <= curve.h_max + span_tol)
-    if np.any(inside & ~present):
+    if idx[-1] - idx[0] + 1 != idx.size:
         v.append("absent value inside [h_min, h_max]")
-    if np.any(~inside & present):
-        v.append("present value outside [h_min, h_max]")
-    if present.any():
-        dp = d[present]
-        hp = h[present]
-        if np.any(dp > 1.0 + _TOL_ONE):
-            v.append("d exceeds 1")
-        if np.any(dp < -_TOL_ZERO):
-            v.append("negative d inside [h_min, h_max]")
-        ratios = dp / hp
-        if np.any(np.diff(ratios) < -_TOL_RATIO):
-            v.append("d(h)/h is not non-decreasing")
-        near = int(np.argmin(np.abs(h - curve.h_max)))
-        if np.isnan(d[near]) or abs(d[near] - 1.0) > _TOL_ONE:
-            v.append(f"d at h_max is {float(d[near])!r}, expected 1")
-    else:
-        v.append("curve has no present values")
-    return AdmissibilityReport(valid=not v, violations=v)
+    dp = d[idx]
+    if np.any(dp > 1.0 + _TOL_ONE):
+        v.append("d exceeds 1")
+    if np.any(dp < -_TOL_ZERO):
+        v.append("negative d inside [h_min, h_max]")
+    if np.any(np.diff(dp / h[idx]) < -_TOL_RATIO):
+        v.append("d(h)/h is not non-decreasing")
+    if abs(dp[-1] - 1.0) > _TOL_ONE:
+        v.append(f"d at h_max is {float(dp[-1])!r}, expected 1")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +541,6 @@ def spectrum_from_rho(density, grid_step: float = DEFAULT_GRID_STEP) -> Spectrum
     span_tol = _TOL_ZERO * max(1.0, h_max)
     inside = (grid >= h_min - span_tol) & (grid <= h_max + span_tol)
     d_raw = grid * run
-    present = inside & np.isfinite(d_raw)
-    d = np.where(present, d_raw, np.nan)
+    d = np.where(inside & np.isfinite(d_raw), d_raw, np.nan)
     d[grid == h_max] = 1.0   # h_max / h_max, without the rounding of d_raw
-    # h_min is an infimum; when the density is -inf at that exact point
-    # (possible for a shifted poisson with c <= ln 2) presence starts at
-    # the first grid point carrying a finite running maximum
-    h_min_out = float(grid[present][0])
-    return SpectrumCurve(h_grid=grid, d_values=d, h_min=h_min_out, h_max=float(h_max))
+    return SpectrumCurve(h_grid=grid, d_values=d)

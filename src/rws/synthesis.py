@@ -105,12 +105,11 @@ def validate_config(config: SynthesisConfig):
 
 @dataclass(frozen=True, eq=False)
 class ScaleLawTable:
-    """Law of the exponent alpha at scale j, tabulated: (alpha_grid, cdf)
-    with cdf[-1] = 1 - p_inf, sampled by inverse CDF with linear
-    interpolation; uniforms above cdf[-1] give +inf (a zero coefficient)."""
+    """Law of the exponent alpha at scale j, tabulated: (alpha_grid, cdf),
+    a finite exponent with probability cdf[-1], sampled by inverse CDF with
+    linear interpolation; uniforms above cdf[-1] give +inf (a zero
+    coefficient)."""
 
-    j: int
-    p_inf: float
     alpha_grid: np.ndarray
     cdf: np.ndarray
 
@@ -138,7 +137,8 @@ class ScaleLawTable:
 @dataclass(frozen=True, eq=False)
 class KernelScaleLaw:
     """Law of the exponent alpha at scale j of a kernel: its closed-form
-    quantile, capped at alpha_cap; no zero coefficients (p_inf = 0)."""
+    quantile, capped at alpha_cap; a finite exponent with probability 1,
+    so no zero coefficients."""
 
     j: int
     kernel: Kernel
@@ -154,22 +154,20 @@ def scale_law_from_spectrum(curve: SpectrumCurve, j: int) -> ScaleLawTable:
     The curve must be admissible, which ``validate_config`` judges once
     (``check_admissible``).  Near d(h) = h/h_max the trapezoid rule
     over-integrates the convex density, so the tabulated total can exceed 1
-    (by a few 1e-6 at j = 18..23); the CDF is clipped to 1 and p_inf to 0."""
-    h_max = curve.h_max
+    (by a few 1e-6 at j = 18..23); the CDF is clipped to 1."""
+    present = curve.present()
+    h, d = curve.h_grid[present], curve.d_values[present]
+    h_max = float(h[-1])
     step = min(0.002, h_max / 2048.0)
     n = _grid_steps(h_max / step, f"the scale-{j} law of a spectrum with h_max {h_max:g}")
     grid = np.linspace(0.0, h_max, n + 1)
-    present = curve.present()
-    d = np.interp(grid, curve.h_grid[present], curve.d_values[present])
+    d = np.interp(grid, h, d)
     density = np.zeros_like(grid)
-    span = (grid >= curve.h_min) & (grid <= curve.h_max)
+    span = (grid >= h[0]) & (grid <= h_max)
     density[span] = (j * _LN2 / h_max) * np.exp2(j * (d[span] - 1.0))
     widths = np.diff(grid)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * widths)])
-    mass = float(cdf[-1])
     return ScaleLawTable(
-        j=j,
-        p_inf=max(0.0, 1.0 - mass),
         alpha_grid=grid,
         cdf=np.minimum(cdf, 1.0),
     )
@@ -179,8 +177,6 @@ def flat_scale_law(alpha0: float, j: int) -> ScaleLawTable:
     """Atom at alpha0 with mass j * 2**(-j), as the table [alpha0, alpha0], [0, mass]."""
     mass = j * 2.0 ** (-j)
     return ScaleLawTable(
-        j=j,
-        p_inf=1.0 - mass,
         alpha_grid=np.array([alpha0, alpha0]),
         cdf=np.array([0.0, mass]),
     )
@@ -225,9 +221,9 @@ def _source_parts(source):
     convolution identity.  ``h_max`` is the target's largest exponent.
     """
     if isinstance(source, SpectrumCurve):
-        report = check_admissible(source)
-        if not report.valid:
-            raise AdmissibilityError("; ".join(report.violations))
+        violations = check_admissible(source)
+        if violations:
+            raise AdmissibilityError("; ".join(violations))
         return (lambda j: scale_law_from_spectrum(source, j)), 0.0, source.h_max
     if isinstance(source, Kernel):
         kernel_validity(source)

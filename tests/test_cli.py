@@ -179,6 +179,22 @@ def test_synth_inadmissible_spectrum_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    "mode=kernel\nkernel=gaussian\nm=0.1\nsigma=0.5\nJ=8\n",
+    "mode=spectrum\nspectrum_file=gap.csv\nJ=8\n",
+    "mode=kernel\nkernel=poisson\nalpha0=0\nc=0.5\nJ=8\n",
+], ids=["gaussian-below-threshold", "spectrum-with-a-gap", "poisson-reaching-zero"])
+def test_synth_math_errors_start_with_the_config_path(config, tmp_path, capsys):
+    # a config that parses but fails a mathematical condition is still the config's error
+    (tmp_path / "gap.csv").write_text("0.5,0.5\n0.75,\n1.0,1.0\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "run"
+    assert cli.main(["synth", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(("config", "code"), [
     ("mode=flat\nalpha0=0\nJ=10\n", 2),
     ("mode=flat\nalpha0=0.7\nJ=3\n", 2),
@@ -405,6 +421,28 @@ def test_kernel_writes_density_and_spectrum(tmp_path, capsys):
     assert rho_lines[0] == "# alpha,rho"
 
 
+# the span lines of seven kernel manifests, pinned: the span a curve reads off
+# its first and last present samples must not move them
+KERNEL_SPANS = [
+    (("gaussian", "m=1", "sigma=0.5"), "0.411294988742", "0.904173975449"),
+    (("gamma", "alpha0=0.1", "nu=1.5", "beta=4"), "0.219531260902", "0.413153646053"),
+    (("poisson", "alpha0=0.3", "c=1"), "0.390057199313", "1.02725406981"),
+    (("dirac", "H=0.8"), "0.8", "0.8"),
+    (("poisson", "alpha0=0.5", "c=0.6"), "0.505", "0.921736958706"),
+    (("gamma", "alpha0=0.1", "nu=0.01", "beta=4"), "0.1", "0.101458164908"),
+    (("dirac", "H=0.7000000005"), "0.7000000005", "0.7000000005"),
+]
+
+
+@pytest.mark.parametrize(("params", "h_min", "h_max"), KERNEL_SPANS,
+                         ids=[" ".join(params) for params, _, _ in KERNEL_SPANS])
+def test_kernel_manifest_span_is_pinned(params, h_min, h_max, tmp_path):
+    out = tmp_path / "k"
+    assert cli.main(["kernel", *params, "--out", str(out)]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert f"h_min={h_min}" in lines and f"h_max={h_max}" in lines
+
+
 def test_kernel_gaussian_has_no_threshold_root(tmp_path):
     out = tmp_path / "k"
     assert cli.main(["kernel", "gaussian", "m=1.0", "sigma=0.5", "--out", str(out)]) == 0
@@ -418,8 +456,8 @@ def test_kernel_poisson_small_c_with_positive_shift(tmp_path):
     out = tmp_path / "k"
     assert cli.main(["kernel", "poisson", "alpha0=0.5", "c=0.6", "--out", str(out)]) == 0
     curve = read_spectrum_csv(str(out / "spectrum.csv"))
-    report = check_admissible(curve)
-    assert report.valid, report.violations
+    violations = check_admissible(curve)
+    assert not violations, violations
     manifest = parse_key_values((out / "manifest.txt").read_text())
     assert abs(float(manifest["h_max"]) - 0.92174) < 1e-5
     i_max = int(np.argmin(np.abs(curve.h_grid - curve.h_max)))

@@ -270,52 +270,52 @@ def test_kernel_h_min_poisson_small_c_is_shift_point():
 # admissibility
 
 def test_parabola_curve_is_admissible():
-    report = check_admissible(parabola_curve())
-    assert report.valid, report.violations
+    violations = check_admissible(parabola_curve())
+    assert not violations, violations
 
 
 def test_symmetric_parabola_is_not_admissible():
     curve = curve_from_function(lambda h: 1.0 - ((h - 1.0) / 0.5) ** 2, 0.5, 1.5)
-    report = check_admissible(curve)
-    assert not report.valid
-    joined = "; ".join(report.violations)
+    violations = check_admissible(curve)
+    assert violations
+    joined = "; ".join(violations)
     assert "non-decreasing" in joined or "expected 1" in joined
 
 
 def test_admissibility_rejects_d_above_one():
     curve = curve_from_function(lambda h: 1.2 * h, 0.1, 1.0)
-    report = check_admissible(curve)
-    assert not report.valid
-    assert any("exceeds 1" in v for v in report.violations)
+    violations = check_admissible(curve)
+    assert violations
+    assert any("exceeds 1" in v for v in violations)
 
 
 def test_admissibility_rejects_negative_d():
     curve = curve_from_function(lambda h: 2.0 * h - 1.0, 0.25, 1.0)
-    report = check_admissible(curve)
-    assert not report.valid
-    assert any("negative" in v for v in report.violations)
+    violations = check_admissible(curve)
+    assert violations
+    assert any("negative" in v for v in violations)
 
 
 def test_admissibility_requires_one_at_h_max():
     curve = curve_from_function(lambda h: 0.9 * h, 0.1, 1.0)
-    report = check_admissible(curve)
-    assert not report.valid
-    assert any("expected 1" in v for v in report.violations)
+    violations = check_admissible(curve)
+    assert violations
+    assert any("expected 1" in v for v in violations)
 
 
 def test_admissibility_rejects_gap_inside_support():
     h = np.array([0.5, 0.75, 1.0])
     d = np.array([0.5, np.nan, 1.0])
     curve = curve_from_samples(h, d)
-    report = check_admissible(curve)
-    assert not report.valid
-    assert any("absent value inside" in v for v in report.violations)
+    violations = check_admissible(curve)
+    assert violations
+    assert any("absent value inside" in v for v in violations)
 
 
 def test_chord_spectrum_is_admissible():
     # concave hull of the parabola target: straight line h - 1/2
     curve = curve_from_function(lambda h: h - 0.5, 0.5, 1.5)
-    assert check_admissible(curve).valid
+    assert not check_admissible(curve)
 
 
 def test_curve_from_samples_validation():
@@ -332,7 +332,29 @@ def test_curve_from_function_span():
         curve_from_function(lambda h: 1.0, 0.8, 0.7)
     point = curve_from_function(lambda h: 1.0, 0.8, 0.8)
     assert point.h_grid.tolist() == [0.8] and point.d_values.tolist() == [1.0]
-    assert check_admissible(point).valid
+    assert not check_admissible(point)
+
+
+def test_span_is_read_off_the_present_samples():
+    curve = curve_from_samples([0.5, 0.75, 1.0], [np.nan, 0.75, 1.0])
+    assert (curve.h_min, curve.h_max) == (0.75, 1.0)
+    assert not check_admissible(curve)
+
+
+def test_span_cannot_be_set_apart_from_the_samples():
+    curve = curve_from_function(lambda h: h - 0.5, 0.5, 1.5)
+    with pytest.raises(AttributeError):
+        curve.h_min = 0.75
+    with pytest.raises(AttributeError):
+        curve.h_max = 1.0
+
+
+def test_curve_from_function_span_narrows_to_present_samples():
+    # a NaN at h_min narrows the span, as in curve_from_samples
+    curve = curve_from_function(lambda h: h if h > 0.1 else np.nan, 0.1, 1.0)
+    assert curve.h_grid[0] == 0.1 and np.isnan(curve.d_values[0])
+    assert (curve.h_min, curve.h_max) == (curve.h_grid[1], 1.0)
+    assert not check_admissible(curve)
 
 
 def test_curve_from_samples_needs_a_present_value():
@@ -348,34 +370,24 @@ def test_infinite_grid_points_are_rejected():
 
 
 def test_admissibility_reports_an_infinite_grid_point_without_warnings():
-    curve = SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]),
-                          h_min=0.5, h_max=np.inf)
+    curve = SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = check_admissible(curve)
-    assert not report.valid
-    assert report.violations == ["h grid must be strictly increasing, positive and finite"]
+        violations = check_admissible(curve)
+    assert violations == ["h grid must be strictly increasing, positive and finite"]
 
 
 def test_admissibility_reports_a_broken_grid():
-    curve = SpectrumCurve(h_grid=np.array([1.0, 0.5]), d_values=np.array([0.5, 1.0]),
-                          h_min=0.5, h_max=1.0)
-    report = check_admissible(curve)
-    assert not report.valid and "increasing" in report.violations[0]
-
-
-def test_admissibility_reports_present_values_outside_the_span():
-    curve = curve_from_function(lambda h: h - 0.5, 0.5, 1.5)
-    curve.h_min = 0.75
-    assert check_admissible(curve).violations == ["present value outside [h_min, h_max]"]
+    curve = SpectrumCurve(h_grid=np.array([1.0, 0.5]), d_values=np.array([0.5, 1.0]))
+    violations = check_admissible(curve)
+    assert violations and "increasing" in violations[0]
 
 
 def test_admissibility_reports_a_curve_with_no_present_values():
-    curve = SpectrumCurve(h_grid=np.array([0.5, 1.0]), d_values=np.full(2, np.nan),
-                          h_min=0.5, h_max=1.0)
-    report = check_admissible(curve)
-    assert not report.valid
-    assert "curve has no present values" in report.violations
+    curve = SpectrumCurve(h_grid=np.array([0.5, 1.0]), d_values=np.full(2, np.nan))
+    violations = check_admissible(curve)
+    assert violations
+    assert "curve has no present values" in violations
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +429,8 @@ def test_spectrum_endpoint_values():
         assert abs(out.d_values[i_max] - 1.0) < 1e-9
         i_min = int(np.argmin(np.abs(out.h_grid - out.h_min)))
         assert abs(out.d_values[i_min]) < 1e-6
-        report = check_admissible(out)
-        assert report.valid, report.violations
+        violations = check_admissible(out)
+        assert not violations, violations
 
 
 @pytest.mark.parametrize("step", [0.0, -0.005, np.nan, np.inf])
@@ -467,7 +479,7 @@ def test_dirac_spectrum_keeps_h_near_a_grid_point(H):
     assert out.h_grid[present].tolist() == [H]
     assert out.d_values[present].tolist() == [1.0]
     assert out.h_min == out.h_max == H
-    assert check_admissible(out).valid
+    assert not check_admissible(out)
 
 
 def test_spectrum_rejects_density_reaching_zero():

@@ -140,8 +140,7 @@ def test_sources_are_validated_independently_of_J(source, monkeypatch):
 
 def test_synthesize_rejects_an_infinite_h_grid_point():
     # an infinite h_max would overflow the scale-law grid
-    curve = SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]),
-                          h_min=0.5, h_max=np.inf)
+    curve = SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]))
     with pytest.raises(AdmissibilityError, match="finite"):
         synthesize(SynthesisConfig(J=8, source=curve))
 
@@ -164,11 +163,11 @@ def test_config_rejects_bad_flat_and_unknown_source():
 
 def test_spectrum_law_matches_quadrature():
     law = scale_law_from_spectrum(parabola_curve(), 10)
-    assert abs((1.0 - law.p_inf) - PARABOLA_MASS_J10) < 1e-4
+    assert abs(law.cdf[-1] - PARABOLA_MASS_J10) < 1e-4
     got = float(np.interp(1.0, law.alpha_grid, law.cdf))
     assert abs(got - PARABOLA_CDF1_J10) < 1e-5
     law12 = scale_law_from_spectrum(parabola_curve(), 12)
-    assert abs((1.0 - law12.p_inf) - PARABOLA_MASS_J12) < 1e-4
+    assert abs(law12.cdf[-1] - PARABOLA_MASS_J12) < 1e-4
 
 
 def test_spectrum_law_cdf_shape():
@@ -211,7 +210,7 @@ def test_spectrum_law_builds_at_the_admissible_edge(name):
         law = scale_law_from_spectrum(curve, j)
         assert np.all(np.diff(law.cdf) >= 0), j
         assert law.cdf[0] >= 0.0 and law.cdf[-1] <= 1.0, j
-        assert 0.0 <= law.p_inf <= 1.0, j
+        assert 0.0 <= 1 - law.cdf[-1] <= 1.0, j
 
 
 def test_edge_spectrum_synthesizes_at_J21():
@@ -225,7 +224,7 @@ def test_flat_law_is_single_atom():
     assert law.alpha_grid.tolist() == [0.7, 0.7]
     assert law.cdf[0] == 0.0
     assert abs(law.cdf[-1] - 12 * 2.0**-12) < 1e-18
-    assert abs(law.p_inf - (1.0 - 12 * 2.0**-12)) < 1e-18
+    assert abs((1 - law.cdf[-1]) - (1.0 - 12 * 2.0**-12)) < 1e-18
 
 
 def test_kernel_law_requires_positive_scale():
@@ -247,10 +246,11 @@ def test_tabulated_sampling_matches_cdf():
     alpha = sample_alphas(law, u)
     finite = np.isfinite(alpha)
     # infinite fraction matches p_inf
-    se = np.sqrt(law.p_inf * (1 - law.p_inf) / u.size)
-    assert abs((~finite).mean() - law.p_inf) < 4 * se
+    p_inf = 1 - law.cdf[-1]
+    se = np.sqrt(p_inf * (1 - p_inf) / u.size)
+    assert abs((~finite).mean() - p_inf) < 4 * se
     # conditional law matches the tabulated CDF
-    cond = lambda x: np.interp(x, law.alpha_grid, law.cdf) / (1.0 - law.p_inf)
+    cond = lambda x: np.interp(x, law.alpha_grid, law.cdf) / (1.0 - p_inf)
     ks = stats.kstest(alpha[finite], cond).statistic
     assert ks < 0.01
     assert np.all(alpha[finite] >= 0.5 - 1e-12)
@@ -277,6 +277,12 @@ def test_gaussian_law_matches_truncated_normal():
     s = sig / np.sqrt(j)
     ks = stats.kstest(alpha, stats.truncnorm(-m / s, np.inf, loc=m, scale=s).cdf).statistic
     assert ks < 0.01
+
+
+def test_gaussian_quantile_is_never_negative():
+    # m + s * ndtri(z0) rounds below 0 for u under about 1e-17
+    alpha = GaussianKernel(m=1.0, sigma=0.5).scale_quantile(1, np.array([0.0, 1e-18, 1e-17]))
+    assert np.all(alpha >= 0.0)
 
 
 def test_gamma_law_matches_scaled_gamma():
