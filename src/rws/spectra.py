@@ -18,9 +18,12 @@ spectrum it generates,
 
 with h_max = 1/sup_{a>0} rho(a)/a and h_min the infimum of {rho >= 0}.
 The sup is a running maximum over the points each density supplies
-(``spectrum_grid``), no interpolation: a sampled ``LogDensity`` gives
-its samples plus h_max, a ``Kernel`` a step grid out to 4 h_max that
-holds h_min, alpha_t and h_max exactly.
+(``spectrum_grid``), no interpolation.  That grid is the one place the
+span is decided, and h_min and h_max are points of it: a sampled
+``LogDensity`` gives its samples plus h_max, where an h_max within 1e-9
+of a sample is that sample; a ``Kernel`` gives a step grid out to
+4 h_max that holds h_min, alpha_t and h_max of one ``ratio_max`` solve
+exactly.
 
 Closed-form densities come from four kernel families used for
 self-similar cascade models: gaussian, shifted gamma, shifted poisson
@@ -29,8 +32,10 @@ a frozen dataclass deriving from ``Kernel`` and carries its own
 formulas as methods: the density ``rho`` and its derivative
 ``rho_prime``, the ``peak`` where rho = 1, the validity check
 ``validate``, the left edge ``h_min`` of {rho >= 0}, ``ratio_max``
-(the maximizer alpha_t of rho(a)/a and h_max, solved once for both
-``spectrum_from_rho`` and the synthesis regularity warning), and the
+(h_min, the maximizer alpha_t of rho(a)/a and h_max from one solve,
+for both ``spectrum_from_rho`` and the synthesis regularity warning; a
+poisson density whose rho(a)/a falls from alpha0 on has its sup at
+alpha0), and the
 scale-j exponent law of the self-similarity semigroup (``scale_cap``,
 ``scale_quantile``).  The validity threshold guarantees rho < 0 near 0;
 for the gamma and poisson families it is ``alpha_star``, minus the left
@@ -118,7 +123,8 @@ class Kernel:
         return out if out.shape else float(out)
 
     def ratio_max(self):
-        """(alpha_t, h_max): the maximizer of rho(a)/a and h_max = 1/max rho(a)/a.
+        """(h_min, alpha_t, h_max): the left edge of {rho >= 0}, the
+        maximizer alpha_t of rho(a)/a, and h_max = 1/max rho(a)/a.
 
         Expects a valid kernel.  Raises MathValidityError when rho is
         nonnegative arbitrarily close to 0, which leaves no spectrum.
@@ -129,19 +135,23 @@ class Kernel:
                 "log-density is nonnegative arbitrarily close to 0; no spectrum"
             )
         peak = self.peak()
-        # the maximizer solves rho'(a) a = rho(a); bracketed by the left
-        # zero of rho (ratio rising) and the peak (ratio falling).  A
-        # shifted poisson with c <= ln 2 has h_min = alpha0, where rho is
-        # -inf and rho' undefined, so its bracket starts just inside.
+        # the maximizer solves f(a) = rho'(a) a - rho(a) = 0, bracketed by
+        # the left zero of rho (ratio rising, f > 0) and the peak (ratio
+        # falling).  A shifted poisson with c <= ln 2 has h_min = alpha0,
+        # where rho is -inf and rho' undefined, so its bracket starts just
+        # inside; rho is concave, so f falls, and where f <= 0 there already
+        # rho(a)/a only falls and its sup is that left edge.
         lo = h_min if np.isfinite(self.rho(h_min)) else h_min + (peak - h_min) * 1e-12
-        alpha_t = _root(lambda a: self.rho_prime(a) * a - self.rho(a), lo, peak)
-        return alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
+        f = lambda a: self.rho_prime(a) * a - self.rho(a)
+        alpha_t = lo if f(lo) <= 0.0 else _root(f, lo, peak)
+        return h_min, alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
 
     def spectrum_grid(self, grid_step: float):
-        """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``; see the module docstring."""
+        """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``: the
+        step grid with h_min, alpha_t and h_max of one ``ratio_max`` solve
+        as exact points, step points within 1e-9 of them dropped."""
         kernel_validity(self)
-        h_min = self.h_min()
-        alpha_t, h_max = self.ratio_max()
+        h_min, alpha_t, h_max = self.ratio_max()
         grid = _merge_points([h_min, alpha_t, h_max], _step_grid(4.0 * h_max, grid_step))
         return grid, self.rho(grid), h_min, h_max
 
@@ -329,7 +339,7 @@ class DiracKernel(Kernel):
         return self.H
 
     def ratio_max(self):
-        return self.H, self.H
+        return self.H, self.H, self.H
 
     def scale_cap(self, j: int) -> float:
         return self.H
@@ -456,7 +466,10 @@ class LogDensity:
         return float(self.alpha_grid[nonneg][0])
 
     def spectrum_grid(self, grid_step: float):
-        """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``; grid_step is not used."""
+        """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``; grid_step
+        is not used.  The grid is the samples plus h_max; an h_max within
+        1e-9 of a sample snaps onto it, and that sample is the h_max returned,
+        with rho capped at alpha / h_max."""
         rho = self.rho_values
         finite = np.isfinite(rho)
         if not finite.any() or np.max(rho[finite]) < -_TOL_ZERO:
@@ -471,10 +484,13 @@ class LogDensity:
         h_min = self.h_min()   # positive: from_samples requires alpha > 0
         h_max = 1.0 / float(np.max(rho[finite] / self.alpha_grid[finite]))
         grid = _merge_points(self.alpha_grid, [h_max])
+        h_max = grid[np.argmin(np.abs(grid - h_max))]
         # merged grid differs from the density grid only by the inserted
-        # h_max, whose running max is already the global one
+        # h_max, whose running max is already the global one.  rho is capped
+        # at alpha / h_max: where h_max snapped up onto a sample, that moves
+        # rho by at most the snap and keeps d(h)/h at most 1/h_max
         vals = np.full(grid.shape, -np.inf)
-        vals[np.searchsorted(grid, self.alpha_grid)] = rho
+        vals[np.searchsorted(grid, self.alpha_grid)] = np.minimum(rho, self.alpha_grid / h_max)
         return grid, vals, h_min, h_max
 
 
@@ -529,18 +545,20 @@ def spectrum_from_rho(density, grid_step: float = DEFAULT_GRID_STEP) -> Spectrum
     """Spectrum generated by an upper logarithmic density: any ``Kernel``
     (validated here) or a ``LogDensity.from_samples(...)``.
 
-    Raises FlatSpectrumError when rho touches zero but is never
-    positive (the constant-exponent sparse construction applies there),
+    The span is decided once, by ``density.spectrum_grid``, which returns
+    h_min and h_max as points of its grid; presence is read off that grid
+    by exact comparison.  The result is admissible (``check_admissible``
+    returns no violation, and d(h_max) is exactly 1), or the call raises:
+    FlatSpectrumError when rho touches zero but is never positive (the
+    constant-exponent sparse construction applies there),
     EmptySpectrumError when rho is negative everywhere, and a validity
     error when rho is nonnegative arbitrarily close to 0.  A kernel
     needs a positive, finite grid_step (ConfigError); samples ignore it.
     """
     grid, vals, h_min, h_max = density.spectrum_grid(grid_step)
-    # running maximum of rho/alpha over evaluation points <= h
-    run = np.maximum.accumulate(np.where(np.isfinite(vals), vals / grid, -np.inf))
-    span_tol = _TOL_ZERO * max(1.0, h_max)
-    inside = (grid >= h_min - span_tol) & (grid <= h_max + span_tol)
-    d_raw = grid * run
-    d = np.where(inside & np.isfinite(d_raw), d_raw, np.nan)
-    d[grid == h_max] = 1.0   # h_max / h_max, without the rounding of d_raw
+    # h times the running maximum of rho/alpha over evaluation points <= h;
+    # vals are finite or -inf, never NaN, and -inf / grid stays -inf
+    d = grid * np.maximum.accumulate(vals / grid)
+    d[~np.isfinite(d) | (grid < h_min) | (grid > h_max)] = np.nan
+    d[grid == h_max] = 1.0   # h_max / h_max, without the rounding of the product
     return SpectrumCurve(h_grid=grid, d_values=d)

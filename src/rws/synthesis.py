@@ -227,7 +227,7 @@ def _source_parts(source):
         return (lambda j: scale_law_from_spectrum(source, j)), 0.0, source.h_max
     if isinstance(source, Kernel):
         kernel_validity(source)
-        return (lambda j: scale_law_from_kernel(source, j)), 1.0, source.ratio_max()[1]
+        return (lambda j: scale_law_from_kernel(source, j)), 1.0, source.ratio_max()[2]
     if isinstance(source, FlatLaw):
         return (lambda j: flat_scale_law(source.alpha0, j)), 0.0, source.alpha0
     raise ConfigError(f"unknown synthesis source {type(source).__name__}")

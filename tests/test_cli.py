@@ -13,15 +13,22 @@ import pytest
 
 from rws import (
     DiracKernel,
+    GaussianKernel,
+    ShiftedGammaKernel,
+    ShiftedPoissonKernel,
     SynthesisConfig,
     check_admissible,
     cli,
     curve_from_function,
     daubechies_filter,
+    gaussian_threshold,
     generate_coefficients,
     inverse_dwt,
+    spectrum_from_rho,
+    synthesize,
 )
 from rws.fileio import (
+    build_kernel,
     parse_key_values,
     read_signal,
     read_spectrum_csv,
@@ -441,6 +448,71 @@ def test_kernel_manifest_span_is_pinned(params, h_min, h_max, tmp_path):
     assert cli.main(["kernel", *params, "--out", str(out)]) == 0
     lines = (out / "manifest.txt").read_text().splitlines()
     assert f"h_min={h_min}" in lines and f"h_max={h_max}" in lines
+
+
+def _seeded_kernels():
+    """Five valid kernels per family (poisson on both sides of c = ln 2),
+    drawn from a fixed seed."""
+    rng = np.random.default_rng(1)
+    u = lambda lo, hi: float(rng.uniform(lo, hi))
+    out = []
+    for i in range(5):
+        sigma = u(0.05, 1.0)
+        out.append((f"gaussian-{i}", GaussianKernel(m=gaussian_threshold(sigma) * u(1.05, 3.0), sigma=sigma)))
+        nu, beta = u(0.1, 3.0), u(1.0, 10.0)
+        star = ShiftedGammaKernel(alpha0=0.0, nu=nu, beta=beta).alpha_star()
+        out.append((f"gamma-{i}", ShiftedGammaKernel(alpha0=star + u(0.01, 1.0), nu=nu, beta=beta)))
+        c = u(0.7, 2.0)
+        star = ShiftedPoissonKernel(alpha0=0.0, c=c).alpha_star()
+        out.append((f"poisson-{i}", ShiftedPoissonKernel(alpha0=star + u(0.01, 1.0), c=c)))
+        out.append((f"poisson-small-c-{i}", ShiftedPoissonKernel(alpha0=u(0.01, 1.0), c=u(0.05, 0.69))))
+        out.append((f"dirac-{i}", DiracKernel(H=u(0.05, 3.0))))
+    return out
+
+
+def _small_c_poisson(kernel):
+    return isinstance(kernel, ShiftedPoissonKernel) and kernel.c <= np.log(2.0)
+
+
+SPAN_KERNELS = [(" ".join(params), build_kernel(params[0], parse_key_values("\n".join(params[1:]))))
+                for params, _, _ in KERNEL_SPANS] + _seeded_kernels()
+
+
+def _spans(kernel):
+    """(h_min, h_max) of the kernel's own solve and of its spectrum curve."""
+    h_min, _, h_max = kernel.ratio_max()
+    curve = spectrum_from_rho(kernel)
+    return (h_min, h_max), (curve.h_min, curve.h_max)
+
+
+@pytest.mark.parametrize("kernel", [pytest.param(k, id=name) for name, k in SPAN_KERNELS
+                                    if not _small_c_poisson(k)])
+def test_kernel_curve_span_is_the_kernel_span(kernel):
+    solved, curve = _spans(kernel)
+    assert curve == solved
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "rho is -inf at alpha0, but the K = 0 atom of Poisson(jc) puts 2^j e^(-jc) "
+    "coefficients there, so rho(alpha0) = 1 - c log2(e) > 0 and the curve "
+    "starts one grid point right of h_min = alpha0"))
+def test_small_c_poisson_curve_span_is_the_kernel_span():
+    kernels = [(name, k) for name, k in SPAN_KERNELS if _small_c_poisson(k)]
+    assert len(kernels) == 6
+    for name, kernel in kernels:
+        solved, curve = _spans(kernel)
+        assert curve == solved, name
+
+
+def test_poisson_with_a_falling_ratio_has_its_sup_at_the_shift_point(tmp_path):
+    # c <= ln 2 and a small alpha0: rho(a)/a falls from alpha0 on, so
+    # h_max = alpha0 / rho(alpha0+) = alpha0 / (1 - c log2 e)
+    out = tmp_path / "k"
+    assert cli.main(["kernel", "poisson", "alpha0=0.0167", "c=0.11", "--out", str(out)]) == 0
+    manifest = parse_key_values((out / "manifest.txt").read_text())
+    assert abs(float(manifest["h_max"]) - 0.0167 / (1.0 - 0.11 * np.log2(np.e))) < 1e-9
+    x = synthesize(SynthesisConfig(J=8, source=ShiftedPoissonKernel(alpha0=0.0167, c=0.11)))
+    assert x.size == 256
 
 
 def test_kernel_gaussian_has_no_threshold_root(tmp_path):

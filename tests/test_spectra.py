@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rws import (
     DiracKernel,
@@ -488,6 +490,48 @@ def test_spectrum_rejects_density_reaching_zero():
     kernel_validity(k)  # valid kernel, but its support touches 0
     with pytest.raises(MathValidityError, match="close to 0"):
         spectrum_from_rho(LogDensity.from_kernel(k))
+
+
+@st.composite
+def peaked_samples(draw):
+    """2-11 increasing alpha in (0.05, 3), rounded to 2 decimals in some
+    draws, rho in [-1, 1], and one sample at 1 + delta for a delta at or
+    inside the 1e-9 slack that ``LogDensity.from_samples`` accepts."""
+    n = draw(st.integers(2, 11))
+    a = sorted(draw(st.lists(st.floats(0.05, 3.0, exclude_min=True, exclude_max=True),
+                             min_size=n, max_size=n, unique=True)))
+    if draw(st.booleans()):
+        a = np.round(a, 2).tolist()   # duplicates are refused by from_samples
+    r = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    r[draw(st.integers(0, n - 1))] = 1.0 + draw(
+        st.sampled_from([0.0, 1e-15, -1e-15, 5e-13, 3e-10, -3e-10, 9e-10]))
+    return a, r
+
+
+@given(peaked_samples())
+def test_sampled_density_spectrum_is_admissible_or_raises(sample):
+    try:
+        out = spectrum_from_rho(LogDensity.from_samples(*sample))
+    except MathValidityError:
+        return
+    assert check_admissible(out) == []
+    assert out.d_values[out.present()][-1] == 1.0
+
+
+@pytest.mark.parametrize(("a", "r", "span"), [
+    # h_max = 1 - 2e-12 snaps onto the sample 1.0, which ends the curve
+    ([0.3, 0.5, 0.8, 1.0], [-0.5, 0.1, 0.6, 1.0 + 2e-12], (0.5, 1.0)),
+    # h_max = 0.49999999985 snaps onto h_min = 0.5: a single point
+    ([0.5, 1.25], [1.0 + 3e-10, 0.3], (0.5, 0.5)),
+    # d(h) = h / 0.06 to 9 digits: h_max = 0.05999999997 snaps up onto 0.06,
+    # and rho(0.04) is capped so that d(h)/h stays non-decreasing
+    ([0.02, 0.04, 0.06], [0.333333333, 0.666666667, 1.0], (0.02, 0.06)),
+])
+def test_sampled_h_max_is_the_sample_it_snaps_onto(a, r, span):
+    out = spectrum_from_rho(LogDensity.from_samples(a, r))
+    assert (out.h_min, out.h_max) == span
+    assert out.d_values[out.present()][-1] == 1.0
+    assert check_admissible(out) == []
 
 
 def test_sampled_density_everywhere_negative_is_empty():
