@@ -257,7 +257,7 @@ def _check_spectrum_identity():
         violations = check_admissible(curve)
         if violations:
             return False, f"reference curve inadmissible: {'; '.join(violations)}"
-        out = spectrum_from_rho(LogDensity.from_samples(curve.h_grid, curve.d_values))
+        out = spectrum_from_rho(LogDensity(curve.h_grid, curve.d_values))
         idx = np.searchsorted(out.h_grid, curve.h_grid)
         worst = max(worst, float(np.nanmax(np.abs(out.d_values[idx] - curve.d_values))))
     return worst <= 1e-9, f"max_err={worst:.3e} (<=1e-9)"

@@ -77,7 +77,6 @@ class AlphaField:
 
         Raises ConfigError unless scale_count is an integer of at least 3.
         """
-        pyramid.validate()
         _integer("scale_count", scale_count, 3)
         levels = {}
         for j in range(1, pyramid.J)[-int(scale_count):]:  # int(): -np.uint64 wraps

@@ -169,7 +169,9 @@ def write_columns(path: str, header: str, *cols) -> None:
 
 def read_spectrum_csv(path: str) -> SpectrumCurve:
     """Two-column h,d CSV; h must be finite, positive and strictly
-    increasing, and an empty d cell reads as absent (NaN)."""
+    increasing, an empty d cell reads as absent (NaN), and at least one d
+    must be present.  The grid and presence rules are the curve's own,
+    framed with the path."""
     hs, ds = [], []
     for ln, line in _records(_read_text(path)):
         cells = [c.strip() for c in line.split(",")]
@@ -182,8 +184,6 @@ def read_spectrum_csv(path: str) -> SpectrumCurve:
         ds.append(_parse_cell(cells[1], path, ln))
     if not hs:
         raise FormatError(f"{path}: no data rows")
-    if all(map(math.isnan, ds)):
-        raise FormatError(f"{path}: every d cell is empty")
     try:
         return curve_from_samples(hs, ds)
     except MathValidityError as exc:

@@ -4,7 +4,10 @@ A spectrum curve assigns to each Hoelder exponent h a dimension d(h) in
 [0, 1], sampled on a finite grid; absent values (exponents that do not
 occur) are stored as NaN and never enter arithmetic unmasked.  The span
 [h_min, h_max] of a curve runs from its first to its last present sample.
-An admissible target spectrum satisfies:
+Both sampled types, ``SpectrumCurve`` and ``LogDensity``, check their own
+shape when made (a positive, finite, strictly increasing grid of equal
+length to its values, and for a curve one present sample), so no reader
+checks it again.  An admissible target spectrum satisfies:
 
   * d(h) <= 1 everywhere it is present,
   * d is present on every grid point of [h_min, h_max] and nonnegative there,
@@ -34,8 +37,8 @@ formulas as methods: the density ``rho`` and its derivative
 ``validate``, the left edge ``h_min`` of {rho >= 0}, ``ratio_max``
 (h_min, the maximizer alpha_t of rho(a)/a and h_max from one solve,
 for both ``spectrum_from_rho`` and the synthesis regularity warning; a
-poisson density whose rho(a)/a falls from alpha0 on has its sup at
-alpha0), and the
+poisson density puts its K = 0 atom, 1 - c log2(e), at alpha0, and where
+its rho(a)/a falls from alpha0 on, alpha_t is alpha0), and the
 scale-j exponent law of the self-similarity semigroup (``scale_cap``,
 ``scale_quantile``).  The validity threshold guarantees rho < 0 near 0;
 for the gamma and poisson families it is ``alpha_star``, minus the left
@@ -124,7 +127,9 @@ class Kernel:
 
     def ratio_max(self):
         """(h_min, alpha_t, h_max): the left edge of {rho >= 0}, the
-        maximizer alpha_t of rho(a)/a, and h_max = 1/max rho(a)/a.
+        maximizer alpha_t of rho(a)/a, and h_max = 1/max rho(a)/a.  Where
+        rho(a)/a falls from h_min on (a poisson whose K = 0 atom at alpha0
+        dominates), alpha_t is h_min itself.
 
         Expects a valid kernel.  Raises MathValidityError when rho is
         nonnegative arbitrarily close to 0, which leaves no spectrum.
@@ -137,13 +142,17 @@ class Kernel:
         peak = self.peak()
         # the maximizer solves f(a) = rho'(a) a - rho(a) = 0, bracketed by
         # the left zero of rho (ratio rising, f > 0) and the peak (ratio
-        # falling).  A shifted poisson with c <= ln 2 has h_min = alpha0,
-        # where rho is -inf and rho' undefined, so its bracket starts just
-        # inside; rho is concave, so f falls, and where f <= 0 there already
-        # rho(a)/a only falls and its sup is that left edge.
-        lo = h_min if np.isfinite(self.rho(h_min)) else h_min + (peak - h_min) * 1e-12
+        # falling).  Where h_min is a shift point alpha0 (a shifted poisson
+        # with c <= ln 2, or a gamma whose zero is below resolution), rho' is
+        # infinite there, so the bracket starts inside, at least one ulp; rho
+        # is concave, so f falls, and where f <= 0 there already rho(a)/a
+        # only falls and its sup is at h_min itself (never for a gamma,
+        # whose rho falls to -inf at alpha0).
+        lo = h_min
+        if h_min == getattr(self, "alpha0", None):
+            lo = max(h_min + (peak - h_min) * 1e-12, np.nextafter(h_min, peak))
         f = lambda a: self.rho_prime(a) * a - self.rho(a)
-        alpha_t = lo if f(lo) <= 0.0 else _root(f, lo, peak)
+        alpha_t = h_min if f(lo) <= 0.0 else _root(f, lo, peak)
         return h_min, alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
 
     def spectrum_grid(self, grid_step: float):
@@ -164,7 +173,8 @@ class Kernel:
 
 class _ShiftedKernel(Kernel):
     """Families supported on (alpha0, inf): rho = -inf at and left of
-    alpha0, valid iff alpha0 > alpha*; subclasses supply
+    alpha0 (the poisson family puts its K = 0 atom at alpha0 itself),
+    valid iff alpha0 > alpha*; subclasses supply
     ``_rho_shifted(t)`` for t = a - alpha0 > 0 and the mode offset
     ``_offset()``, where rho = 1."""
 
@@ -213,8 +223,8 @@ class GaussianKernel(Kernel):
         return self.m
 
     def validate(self) -> None:
-        if self.sigma <= 0:
-            raise KernelValidityError("sigma <= 0")
+        if not (self.sigma > 0 and self.sigma**2 > 0):   # rho and rho' divide by sigma**2
+            raise KernelValidityError("sigma <= 0, or sigma**2 underflows to 0")
         if not self.m > gaussian_threshold(self.sigma):
             raise KernelValidityError("m <= sigma*sqrt(2 ln 2)")
 
@@ -271,13 +281,19 @@ class ShiftedGammaKernel(_ShiftedKernel):
 
 @dataclass(frozen=True)
 class ShiftedPoissonKernel(_ShiftedKernel):
-    """rho(a) = 1 - c log2(e) + (a-a0) log2(c e / (a-a0)) for a > a0,
-    -inf otherwise; valid iff a0 > alpha*(c).
+    """rho(a) = 1 - c log2(e) + (a-a0) log2(c e / (a-a0)) for a >= a0,
+    -inf otherwise; valid iff a0 > alpha*(c).  At a0 itself rho is
+    1 - c log2(e), the K = 0 atom of Poisson(j c).
 
     Scale j: alpha0 + Poisson(j c)/j."""
 
     alpha0: float
     c: float
+
+    def _rho(self, a):
+        out = super()._rho(a)
+        out[a == self.alpha0] = 1.0 - self.c * LOG2E   # t log2(ce/t) -> 0 as t -> 0
+        return out
 
     def _rho_shifted(self, t):
         return 1.0 - self.c * LOG2E + t * np.log2(self.c * math.e / t)
@@ -364,11 +380,21 @@ def kernel_validity(kernel) -> None:
 
 @dataclass(eq=False)
 class SpectrumCurve:
-    """Spectrum d(h) sampled on an increasing positive grid; NaN = absent.
-    The span [h_min, h_max] is read off the first and last present samples."""
+    """Spectrum d(h) sampled on a grid; NaN = absent.  The span
+    [h_min, h_max] is read off the first and last present samples.
+
+    Checks its own shape when made: h_grid and d_values become float64
+    arrays of equal, nonzero length, h positive, finite and strictly
+    increasing, with at least one present d; MathValidityError otherwise.
+    Whether the samples are admissible is ``check_admissible``'s question."""
 
     h_grid: np.ndarray
     d_values: np.ndarray
+
+    def __post_init__(self):
+        self.h_grid, self.d_values = _sampled_grid(self.h_grid, self.d_values, "h", "d")
+        if np.isnan(self.d_values).all():
+            raise MathValidityError("curve has no present values")
 
     def present(self):
         return ~np.isnan(self.d_values)
@@ -385,7 +411,7 @@ class SpectrumCurve:
 def curve_from_function(fn, h_min: float, h_max: float):
     """Sample d = fn(h) on [h_min, h_max] with approximately DEFAULT_GRID_STEP.
 
-    As in ``curve_from_samples``, the span is that of the present samples:
+    As for any ``SpectrumCurve``, the span is that of the present samples:
     a NaN at either end narrows it, and a NaN inside it is an absent value
     that ``check_admissible`` reports."""
     if h_max < h_min:
@@ -400,23 +426,16 @@ def curve_from_function(fn, h_min: float, h_max: float):
 
 
 def curve_from_samples(h_grid, d_values) -> SpectrumCurve:
-    """Build a curve from grid samples, at least one of them present."""
-    h, d = _sampled_grid(h_grid, d_values, "h", "d")
-    if np.isnan(d).all():
-        raise MathValidityError("curve has no present values")
-    return SpectrumCurve(h_grid=h, d_values=d)
+    """``SpectrumCurve(h_grid, d_values)``: the curve checks its samples."""
+    return SpectrumCurve(h_grid=h_grid, d_values=d_values)
 
 
 def check_admissible(curve: SpectrumCurve) -> list[str]:
     """The admissibility conditions the curve violates, as messages; an
-    empty list means admissible.  Never raises."""
-    try:
-        h, d = _sampled_grid(curve.h_grid, curve.d_values, "h", "d")
-    except MathValidityError as exc:
-        return [str(exc)]
+    empty list means admissible.  Never raises: the curve's grid and its
+    present sample were checked when it was made."""
+    h, d = curve.h_grid, curve.d_values
     idx = np.flatnonzero(~np.isnan(d))
-    if not idx.size:
-        return ["curve has no present values"]
     v = []
     if idx[-1] - idx[0] + 1 != idx.size:
         v.append("absent value inside [h_min, h_max]")
@@ -425,7 +444,10 @@ def check_admissible(curve: SpectrumCurve) -> list[str]:
         v.append("d exceeds 1")
     if np.any(dp < -_TOL_ZERO):
         v.append("negative d inside [h_min, h_max]")
-    if np.any(np.diff(dp / h[idx]) < -_TOL_RATIO):
+    # d1/h1 - d0/h0 < -tol, multiplied through by h0 h1 > 0: the products
+    # stay finite where a subnormal h would overflow the quotient
+    hp = h[idx]
+    if np.any(dp[1:] * hp[:-1] - dp[:-1] * hp[1:] < -_TOL_RATIO * hp[:-1] * hp[1:]):
         v.append("d(h)/h is not non-decreasing")
     if abs(dp[-1] - 1.0) > _TOL_ONE:
         v.append(f"d at h_max is {float(dp[-1])!r}, expected 1")
@@ -437,33 +459,29 @@ def check_admissible(curve: SpectrumCurve) -> list[str]:
 
 @dataclass(eq=False)
 class LogDensity:
-    """An upper logarithmic density sampled as (alpha_grid, rho_values), -inf
-    where absent; like a ``Kernel`` it supplies ``h_min`` and ``spectrum_grid``."""
+    """An upper logarithmic density sampled as (alpha_grid, rho_values);
+    like a ``Kernel`` it supplies ``spectrum_grid``.
+
+    Checks its own shape when made: alpha_grid and rho_values become
+    float64 arrays of equal, nonzero length, alpha positive, finite and
+    strictly increasing, a NaN rho reads as -inf (absent), and rho is at
+    most 1 + 1e-9; MathValidityError otherwise."""
 
     alpha_grid: np.ndarray
     rho_values: np.ndarray
+
+    def __post_init__(self):
+        a, r = _sampled_grid(self.alpha_grid, self.rho_values, "alpha", "rho")
+        r = np.where(np.isnan(r), -np.inf, r)
+        if np.any(r > 1.0 + _TOL_ONE):
+            raise MathValidityError("log-density exceeds 1")
+        self.alpha_grid, self.rho_values = a, r
 
     @classmethod
     def from_kernel(cls, kernel):
         """The kernel itself, validated: a ``Kernel`` is a density already."""
         kernel_validity(kernel)
         return kernel
-
-    @classmethod
-    def from_samples(cls, alpha_grid, rho_values):
-        a, r = _sampled_grid(alpha_grid, rho_values, "alpha", "rho")
-        r = np.where(np.isnan(r), -np.inf, r)
-        if np.any(r > 1.0 + _TOL_ONE):
-            raise MathValidityError("log-density exceeds 1")
-        return cls(alpha_grid=a, rho_values=r)
-
-    def h_min(self) -> float:
-        """Smallest alpha with rho(alpha) >= 0 (must be positive for a
-        well-defined process: small coefficients must dominate at fine scales)."""
-        nonneg = self.rho_values >= 0.0
-        if not nonneg.any():
-            raise EmptySpectrumError("log-density is negative everywhere")
-        return float(self.alpha_grid[nonneg][0])
 
     def spectrum_grid(self, grid_step: float):
         """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``; grid_step
@@ -481,7 +499,7 @@ class LogDensity:
                 "log-density touches zero but is never positive; use the flat "
                 "(constant-exponent) construction instead"
             )
-        h_min = self.h_min()   # positive: from_samples requires alpha > 0
+        h_min = float(self.alpha_grid[rho >= 0.0][0])   # positive, as every alpha is
         h_max = 1.0 / float(np.max(rho[finite] / self.alpha_grid[finite]))
         grid = _merge_points(self.alpha_grid, [h_max])
         h_max = grid[np.argmin(np.abs(grid - h_max))]
@@ -543,22 +561,27 @@ def _integer(name, value, lo, hi=None):
 
 def spectrum_from_rho(density, grid_step: float = DEFAULT_GRID_STEP) -> SpectrumCurve:
     """Spectrum generated by an upper logarithmic density: any ``Kernel``
-    (validated here) or a ``LogDensity.from_samples(...)``.
+    (validated here) or a ``LogDensity(alpha_grid, rho_values)``.
 
     The span is decided once, by ``density.spectrum_grid``, which returns
     h_min and h_max as points of its grid; presence is read off that grid
-    by exact comparison.  The result is admissible (``check_admissible``
-    returns no violation, and d(h_max) is exactly 1), or the call raises:
-    FlatSpectrumError when rho touches zero but is never positive (the
-    constant-exponent sparse construction applies there),
-    EmptySpectrumError when rho is negative everywhere, and a validity
-    error when rho is nonnegative arbitrarily close to 0.  A kernel
-    needs a positive, finite grid_step (ConfigError); samples ignore it.
+    by exact comparison.  On the span d >= 0 by definition, so d is
+    clipped at 0 there: where rho is steep at its left zero, the solver's
+    1e-15 in alpha can cost 1e-9 in rho.  The result is admissible
+    (``check_admissible`` returns no violation, and d(h_max) is exactly
+    1), or the call raises: FlatSpectrumError when rho touches zero but is
+    never positive (the constant-exponent sparse construction applies
+    there), EmptySpectrumError when rho is negative everywhere, and a
+    validity error when rho is nonnegative arbitrarily close to 0.  A
+    kernel needs a positive, finite grid_step (ConfigError); samples
+    ignore it.
     """
     grid, vals, h_min, h_max = density.spectrum_grid(grid_step)
     # h times the running maximum of rho/alpha over evaluation points <= h;
     # vals are finite or -inf, never NaN, and -inf / grid stays -inf
     d = grid * np.maximum.accumulate(vals / grid)
-    d[~np.isfinite(d) | (grid < h_min) | (grid > h_max)] = np.nan
+    absent = ~np.isfinite(d) | (grid < h_min) | (grid > h_max)
+    np.maximum(d, 0.0, out=d)
+    d[absent] = np.nan
     d[grid == h_max] = 1.0   # h_max / h_max, without the rounding of the product
     return SpectrumCurve(h_grid=grid, d_values=d)

@@ -55,7 +55,7 @@ took 0.18 s instead of 0.15 s (median of 5).
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,14 +242,15 @@ class CoefficientPyramid:
     ``levels[j]`` holds the 2**j coefficients of scale j in the
     rescaled convention described in the module docstring;
     ``coarse_mean`` is the single remaining scaling coefficient, equal
-    to the sample mean of the signal.
+    to the sample mean of the signal.  Checks its own shape when made:
+    InvalidPyramidError unless there are J levels of those sizes.
     """
 
     J: int
-    levels: list = field(default_factory=list)
+    levels: list
     coarse_mean: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if len(self.levels) != self.J:
             raise InvalidPyramidError(
                 f"expected {self.J} detail levels, found {len(self.levels)}"
@@ -387,7 +388,6 @@ def forward_dwt(signal, filt: WaveletFilter) -> CoefficientPyramid:
 
 def inverse_dwt(pyramid: CoefficientPyramid, filt: WaveletFilter) -> np.ndarray:
     """Rebuild the 2**J sample vector from a coefficient pyramid."""
-    pyramid.validate()
     s = np.array([pyramid.coarse_mean], dtype=np.float64)
     for j in range(pyramid.J):
         det = np.asarray(pyramid.levels[j], dtype=np.float64)

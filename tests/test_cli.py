@@ -435,7 +435,7 @@ KERNEL_SPANS = [
     (("gamma", "alpha0=0.1", "nu=1.5", "beta=4"), "0.219531260902", "0.413153646053"),
     (("poisson", "alpha0=0.3", "c=1"), "0.390057199313", "1.02725406981"),
     (("dirac", "H=0.8"), "0.8", "0.8"),
-    (("poisson", "alpha0=0.5", "c=0.6"), "0.505", "0.921736958706"),
+    (("poisson", "alpha0=0.5", "c=0.6"), "0.5", "0.921736958706"),
     (("gamma", "alpha0=0.1", "nu=0.01", "beta=4"), "0.1", "0.101458164908"),
     (("dirac", "H=0.7000000005"), "0.7000000005", "0.7000000005"),
 ]
@@ -470,10 +470,6 @@ def _seeded_kernels():
     return out
 
 
-def _small_c_poisson(kernel):
-    return isinstance(kernel, ShiftedPoissonKernel) and kernel.c <= np.log(2.0)
-
-
 SPAN_KERNELS = [(" ".join(params), build_kernel(params[0], parse_key_values("\n".join(params[1:]))))
                 for params, _, _ in KERNEL_SPANS] + _seeded_kernels()
 
@@ -485,28 +481,15 @@ def _spans(kernel):
     return (h_min, h_max), (curve.h_min, curve.h_max)
 
 
-@pytest.mark.parametrize("kernel", [pytest.param(k, id=name) for name, k in SPAN_KERNELS
-                                    if not _small_c_poisson(k)])
+@pytest.mark.parametrize("kernel", [pytest.param(k, id=name) for name, k in SPAN_KERNELS])
 def test_kernel_curve_span_is_the_kernel_span(kernel):
     solved, curve = _spans(kernel)
     assert curve == solved
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "rho is -inf at alpha0, but the K = 0 atom of Poisson(jc) puts 2^j e^(-jc) "
-    "coefficients there, so rho(alpha0) = 1 - c log2(e) > 0 and the curve "
-    "starts one grid point right of h_min = alpha0"))
-def test_small_c_poisson_curve_span_is_the_kernel_span():
-    kernels = [(name, k) for name, k in SPAN_KERNELS if _small_c_poisson(k)]
-    assert len(kernels) == 6
-    for name, kernel in kernels:
-        solved, curve = _spans(kernel)
-        assert curve == solved, name
-
-
 def test_poisson_with_a_falling_ratio_has_its_sup_at_the_shift_point(tmp_path):
     # c <= ln 2 and a small alpha0: rho(a)/a falls from alpha0 on, so
-    # h_max = alpha0 / rho(alpha0+) = alpha0 / (1 - c log2 e)
+    # h_max = alpha0 / rho(alpha0) = alpha0 / (1 - c log2 e)
     out = tmp_path / "k"
     assert cli.main(["kernel", "poisson", "alpha0=0.0167", "c=0.11", "--out", str(out)]) == 0
     manifest = parse_key_values((out / "manifest.txt").read_text())
@@ -523,8 +506,8 @@ def test_kernel_gaussian_has_no_threshold_root(tmp_path):
 
 
 def test_kernel_poisson_small_c_with_positive_shift(tmp_path):
-    # c <= ln 2: rho is already positive just right of alpha0, so h_min is
-    # alpha0 itself and the rho(a)/a maximizer bracket must start inside it
+    # c <= ln 2: rho is already positive at alpha0 (the K = 0 atom), so h_min
+    # is alpha0 itself and the rho(a)/a maximizer bracket must start inside it
     out = tmp_path / "k"
     assert cli.main(["kernel", "poisson", "alpha0=0.5", "c=0.6", "--out", str(out)]) == 0
     curve = read_spectrum_csv(str(out / "spectrum.csv"))
@@ -570,12 +553,12 @@ KERNEL_CSV_DIGESTS = {
         "101e60aff5ee7f1077f2bec7a3e0109272c389c2ec196b67a09e356a439492e6",
     ),
     ("poisson", "alpha0=0.3", "c=1"): (
-        "474c74baef4973bb8136bc39bbb00207c1454be8964380953d10801a255f1fac",
-        "31372a6df5a29ce13d5bc1c6815f8790bd8afbff62213fa55aec7899d44cfb47",
+        "f9e984f3c617ec8619e81c1fbf1e46878926193fa9780db0cf758cc8971a14d5",
+        "c0d978a488016eb7ec056e21ac921c1e7db711c4e5eacedee5117b0cd2c328a0",
     ),
     ("poisson", "alpha0=0.5", "c=0.6"): (
-        "0a9b13054628540e59aa02032082fbab21548eb91fef1b8f90f689b248cab3db",
-        "a057fd38732772bfe704373d5cceec320fbf55e948a2d47d5347282772992048",
+        "f4e54a15b577f32f663b2b310e5e65115b5197c480e1a2658e506b4524637d44",
+        "43d2224a002b9d354bbb45be3a65649c91bd5ba5528c5f97db977b5745e8abee",
     ),
     ("dirac", "H=0.7"): (
         "6e57a5993d1bc37f90d3701684d04c7aded1419363f805ca9ddcf6accb6eed27",

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rws import (
@@ -16,10 +16,12 @@ from rws import (
     KernelValidityError,
     LogDensity,
     MathValidityError,
+    RwsError,
     ShiftedGammaKernel,
     ConfigError,
     ShiftedPoissonKernel,
     SpectrumCurve,
+    SynthesisConfig,
     UnsupportedVariantError,
     check_admissible,
     curve_from_function,
@@ -27,6 +29,7 @@ from rws import (
     gaussian_threshold,
     kernel_validity,
     spectrum_from_rho,
+    synthesize,
 )
 
 LOG2E = np.log2(np.e)
@@ -242,8 +245,11 @@ def test_rho_is_minus_inf_left_of_shift():
     p = ShiftedPoissonKernel(alpha0=0.5, c=1.0)
     for k in (g, p):
         assert k.rho(0.4) == -np.inf
-        assert k.rho(0.5) == -np.inf
         assert np.isfinite(k.rho(0.6))
+    assert g.rho(0.5) == -np.inf
+    # the K = 0 atom of Poisson(jc) sits at the shift point itself
+    assert p.rho(0.5) == 1.0 - LOG2E
+    assert p.rho(np.array([0.4, 0.5]))[1] == 1.0 - LOG2E
 
 
 def test_kernel_h_min_gaussian_closed_form():
@@ -368,28 +374,37 @@ def test_infinite_grid_points_are_rejected():
     with pytest.raises(MathValidityError, match="finite"):
         curve_from_samples([0.5, np.inf], [0.0, 1.0])
     with pytest.raises(MathValidityError, match="finite"):
-        LogDensity.from_samples([0.5, np.inf], [0.5, 1.0])
+        LogDensity([0.5, np.inf], [0.5, 1.0])
 
 
+# a curve checks its own shape when made, so check_admissible never sees
+# a malformed one
 def test_admissibility_reports_an_infinite_grid_point_without_warnings():
-    curve = SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        violations = check_admissible(curve)
-    assert violations == ["h grid must be strictly increasing, positive and finite"]
+        with pytest.raises(MathValidityError, match="finite"):
+            SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]))
 
 
 def test_admissibility_reports_a_broken_grid():
-    curve = SpectrumCurve(h_grid=np.array([1.0, 0.5]), d_values=np.array([0.5, 1.0]))
-    violations = check_admissible(curve)
-    assert violations and "increasing" in violations[0]
+    with pytest.raises(MathValidityError, match="increasing"):
+        SpectrumCurve(h_grid=np.array([1.0, 0.5]), d_values=np.array([0.5, 1.0]))
+
+
+def test_admissibility_judges_subnormal_grid_points_without_warnings():
+    # d/h would overflow at a subnormal h; the ratio test must not divide
+    tiny = 2.225073858507203e-309
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_admissible(SpectrumCurve([tiny], [1.0])) == []
+        assert check_admissible(SpectrumCurve([tiny, 2 * tiny], [0.5, 1.0])) == []
+        assert check_admissible(SpectrumCurve([tiny, 0.5], [1.0, 1.0])) == [
+            "d(h)/h is not non-decreasing"]
 
 
 def test_admissibility_reports_a_curve_with_no_present_values():
-    curve = SpectrumCurve(h_grid=np.array([0.5, 1.0]), d_values=np.full(2, np.nan))
-    violations = check_admissible(curve)
-    assert violations
-    assert "curve has no present values" in violations
+    with pytest.raises(MathValidityError, match="no present values"):
+        SpectrumCurve(h_grid=np.array([0.5, 1.0]), d_values=np.full(2, np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +413,7 @@ def test_admissibility_reports_a_curve_with_no_present_values():
 def test_spectrum_identity_on_admissible_curve():
     # an admissible d is a fixed point: d(h) = h sup_{a<=h} d(a)/a
     curve = parabola_curve()
-    density = LogDensity.from_samples(curve.h_grid, curve.d_values)
+    density = LogDensity(curve.h_grid, curve.d_values)
     out = spectrum_from_rho(density)
     src = np.searchsorted(out.h_grid, curve.h_grid)
     err = float(np.nanmax(np.abs(out.d_values[src] - curve.d_values)))
@@ -496,12 +511,12 @@ def test_spectrum_rejects_density_reaching_zero():
 def peaked_samples(draw):
     """2-11 increasing alpha in (0.05, 3), rounded to 2 decimals in some
     draws, rho in [-1, 1], and one sample at 1 + delta for a delta at or
-    inside the 1e-9 slack that ``LogDensity.from_samples`` accepts."""
+    inside the 1e-9 slack that ``LogDensity`` accepts."""
     n = draw(st.integers(2, 11))
     a = sorted(draw(st.lists(st.floats(0.05, 3.0, exclude_min=True, exclude_max=True),
                              min_size=n, max_size=n, unique=True)))
     if draw(st.booleans()):
-        a = np.round(a, 2).tolist()   # duplicates are refused by from_samples
+        a = np.round(a, 2).tolist()   # duplicates are refused by LogDensity
     r = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
     r[draw(st.integers(0, n - 1))] = 1.0 + draw(
         st.sampled_from([0.0, 1e-15, -1e-15, 5e-13, 3e-10, -3e-10, 9e-10]))
@@ -511,7 +526,7 @@ def peaked_samples(draw):
 @given(peaked_samples())
 def test_sampled_density_spectrum_is_admissible_or_raises(sample):
     try:
-        out = spectrum_from_rho(LogDensity.from_samples(*sample))
+        out = spectrum_from_rho(LogDensity(*sample))
     except MathValidityError:
         return
     assert check_admissible(out) == []
@@ -528,7 +543,7 @@ def test_sampled_density_spectrum_is_admissible_or_raises(sample):
     ([0.02, 0.04, 0.06], [0.333333333, 0.666666667, 1.0], (0.02, 0.06)),
 ])
 def test_sampled_h_max_is_the_sample_it_snaps_onto(a, r, span):
-    out = spectrum_from_rho(LogDensity.from_samples(a, r))
+    out = spectrum_from_rho(LogDensity(a, r))
     assert (out.h_min, out.h_max) == span
     assert out.d_values[out.present()][-1] == 1.0
     assert check_admissible(out) == []
@@ -537,7 +552,7 @@ def test_sampled_h_max_is_the_sample_it_snaps_onto(a, r, span):
 def test_sampled_density_everywhere_negative_is_empty():
     a = np.linspace(0.5, 1.5, 11)
     with pytest.raises(EmptySpectrumError):
-        spectrum_from_rho(LogDensity.from_samples(a, np.full(11, -0.5)))
+        spectrum_from_rho(LogDensity(a, np.full(11, -0.5)))
 
 
 def test_sampled_density_touching_zero_is_flat():
@@ -545,23 +560,106 @@ def test_sampled_density_touching_zero_is_flat():
     r = np.full(11, -1.0)
     r[5] = 0.0
     with pytest.raises(FlatSpectrumError):
-        spectrum_from_rho(LogDensity.from_samples(a, r))
+        spectrum_from_rho(LogDensity(a, r))
 
 
 def test_log_density_sample_validation():
     with pytest.raises(MathValidityError):
-        LogDensity.from_samples(np.array([0.5, 0.4]), np.array([0.1, 0.1]))
+        LogDensity(np.array([0.5, 0.4]), np.array([0.1, 0.1]))
     with pytest.raises(MathValidityError):
-        LogDensity.from_samples(np.array([0.5, 1.0]), np.array([0.5, 1.5]))
-    d = LogDensity.from_samples(np.array([0.5, 1.0]), np.array([np.nan, 0.5]))
+        LogDensity(np.array([0.5, 1.0]), np.array([0.5, 1.5]))
+    d = LogDensity(np.array([0.5, 1.0]), np.array([np.nan, 0.5]))
     assert d.rho_values[0] == -np.inf
 
 
 def test_log_density_h_min_returns_first_nonnegative_alpha():
     a = np.array([0.4, 0.6, 0.8])
-    d = LogDensity.from_samples(a, np.array([-0.2, 0.0, 0.5]))
-    assert d.h_min() == 0.6
+    assert spectrum_from_rho(LogDensity(a, np.array([-0.2, 0.0, 0.5]))).h_min == 0.6
     kernel = GaussianKernel(m=1.0, sigma=0.5)
     assert LogDensity.from_kernel(kernel) is kernel
     with pytest.raises(EmptySpectrumError):
-        LogDensity.from_samples(a, np.array([-1.0, -1.0, -1.0])).h_min()
+        spectrum_from_rho(LogDensity(a, np.array([-1.0, -1.0, -1.0])))
+
+
+# ---------------------------------------------------------------------------
+# raw construction and random kernels
+
+@st.composite
+def raw_samples(draw):
+    """1-7 samples: x in (-0.5, 3), sorted in most draws; y in (-1.2, 1.2)
+    or NaN; given as arrays or as Python lists."""
+    n = draw(st.integers(1, 7))
+    x = draw(st.lists(st.floats(-0.5, 3.0, exclude_min=True, exclude_max=True),
+                      min_size=n, max_size=n))
+    if draw(st.integers(0, 9)) < 7:
+        x = sorted(x)
+    y = draw(st.lists(st.one_of(st.floats(-1.2, 1.2, exclude_min=True, exclude_max=True),
+                                st.just(np.nan)), min_size=n, max_size=n))
+    if draw(st.integers(0, 9)) < 3:
+        return x, y
+    return np.array(x), np.array(y)
+
+
+@given(raw_samples())
+def test_a_log_density_is_made_well_formed_or_refused(sample):
+    try:
+        out = spectrum_from_rho(LogDensity(*sample))
+    except MathValidityError:
+        return
+    assert check_admissible(out) == []
+    assert out.d_values[out.present()][-1] == 1.0
+
+
+@given(raw_samples())
+@settings(deadline=None)
+def test_a_spectrum_curve_is_made_well_formed_or_refused(sample):
+    try:
+        curve = SpectrumCurve(*sample)
+    except MathValidityError:
+        return
+    assert isinstance(curve.h_min, float) and isinstance(curve.h_max, float)
+    assert isinstance(check_admissible(curve), list)
+    try:
+        synthesize(SynthesisConfig(J=5, source=curve))
+    except RwsError:
+        pass
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: float(10.0**e))
+
+
+random_kernels = st.one_of(
+    st.builds(lambda s, x: GaussianKernel(m=gaussian_threshold(s) * (1.0 + x), sigma=s),
+              _log_uniform(1e-6, 1e2), _log_uniform(1e-9, 1e2)),
+    st.builds(ShiftedGammaKernel, _log_uniform(1e-6, 1e2), _log_uniform(1e-3, 1e2),
+              _log_uniform(1e-2, 1e2)),
+    st.builds(ShiftedPoissonKernel, _log_uniform(1e-6, 1e2), _log_uniform(1e-3, 1e2)),
+    st.builds(DiracKernel, _log_uniform(1e-6, 1e2)),
+)
+
+
+@given(random_kernels)
+@settings(deadline=None)
+def test_a_kernel_spectrum_and_signal_are_right_or_refused(kernel):
+    """The curve is admissible on the kernel's own span, and the signal is
+    finite, or the call refuses the kernel; a span too wide for the grid
+    bound is refused as an input problem."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "target h_max", UserWarning)
+        try:
+            curve = spectrum_from_rho(kernel)
+        except ConfigError as exc:
+            assert "more than" in str(exc)
+        except MathValidityError:
+            pass
+        else:
+            h_min, _, h_max = kernel.ratio_max()
+            assert check_admissible(curve) == []
+            assert (curve.h_min, curve.h_max) == (h_min, h_max)
+        try:
+            x = synthesize(SynthesisConfig(J=6, seed=1, source=kernel))
+        except MathValidityError:
+            return
+    assert np.isfinite(x).all()

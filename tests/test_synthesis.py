@@ -139,10 +139,9 @@ def test_sources_are_validated_independently_of_J(source, monkeypatch):
 
 
 def test_synthesize_rejects_an_infinite_h_grid_point():
-    # an infinite h_max would overflow the scale-law grid
-    curve = SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]))
-    with pytest.raises(AdmissibilityError, match="finite"):
-        synthesize(SynthesisConfig(J=8, source=curve))
+    # an infinite h_max would overflow the scale-law grid; no such curve can be made
+    with pytest.raises(MathValidityError, match="finite"):
+        SpectrumCurve(h_grid=np.array([0.5, np.inf]), d_values=np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("alpha0", [0.0, np.inf, np.nan])

@@ -155,15 +155,11 @@ def test_forward_rejects_non_finite_samples(bad):
 
 
 def test_inverse_validates_pyramid():
-    f = daubechies_filter(3)
-    bad = CoefficientPyramid(J=3, levels=[np.zeros(1), np.zeros(2)], coarse_mean=0.0)
-    with pytest.raises(InvalidPyramidError):
-        inverse_dwt(bad, f)
-    wrong_size = CoefficientPyramid(
-        J=2, levels=[np.zeros(1), np.zeros(3)], coarse_mean=0.0
-    )
-    with pytest.raises(InvalidPyramidError):
-        inverse_dwt(wrong_size, f)
+    # a pyramid checks its levels when made, so inverse_dwt never sees a bad one
+    with pytest.raises(InvalidPyramidError, match="expected 3 detail levels"):
+        CoefficientPyramid(J=3, levels=[np.zeros(1), np.zeros(2)], coarse_mean=0.0)
+    with pytest.raises(InvalidPyramidError, match="level 1 must hold 2"):
+        CoefficientPyramid(J=2, levels=[np.zeros(1), np.zeros(3)], coarse_mean=0.0)
 
 
 def test_unsupported_orders_rejected():
