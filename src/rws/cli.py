@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, FormatError, MathValidityError, UnsupportedVariantError
+from .errors import ConfigError, FormatError, MathValidityError
 from .estimation import DEFAULT_SCALE_COUNT, analyze_pyramid
 from .spectra import (
     DEFAULT_GRID_STEP,
@@ -175,10 +175,7 @@ def cmd_kernel(args) -> int:
                          curve.h_grid, kernel.rho(curve.h_grid))
     fileio.write_columns(os.path.join(args.out, "spectrum.csv"), "h,d",
                          curve.h_grid, curve.d_values)
-    try:
-        astar_text = f"{kernel.alpha_star():.12g}"
-    except UnsupportedVariantError:
-        astar_text = "n/a"
+    astar_text = f"{kernel.alpha_star():.12g}"
     _write_manifest(args, [("variant", args.variant)] + sorted(vars(kernel).items()) + [
         ("alpha_star", astar_text),
         ("h_min", curve.h_min),

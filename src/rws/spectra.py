@@ -32,20 +32,21 @@ Closed-form densities come from four kernel families used for
 self-similar cascade models: gaussian, shifted gamma, shifted poisson
 (the log-Poisson cascade) and dirac (exact monofractal).  Each family is
 a frozen dataclass deriving from ``Kernel`` and carries its own
-formulas as methods: the density ``rho`` and its derivative
-``rho_prime``, the ``peak`` where rho = 1, the validity check
-``validate``, the left edge ``h_min`` of {rho >= 0}, ``ratio_max``
-(h_min, the maximizer alpha_t of rho(a)/a and h_max from one solve,
-for both ``spectrum_from_rho`` and the synthesis regularity warning; a
-poisson density puts its K = 0 atom, 1 - c log2(e), at alpha0, and where
-its rho(a)/a falls from alpha0 on, alpha_t is alpha0), and the
-scale-j exponent law of the self-similarity semigroup (``scale_cap``,
-``scale_quantile``).  The validity threshold guarantees rho < 0 near 0;
-for the gamma and poisson families it is ``alpha_star``, minus the left
-zero of the family's own shifted density, found by the same search as
-``h_min`` (a poisson density that is nonnegative at its shift point,
-c <= ln 2, has no left zero and takes the zero beyond its peak).  Every
-root goes through one bracketed solver, ``_root``.
+formulas as methods: the density ``rho``, the ``peak`` where rho = 1,
+``alpha_star``, its one threshold on its location parameter (its first
+field: m, alpha0 or H), ``ratio_max`` (h_min, the maximizer alpha_t of
+rho(a)/a and h_max from one solve, for both ``spectrum_from_rho`` and
+the synthesis regularity warning), and the scale-j exponent law of the
+self-similarity semigroup (``scale_cap``, ``scale_quantile``).  The base
+``Kernel`` reads h_min = location - alpha* and validity, h_min > 0 (rho
+< 0 near 0), off that threshold, once for every family.  alpha* is
+sigma sqrt(2 ln 2) for the gaussian, 0 for dirac, and minus the left
+zero of the family's own shifted density for gamma and poisson; a
+poisson density puts its K = 0 atom, 1 - c log2(e), at alpha0, so for
+c <= ln 2 it has no left zero and alpha* is 0.  The gaussian span is
+closed form; the shifted families solve alpha* and alpha_t through one
+bracketed solver, ``_root``, to a tolerance relative to the kernel's own
+scale, and where their rho(a)/a falls from alpha0 on, alpha_t is alpha0.
 
 scipy is imported where a kernel law needs it, on first call, and
 nowhere else: ``_root`` (brentq) and the ``scale_quantile`` of the
@@ -86,26 +87,29 @@ MAX_GRID_STEPS = 2**20
 # ---------------------------------------------------------------------------
 # kernel laws
 
-def _root(f, lo, hi):
-    """The zero of f bracketed by [lo, hi], by Brent's method to machine precision."""
+def _root(f, lo, hi, xtol):
+    """The zero of f bracketed by [lo, hi], by Brent's method to within
+    xtol or 8.9e-16 of the zero, whichever is larger.  Callers give xtol
+    relative to the kernel's own scale, so a zero is found to the same
+    digits at any scale: 1e-15 of the bracket, or 1e-15 of lo > 0 where
+    the zero lies right of lo.  A zero that lies far nearer lo than hi (a
+    gamma that rises steeply against its mode offset) can take some
+    1,500 steps; the cap leaves room for that."""
     from scipy.optimize import brentq
 
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=3000)
 
 
-def _left_zero(f, origin, peak):
-    """The zero of f between origin (excluded) and peak, where f >= 0: the
-    bracket starts just right of origin and walks toward it while f >= 0.
-    A zero nearer origin than the least subnormal step is origin itself."""
-    # halving the step, not the point: origin + step reaches origin itself
-    # once step is below half an ulp of it, where halving the point can
-    # round back up to origin + 1 ulp forever
-    step = (peak - origin) * 1e-12
-    while f(origin + step) >= 0.0:
+def _left_zero(f, peak):
+    """The zero of f between 0 (excluded) and peak, where f >= 0: the
+    bracket starts just right of 0 and walks toward it while f >= 0.  A
+    zero nearer 0 than the least subnormal is 0 itself."""
+    step = peak * 1e-12
+    while f(step) >= 0.0:
         step /= 2.0
-        if step == 0.0:   # f(origin) may be log2(0); not evaluated
-            return origin
-    return _root(f, origin + step, peak)
+        if step == 0.0:   # f(0) may be log2(0); not evaluated
+            return 0.0
+    return _root(f, step, peak, 1e-15 * (peak - step))
 
 
 def gaussian_threshold(sigma: float) -> float:
@@ -115,9 +119,12 @@ def gaussian_threshold(sigma: float) -> float:
 
 class Kernel:
     """Base of the kernel families; subclasses supply ``_rho`` (on an
-    array), ``rho_prime``, ``peak``, ``validate``, ``h_min``,
-    ``scale_cap`` and ``scale_quantile``.  Scale-j laws put no mass at
-    +inf: kernels produce no zero coefficients."""
+    array), ``peak``, ``alpha_star``, ``ratio_max``, ``scale_cap`` and
+    ``scale_quantile``.  A family's first field is its location
+    parameter, and ``alpha_star`` its one threshold: h_min is location -
+    alpha*, and the kernel is valid iff h_min > 0, that is iff location >
+    alpha*.  Scale-j laws put no mass at +inf: kernels produce no zero
+    coefficients."""
 
     def rho(self, alpha):
         """Upper logarithmic density (vectorized; -inf allowed; a scalar
@@ -125,35 +132,22 @@ class Kernel:
         out = self._rho(np.asarray(alpha, dtype=np.float64))
         return out if out.shape else float(out)
 
-    def ratio_max(self):
-        """(h_min, alpha_t, h_max): the left edge of {rho >= 0}, the
-        maximizer alpha_t of rho(a)/a, and h_max = 1/max rho(a)/a.  Where
-        rho(a)/a falls from h_min on (a poisson whose K = 0 atom at alpha0
-        dominates), alpha_t is h_min itself.
+    def validate(self) -> None:
+        """KernelValidityError unless location > alpha*, which puts rho < 0
+        near 0.  In floats location - alpha* > 0 exactly when location >
+        alpha*, so this is the verdict h_min > 0."""
+        location, *rest = fields(self)
+        star = self.alpha_star()
+        if not getattr(self, location.name) > star:
+            params = f"({', '.join(f.name for f in rest)})" if rest else ""
+            raise KernelValidityError(f"{location.name} <= alpha*{params} = {star:.12g}")
 
-        Expects a valid kernel.  Raises MathValidityError when rho is
-        nonnegative arbitrarily close to 0, which leaves no spectrum.
-        """
-        h_min = self.h_min()
-        if h_min <= 0:
-            raise MathValidityError(
-                "log-density is nonnegative arbitrarily close to 0; no spectrum"
-            )
-        peak = self.peak()
-        # the maximizer solves f(a) = rho'(a) a - rho(a) = 0, bracketed by
-        # the left zero of rho (ratio rising, f > 0) and the peak (ratio
-        # falling).  Where h_min is a shift point alpha0 (a shifted poisson
-        # with c <= ln 2, or a gamma whose zero is below resolution), rho' is
-        # infinite there, so the bracket starts inside, at least one ulp; rho
-        # is concave, so f falls, and where f <= 0 there already rho(a)/a
-        # only falls and its sup is at h_min itself (never for a gamma,
-        # whose rho falls to -inf at alpha0).
-        lo = h_min
-        if h_min == getattr(self, "alpha0", None):
-            lo = max(h_min + (peak - h_min) * 1e-12, np.nextafter(h_min, peak))
-        f = lambda a: self.rho_prime(a) * a - self.rho(a)
-        alpha_t = h_min if f(lo) <= 0.0 else _root(f, lo, peak)
-        return h_min, alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
+    def h_min(self) -> float:
+        """The left edge of {rho >= 0}, location - alpha*; where that rounds
+        onto a point where rho = -inf (a gamma whose zero is below the
+        resolution of its shift point), the next float up."""
+        h = getattr(self, fields(self)[0].name) - self.alpha_star()
+        return h if self.rho(h) > -math.inf else float(np.nextafter(h, math.inf))
 
     def spectrum_grid(self, grid_step: float):
         """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``: the
@@ -164,19 +158,13 @@ class Kernel:
         grid = _merge_points([h_min, alpha_t, h_max], _step_grid(4.0 * h_max, grid_step))
         return grid, self.rho(grid), h_min, h_max
 
-    def alpha_star(self) -> float:
-        raise UnsupportedVariantError(
-            f"alpha* is defined for the shifted gamma and shifted poisson families, "
-            f"not {type(self).__name__}"
-        )
-
 
 class _ShiftedKernel(Kernel):
     """Families supported on (alpha0, inf): rho = -inf at and left of
-    alpha0 (the poisson family puts its K = 0 atom at alpha0 itself),
-    valid iff alpha0 > alpha*; subclasses supply
-    ``_rho_shifted(t)`` for t = a - alpha0 > 0 and the mode offset
-    ``_offset()``, where rho = 1."""
+    alpha0 (the poisson family puts its K = 0 atom at alpha0 itself);
+    subclasses supply ``_rho_shifted(t)`` for t = a - alpha0 > 0, its
+    derivative ``rho_prime`` in a, and the mode offset ``_offset()``,
+    where rho = 1."""
 
     def _rho(self, a):
         t = a - self.alpha0
@@ -188,24 +176,36 @@ class _ShiftedKernel(Kernel):
     def peak(self) -> float:
         return self.alpha0 + self._offset()
 
-    def validate(self) -> None:
-        if not self.alpha0 > self.alpha_star():
-            params = ", ".join(f.name for f in fields(self) if f.name != "alpha0")
-            raise KernelValidityError(f"alpha0 <= alpha*({params})")
-
     def alpha_star(self) -> float:
         """Minus the left zero of the shifted density: alpha0 > alpha* puts
-        that zero, h_min, right of 0."""
-        return -_left_zero(self._rho_shifted, 0.0, self._offset())
+        that zero, h_min, right of 0.  Never -0.0."""
+        return 0.0 - _left_zero(self._rho_shifted, self._offset())
 
-    def h_min(self) -> float:
-        """Left zero of rho."""
-        return _left_zero(self.rho, self.alpha0, self.peak())
+    def ratio_max(self):
+        """(h_min, alpha_t, h_max): the left edge of {rho >= 0}, the
+        maximizer alpha_t of rho(a)/a, and h_max = 1/max rho(a)/a, for a
+        valid kernel.  Where rho(a)/a falls from h_min on (a poisson whose
+        K = 0 atom at alpha0 dominates), alpha_t is h_min itself."""
+        h_min = self.h_min()
+        peak = self.peak()
+        # the maximizer solves f(a) = rho'(a) a - rho(a) = 0, bracketed by
+        # the left zero of rho (ratio rising, f > 0) and the peak (ratio
+        # falling).  Where h_min is the shift point alpha0 (a poisson with
+        # c <= ln 2), rho' is infinite there, so the bracket starts inside,
+        # at least one ulp; rho is concave, so f falls, and where f <= 0
+        # there already rho(a)/a only falls and its sup is at h_min itself
+        lo = h_min
+        if h_min == self.alpha0:
+            lo = max(h_min + (peak - h_min) * 1e-12, np.nextafter(h_min, peak))
+        f = lambda a: self.rho_prime(a) * a - self.rho(a)
+        alpha_t = h_min if f(lo) <= 0.0 else _root(f, lo, peak, 1e-15 * lo)
+        return h_min, alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
 
 
 @dataclass(frozen=True)
 class GaussianKernel(Kernel):
-    """rho(a) = 1 - log2(e) (a-m)^2 / (2 sigma^2); valid iff m > sigma*sqrt(2 ln 2).
+    """rho(a) = 1 - log2(e) (a-m)^2 / (2 sigma^2); valid iff m > alpha* =
+    sigma*sqrt(2 ln 2), with sigma^2 a normal float.
 
     Scale j: Normal(m, sigma^2/j) conditioned on alpha > 0; a sampled
     alpha is >= 0, the quantile clipped at 0, where it can round below."""
@@ -216,20 +216,22 @@ class GaussianKernel(Kernel):
     def _rho(self, a):
         return 1.0 - LOG2E * (a - self.m) ** 2 / (2.0 * self.sigma**2)
 
-    def rho_prime(self, a):
-        return -LOG2E * (a - self.m) / self.sigma**2
-
     def peak(self) -> float:
         return self.m
 
-    def validate(self) -> None:
-        if not (self.sigma > 0 and self.sigma**2 > 0):   # rho and rho' divide by sigma**2
-            raise KernelValidityError("sigma <= 0, or sigma**2 underflows to 0")
-        if not self.m > gaussian_threshold(self.sigma):
-            raise KernelValidityError("m <= sigma*sqrt(2 ln 2)")
+    def alpha_star(self) -> float:
+        # rho divides by sigma**2; below the least normal float it has lost digits
+        if not (self.sigma > 0 and self.sigma**2 >= np.finfo(np.float64).tiny):
+            raise KernelValidityError("sigma <= 0, or sigma**2 is below the least normal float")
+        return gaussian_threshold(self.sigma)
 
-    def h_min(self) -> float:
-        return self.m - gaussian_threshold(self.sigma)
+    def ratio_max(self):
+        """(h_min, alpha_t, h_max) in closed form: rho(a)/a peaks at
+        alpha_t = sqrt(m - alpha*) sqrt(m + alpha*), each root taken on its
+        own so that the product cannot underflow."""
+        h_min = self.h_min()
+        alpha_t = math.sqrt(h_min) * math.sqrt(self.m + self.alpha_star())
+        return h_min, alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
 
     def scale_cap(self, j: int) -> float:
         return self.m + 12.0 * self.sigma / math.sqrt(j)
@@ -306,21 +308,13 @@ class ShiftedPoissonKernel(_ShiftedKernel):
         return self.c
 
     def alpha_star(self) -> float:
-        """For c <= ln 2 the shifted density is nonnegative at 0+ and has
-        one zero, beyond its peak at t = c."""
+        """0 for c <= ln 2, where the K = 0 atom at alpha0 is already >= 0
+        and rho has no left zero: h_min is alpha0 itself."""
         if self.c <= 0:
             raise KernelValidityError("c <= 0")
-        if 1.0 - self.c * LOG2E < 0.0:
-            return super().alpha_star()
-        hi = 2.0 * self.c
-        while self._rho_shifted(hi) >= 0.0:
-            hi *= 2.0
-        return -_root(self._rho_shifted, self.c, hi)
-
-    def h_min(self) -> float:
         if 1.0 - self.c * LOG2E >= 0.0:
-            return self.alpha0   # density already nonnegative at the shift point
-        return super().h_min()
+            return 0.0
+        return super().alpha_star()
 
     def scale_cap(self, j: int) -> float:
         return self.peak() + 12.0 * math.sqrt(self.c / j)
@@ -337,7 +331,8 @@ class ShiftedPoissonKernel(_ShiftedKernel):
 
 @dataclass(frozen=True)
 class DiracKernel(Kernel):
-    """Monofractal law: rho = 1 at a = H, -inf elsewhere; exactly H at every scale."""
+    """Monofractal law: rho = 1 at a = H, -inf elsewhere; exactly H at
+    every scale; valid iff H > alpha* = 0."""
 
     H: float
 
@@ -347,12 +342,8 @@ class DiracKernel(Kernel):
     def peak(self) -> float:
         return self.H
 
-    def validate(self) -> None:
-        if not self.H > 0:
-            raise KernelValidityError("H <= 0")
-
-    def h_min(self) -> float:
-        return self.H
+    def alpha_star(self) -> float:
+        return 0.0
 
     def ratio_max(self):
         return self.H, self.H, self.H
@@ -433,7 +424,9 @@ def curve_from_samples(h_grid, d_values) -> SpectrumCurve:
 def check_admissible(curve: SpectrumCurve) -> list[str]:
     """The admissibility conditions the curve violates, as messages; an
     empty list means admissible.  Never raises: the curve's grid and its
-    present sample were checked when it was made."""
+    present sample were checked when it was made.  Each slack is scale
+    free: d is a dimension, and the d(h)/h slack is 1e-9 / h_max, so a
+    curve and its rescaling in h get one verdict."""
     h, d = curve.h_grid, curve.d_values
     idx = np.flatnonzero(~np.isnan(d))
     v = []
@@ -444,10 +437,12 @@ def check_admissible(curve: SpectrumCurve) -> list[str]:
         v.append("d exceeds 1")
     if np.any(dp < -_TOL_ZERO):
         v.append("negative d inside [h_min, h_max]")
-    # d1/h1 - d0/h0 < -tol, multiplied through by h0 h1 > 0: the products
-    # stay finite where a subnormal h would overflow the quotient
+    # d1/h1 - d0/h0 < -tol/h_max, multiplied through by h0 h1 > 0: the
+    # products stay finite where a subnormal h would overflow the quotient,
+    # and the slack scales with 1/h_max, the largest ratio an admissible
+    # curve has, so a curve and its rescaling get one verdict
     hp = h[idx]
-    if np.any(dp[1:] * hp[:-1] - dp[:-1] * hp[1:] < -_TOL_RATIO * hp[:-1] * hp[1:]):
+    if np.any(dp[1:] * hp[:-1] - dp[:-1] * hp[1:] < -_TOL_RATIO * hp[:-1] * (hp[1:] / hp[-1])):
         v.append("d(h)/h is not non-decreasing")
     if abs(dp[-1] - 1.0) > _TOL_ONE:
         v.append(f"d at h_max is {float(dp[-1])!r}, expected 1")
@@ -566,15 +561,15 @@ def spectrum_from_rho(density, grid_step: float = DEFAULT_GRID_STEP) -> Spectrum
     The span is decided once, by ``density.spectrum_grid``, which returns
     h_min and h_max as points of its grid; presence is read off that grid
     by exact comparison.  On the span d >= 0 by definition, so d is
-    clipped at 0 there: where rho is steep at its left zero, the solver's
-    1e-15 in alpha can cost 1e-9 in rho.  The result is admissible
+    clipped at 0 there: where rho is steep at its left zero, the solve and
+    the rounding of h_min can cost 1e-9 in rho.  The result is admissible
     (``check_admissible`` returns no violation, and d(h_max) is exactly
     1), or the call raises: FlatSpectrumError when rho touches zero but is
     never positive (the constant-exponent sparse construction applies
-    there), EmptySpectrumError when rho is negative everywhere, and a
-    validity error when rho is nonnegative arbitrarily close to 0.  A
-    kernel needs a positive, finite grid_step (ConfigError); samples
-    ignore it.
+    there), EmptySpectrumError when rho is negative everywhere, and
+    KernelValidityError for a kernel whose rho is nonnegative arbitrarily
+    close to 0 (location <= alpha*).  A kernel needs a positive, finite
+    grid_step (ConfigError); samples ignore it.
     """
     grid, vals, h_min, h_max = density.spectrum_grid(grid_step)
     # h times the running maximum of rho/alpha over evaluation points <= h;

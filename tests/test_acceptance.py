@@ -17,6 +17,7 @@ from rws import (
     DiracKernel,
     FlatLaw,
     GaussianKernel,
+    KernelValidityError,
     ShiftedGammaKernel,
     ShiftedPoissonKernel,
     SynthesisConfig,
@@ -25,6 +26,7 @@ from rws import (
     daubechies_filter,
     forward_dwt,
     generate_coefficients,
+    kernel_validity,
     sample_alphas,
     scale_law_from_kernel,
     scale_law_from_spectrum,
@@ -99,8 +101,14 @@ def test_a05_threshold_roots():
         ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
         ShiftedGammaKernel(alpha0=0.0, nu=1.0, beta=3.0),
         ShiftedPoissonKernel(alpha0=0.3, c=1.0),
-        ShiftedPoissonKernel(alpha0=0.0, c=0.5),
     ]
+    # c <= ln 2: the K = 0 atom at alpha0 is already >= 0, so rho has no
+    # left zero, alpha* is 0 and validity switches at alpha0 = 0
+    small_c = ShiftedPoissonKernel(alpha0=0.0, c=0.5)
+    with pytest.raises(KernelValidityError, match="alpha0 <= alpha"):
+        kernel_validity(small_c)
+    kernel_validity(ShiftedPoissonKernel(alpha0=5e-324, c=0.5))
+    zero = small_c.alpha_star() == 0.0
     worst = 0.0
     for kernel in kernels:
         a = kernel.alpha_star()
@@ -113,12 +121,13 @@ def test_a05_threshold_roots():
     unit = ShiftedPoissonKernel(alpha0=0.3, c=1.0).alpha_star()
     near = abs(unit - (-0.090)) <= 1e-3
     frozen = abs(unit - ALPHA_STAR_POISSON_1) <= 1e-9
-    ok = worst < 1e-10 and near and frozen
+    ok = worst < 1e-10 and near and frozen and zero
     report(
         "a05 threshold roots",
         ok,
         f"max_residual={worst:.2e} (<1e-10), poisson(c=1) alpha*={unit:.6f} "
-        f"(within 0.001 of -0.090: {near}, matches bisection oracle: {frozen})",
+        f"(within 0.001 of -0.090: {near}, matches bisection oracle: {frozen}), "
+        f"poisson(c=0.5) alpha* is 0: {zero}",
     )
 
 

@@ -498,11 +498,12 @@ def test_poisson_with_a_falling_ratio_has_its_sup_at_the_shift_point(tmp_path):
     assert x.size == 256
 
 
-def test_kernel_gaussian_has_no_threshold_root(tmp_path):
+def test_kernel_gaussian_prints_its_threshold(tmp_path):
+    # alpha* = sigma sqrt(2 ln 2), in closed form
     out = tmp_path / "k"
     assert cli.main(["kernel", "gaussian", "m=1.0", "sigma=0.5", "--out", str(out)]) == 0
     manifest = parse_key_values((out / "manifest.txt").read_text())
-    assert manifest["alpha_star"] == "n/a"
+    assert manifest["alpha_star"] == "0.588705011258"
 
 
 def test_kernel_poisson_small_c_with_positive_shift(tmp_path):
@@ -549,8 +550,8 @@ KERNEL_CSV_DIGESTS = {
         "4c904532d2d02097d405f5305954497495fad68d90051e0cccced4e78db011ac",
     ),
     ("gamma", "alpha0=0.1", "nu=1.5", "beta=4"): (
-        "8c09f5c174c58b92a89fd2782df7bd19bb6bccfa2523cd8d8887fe20ceba1ba0",
-        "101e60aff5ee7f1077f2bec7a3e0109272c389c2ec196b67a09e356a439492e6",
+        "09196ebbad0d32ce19097b183b5157f3d5c7d965966f4b7b1f7d43e59c261d9a",
+        "b477f515d2dc33e5fb5b2306f3312e9b42be4f668529f2ccf1cc1fb78e84998a",
     ),
     ("poisson", "alpha0=0.3", "c=1"): (
         "f9e984f3c617ec8619e81c1fbf1e46878926193fa9780db0cf758cc8971a14d5",
@@ -627,16 +628,17 @@ def test_synthesis_scripts_reject_unknown_wavelet(script, flag, name, tmp_path):
 
 
 def test_synth_kernel_density_reaching_zero_exits_3(tmp_path, capsys):
-    # a valid kernel whose density is nonnegative arbitrarily close to 0
+    # a kernel whose density is nonnegative arbitrarily close to 0 is invalid:
+    # for c <= ln 2, alpha* is 0
     cfg = tmp_path / "c.cfg"
     cfg.write_text("mode=kernel\nkernel=poisson\nalpha0=0\nc=0.5\nJ=10\n")
     assert cli.main(["synth", str(cfg), "--out", str(tmp_path)]) == 3
-    assert "close to 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {cfg}: alpha0 <= alpha*(c) = 0\n"
 
 
 def test_kernel_invalid_parameters_exit_3(tmp_path, capsys):
     assert cli.main(["kernel", "gaussian", "m=1.0", "sigma=1.0", "--out", str(tmp_path)]) == 3
-    assert "m <= sigma" in capsys.readouterr().err
+    assert "m <= alpha*(sigma) = 1.17741002252" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("params", [

@@ -39,7 +39,6 @@ LOG2E = np.log2(np.e)
 ALPHA_STAR_GAMMA_1_3 = -0.077320317662178145
 ALPHA_STAR_GAMMA_15_4 = -0.11953126090233931
 ALPHA_STAR_POISSON_1 = -0.090057199312764347
-ALPHA_STAR_POISSON_05 = -1.5406715574027858
 
 
 def parabola_curve():
@@ -52,9 +51,9 @@ def parabola_curve():
 def test_gaussian_validity_threshold():
     assert abs(gaussian_threshold(1.0) - np.sqrt(2.0 * np.log(2.0))) < 1e-15
     kernel_validity(GaussianKernel(m=1.0, sigma=0.5))
-    with pytest.raises(KernelValidityError, match="m <= sigma"):
+    with pytest.raises(KernelValidityError, match=r"^m <= alpha\*\(sigma\) = 1\.17741002252$"):
         kernel_validity(GaussianKernel(m=1.0, sigma=1.0))
-    with pytest.raises(KernelValidityError, match="sigma"):
+    with pytest.raises(KernelValidityError, match="^sigma"):
         kernel_validity(GaussianKernel(m=1.0, sigma=0.0))
     # exact boundary is rejected, strictly above passes
     s = 0.5
@@ -69,12 +68,24 @@ def test_gaussian_validity_threshold():
         (ShiftedGammaKernel(alpha0=0.0, nu=1.0, beta=3.0), ALPHA_STAR_GAMMA_1_3),
         (ShiftedGammaKernel(alpha0=0.0, nu=1.5, beta=4.0), ALPHA_STAR_GAMMA_15_4),
         (ShiftedPoissonKernel(alpha0=0.0, c=1.0), ALPHA_STAR_POISSON_1),
-        (ShiftedPoissonKernel(alpha0=0.0, c=0.5), ALPHA_STAR_POISSON_05),
     ],
 )
 def test_alpha_star_frozen_values(kernel, expected):
     got = kernel.alpha_star()
     assert abs(got - expected) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", [
+    ShiftedPoissonKernel(alpha0=0.0, c=0.5),
+    ShiftedPoissonKernel(alpha0=0.0, c=0.1),
+    ShiftedGammaKernel(alpha0=0.0, nu=1e-4, beta=4.0),
+    DiracKernel(H=0.8),
+], ids=repr)
+def test_alpha_star_without_a_left_zero_is_zero(kernel):
+    # a poisson with c <= ln 2 is already >= 0 at its shift point, a gamma's
+    # zero can underflow, and a dirac has no zero: alpha* is +0.0, never -0.0
+    star = kernel.alpha_star()
+    assert star == 0.0 and np.copysign(1.0, star) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -84,7 +95,7 @@ def test_alpha_star_frozen_values(kernel, expected):
         ShiftedGammaKernel(alpha0=0.0, nu=1.5, beta=4.0),
         ShiftedGammaKernel(alpha0=0.0, nu=0.3, beta=9.0),
         ShiftedPoissonKernel(alpha0=0.0, c=1.0),
-        ShiftedPoissonKernel(alpha0=0.0, c=0.5),
+        ShiftedPoissonKernel(alpha0=0.0, c=0.7),   # just above ln 2
         ShiftedPoissonKernel(alpha0=0.0, c=3.0),
     ],
 )
@@ -100,11 +111,9 @@ def test_alpha_star_is_a_root(kernel):
     assert abs(res) < 1e-10
 
 
-def test_alpha_star_rejects_other_variants():
-    with pytest.raises(UnsupportedVariantError):
-        GaussianKernel(m=1.0, sigma=0.5).alpha_star()
-    with pytest.raises(UnsupportedVariantError):
-        DiracKernel(H=0.8).alpha_star()
+def test_alpha_star_of_gaussian_and_dirac():
+    assert GaussianKernel(m=1.0, sigma=0.5).alpha_star() == 0.5 * np.sqrt(2.0 * np.log(2.0))
+    assert DiracKernel(H=0.8).alpha_star() == 0.0
 
 
 def test_gamma_validity_uses_threshold():
@@ -119,10 +128,11 @@ def test_poisson_validity_uses_threshold():
     kernel_validity(ShiftedPoissonKernel(alpha0=0.0, c=1.0))
     with pytest.raises(KernelValidityError, match="alpha0 <= alpha"):
         kernel_validity(ShiftedPoissonKernel(alpha0=-0.0901, c=1.0))
-    # small c pushes the threshold far negative
-    kernel_validity(ShiftedPoissonKernel(alpha0=-1.5, c=0.5))
-    with pytest.raises(KernelValidityError):
-        kernel_validity(ShiftedPoissonKernel(alpha0=-1.55, c=0.5))
+    # for c <= ln 2 the density is >= 0 at its shift point: validity switches at 0
+    kernel_validity(ShiftedPoissonKernel(alpha0=0.1, c=0.5))
+    for alpha0 in (0.0, -1.5):
+        with pytest.raises(KernelValidityError, match=r"alpha0 <= alpha\*\(c\) = 0$"):
+            kernel_validity(ShiftedPoissonKernel(alpha0=alpha0, c=0.5))
     with pytest.raises(KernelValidityError):
         kernel_validity(ShiftedPoissonKernel(alpha0=0.0, c=0.0))
 
@@ -146,12 +156,18 @@ def test_alpha_star_is_minus_the_left_zero_of_the_shifted_density(kernel, alpha0
     assert abs(k._rho_shifted(-star)) < 1e-12
 
 
-@pytest.mark.parametrize("kernel", THRESHOLD_KERNELS, ids=repr)
+@pytest.mark.parametrize("kernel", THRESHOLD_KERNELS + [
+    GaussianKernel(m=1.0, sigma=0.5),
+    DiracKernel(H=0.8),
+    ShiftedPoissonKernel(alpha0=0.0, c=0.5),
+], ids=repr)
 def test_validity_switches_at_alpha_star(kernel):
+    # the location parameter is each family's first field
+    location = dataclasses.fields(kernel)[0].name
     star = kernel.alpha_star()
-    with pytest.raises(KernelValidityError, match="alpha0 <= alpha"):
-        kernel_validity(dataclasses.replace(kernel, alpha0=star - 1e-9))
-    above = dataclasses.replace(kernel, alpha0=star + 1e-9)
+    with pytest.raises(KernelValidityError, match=rf"^{location} <= alpha\*"):
+        kernel_validity(dataclasses.replace(kernel, **{location: star}))
+    above = dataclasses.replace(kernel, **{location: np.nextafter(star, np.inf)})
     kernel_validity(above)
     assert above.h_min() > 0
 
@@ -204,7 +220,7 @@ def test_validity_rejects_non_kernels():
 
 def test_dirac_validity():
     kernel_validity(DiracKernel(H=0.8))
-    with pytest.raises(KernelValidityError, match="H <= 0"):
+    with pytest.raises(KernelValidityError, match=r"^H <= alpha\* = 0$"):
         kernel_validity(DiracKernel(H=0.0))
 
 
@@ -500,11 +516,11 @@ def test_dirac_spectrum_keeps_h_near_a_grid_point(H):
 
 
 def test_spectrum_rejects_density_reaching_zero():
-    # peak at the origin side: no positive h_min, no spectrum
+    # rho >= 0 arbitrarily close to 0 leaves no positive h_min, no spectrum:
+    # for c <= ln 2 that is alpha0 <= alpha* = 0, refused by validity
     k = ShiftedPoissonKernel(alpha0=0.0, c=0.5)
-    kernel_validity(k)  # valid kernel, but its support touches 0
-    with pytest.raises(MathValidityError, match="close to 0"):
-        spectrum_from_rho(LogDensity.from_kernel(k))
+    with pytest.raises(KernelValidityError, match="alpha0 <= alpha"):
+        spectrum_from_rho(k)
 
 
 @st.composite
@@ -663,3 +679,79 @@ def test_a_kernel_spectrum_and_signal_are_right_or_refused(kernel):
         except MathValidityError:
             return
     assert np.isfinite(x).all()
+
+
+# kernels rescaled from unit scale: the gaussian (m, sigma) = sigma (alpha*(1) f, 1)
+# and the gamma (alpha0, nu, beta) = (lambda a0, 1.5, 4 / lambda) have h_max
+# lambda times that of lambda = 1
+GAUSSIAN_FACTORS = (1.0 + 1e-9, 1.01, 2.0, 100.0)
+
+
+def _rescaled_families():
+    """(unit kernel, kernel at scale lambda) for the gaussian at each factor
+    and the gamma at a0 = 0.1 and at -0.1195, just above its alpha*."""
+    for f in GAUSSIAN_FACTORS:
+        yield (GaussianKernel(m=gaussian_threshold(1.0) * f, sigma=1.0),
+               lambda lam, f=f: GaussianKernel(m=lam * (gaussian_threshold(1.0) * f), sigma=lam))
+    for a0 in (0.1, -0.1195):
+        yield (ShiftedGammaKernel(alpha0=a0, nu=1.5, beta=4.0),
+               lambda lam, a0=a0: ShiftedGammaKernel(alpha0=lam * a0, nu=1.5, beta=4.0 / lam))
+
+
+def _strict_spectrum(kernel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return spectrum_from_rho(kernel)
+
+
+def test_kernel_spectra_scale_with_the_kernel():
+    # 900 valid kernels, scale down to 1e-150: none is refused
+    wrong = []
+    for unit, at_scale in _rescaled_families():
+        unit_h_max = spectrum_from_rho(unit).h_max
+        for lam in np.logspace(-1, -150, 150):
+            curve = _strict_spectrum(at_scale(lam))
+            expected = lam * unit_h_max
+            if check_admissible(curve) or not abs(curve.h_max - expected) <= 1e-9 * expected:
+                wrong.append((at_scale(lam), curve.h_max, expected))
+    assert wrong == [], f"{len(wrong)} of 900 wrong, first {wrong[:3]}"
+
+
+def test_gaussian_kernels_far_below_unit_scale_are_right_or_refused():
+    # sigma down to 3e-162; below about 1.49e-154 sigma**2 is not a normal
+    # float and the kernel is refused
+    wrong = []
+    for f in GAUSSIAN_FACTORS:
+        for sigma in np.logspace(-3, -161.5, 160):
+            kernel = GaussianKernel(m=sigma * (gaussian_threshold(1.0) * f), sigma=sigma)
+            try:
+                curve = _strict_spectrum(kernel)
+            except MathValidityError:
+                assert sigma**2 < np.finfo(np.float64).tiny
+                continue
+            h_min, _, h_max = kernel.ratio_max()
+            if check_admissible(curve) or (curve.h_min, curve.h_max) != (h_min, h_max):
+                wrong.append(kernel)
+    assert wrong == [], f"{len(wrong)} of 640 wrong, first {wrong[:3]}"
+
+
+def _dense_h_max(kernel):
+    """1 / max rho(a)/a of a shifted kernel on a log grid of t = a - alpha0
+    from one ulp of alpha0 to 100 mode offsets, refined around its best point."""
+    t = np.logspace(np.log10(np.spacing(kernel.alpha0)), np.log10(100 * kernel._offset()), 20001)
+    i = int(np.argmax(kernel.rho(kernel.alpha0 + t) / (kernel.alpha0 + t)))
+    a = kernel.alpha0 + np.linspace(t[max(i - 1, 0)], t[i + 1], 20001)
+    return 1.0 / np.max(kernel.rho(a) / a)
+
+
+@pytest.mark.parametrize("kernel", [
+    ShiftedGammaKernel(alpha0=1.4480077223993603e-184, nu=1.3399792748983982e-06, beta=52285799410.45579),
+    ShiftedGammaKernel(alpha0=1.522460946148322e-225, nu=0.00019462625977073947, beta=5.410108545166469e+200),
+    ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
+], ids=repr)
+def test_a_gamma_rising_steeply_from_its_shift_point_gets_its_own_span(kernel):
+    # the maximizer of rho(a)/a lies some 1e-190 right of alpha0 in a bracket
+    # 1e-17 wide: its solve must be to the zero's own scale, not the bracket's
+    curve = _strict_spectrum(kernel)
+    assert check_admissible(curve) == []
+    assert abs(curve.h_max - _dense_h_max(kernel)) <= 1e-9 * curve.h_max

@@ -110,9 +110,9 @@ BUMP = curve_from_function(lambda h: 1.0 - ((h - 1.0) / 0.5) ** 2, 0.5, 1.5)
     (synthesize, BUMP, AdmissibilityError, None),
     (synthesize, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError, None),
     (generate_coefficients, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError, None),
-    # kernel_validity accepts it, but rho >= 0 arbitrarily close to 0
-    (generate_coefficients, ShiftedPoissonKernel(alpha0=0.0, c=0.5), MathValidityError,
-     "close to 0"),
+    # rho >= 0 arbitrarily close to 0: alpha0 = alpha* = 0 for c <= ln 2
+    (generate_coefficients, ShiftedPoissonKernel(alpha0=0.0, c=0.5), KernelValidityError,
+     "alpha0 <= alpha"),
 ], ids=["synthesize-inadmissible-spectrum", "synthesize-invalid-kernel",
         "generate-invalid-kernel", "generate-density-reaching-zero"])
 def test_generate_and_synthesize_reject_invalid_sources(entry, source, error, match):
@@ -493,8 +493,8 @@ def test_kernel_h_max_drives_the_regularity_warning(source):
 
 
 def test_synthesize_rejects_kernel_density_reaching_zero():
-    # kernel_validity accepts it, but rho >= 0 arbitrarily close to 0
-    with pytest.raises(MathValidityError, match="close to 0"):
+    # rho >= 0 arbitrarily close to 0: alpha0 = alpha* = 0 for c <= ln 2
+    with pytest.raises(KernelValidityError, match="alpha0 <= alpha"):
         synthesize(SynthesisConfig(J=6, source=ShiftedPoissonKernel(alpha0=0.0, c=0.5)))
 
 
