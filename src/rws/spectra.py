@@ -48,12 +48,12 @@ closed form; the shifted families solve alpha* and alpha_t through one
 bracketed solver, ``_root``, to a tolerance relative to the kernel's own
 scale, and where their rho(a)/a falls from alpha0 on, alpha_t is alpha0.
 
-scipy is imported where a kernel law needs it, on first call, and
-nowhere else: ``_root`` (brentq) and the ``scale_quantile`` of the
-gaussian (ndtr, ndtri), gamma (gammaincinv) and poisson (gammaincc)
-families.  Loading scipy.special and scipy.optimize takes about 0.6 s,
-three quarters of a cold ``import rws.cli`` on a 2-core machine, and
-spectrum curves, flat laws and the estimators never call them.
+Roots are solved in-package (``_root``, a port of scipy's brentq).  The
+one scipy module loaded is scipy.special, on a kernel's first scale-j
+quantile, in the ``scale_quantile`` of the gaussian (ndtr, ndtri), gamma
+(gammaincinv) and poisson (gammaincc) families.  Kernel spectra, spectrum
+curves, flat laws and the estimators never load scipy; loading
+scipy.optimize as well would cost about 23 MB of RSS and 0.1-0.2 s.
 """
 
 import math
@@ -82,6 +82,10 @@ DEFAULT_GRID_STEP = 0.005   # h grid step of kernel spectra, analyses and sample
 # points (an analysis) or under 1,000 (a kernel); an analysis at the bound
 # builds a 1.3 GB (h x q) Legendre table.
 MAX_GRID_STEPS = 2**20
+# ``_root``'s relative tolerance (just above 4 eps, the least scipy's brentq
+# accepts) and its step cap
+_ROOT_RTOL = 8.9e-16
+_ROOT_MAXITER = 3000
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +98,78 @@ def _root(f, lo, hi, xtol):
     digits at any scale: 1e-15 of the bracket, or 1e-15 of lo > 0 where
     the zero lies right of lo.  A zero that lies far nearer lo than hi (a
     gamma that rises steeply against its mode offset) can take some
-    1,500 steps; the cap leaves room for that."""
-    from scipy.optimize import brentq
+    1,500 steps; the cap leaves room for that.
 
-    return brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=3000)
+    A line-for-line port of scipy's ``brentq`` (scipy/optimize/Zeros/
+    brentq.c, BSD-3-Clause; R. P. Brent, Algorithms for Minimization
+    Without Derivatives, 1973): the same float for every input, and its
+    refusals with the same exception classes, ValueError for xtol <= 0,
+    a NaN value of f or f(lo), f(hi) of one sign, and RuntimeError after
+    _ROOT_MAXITER steps.  Every value of f is taken as a Python float, as
+    scipy's C callback does, so numpy scalars raise no overflow warning;
+    a division by zero, which in C gives an infinite or NaN trial step
+    and so a bisection, bisects."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the value of f at {x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf   # bisect unless an interpolation step is taken
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"no convergence after {_ROOT_MAXITER} steps, value is {xcur!r}")
 
 
 def _left_zero(f, peak):
     """The zero of f between 0 (excluded) and peak, where f >= 0: the
-    bracket starts just right of 0 and walks toward it while f >= 0.  A
-    zero nearer 0 than the least subnormal is 0 itself."""
-    step = peak * 1e-12
+    bracket starts just right of 0 and walks toward it while f >= 0, and
+    once the walk has moved the zero lies between its last two steps,
+    a bracket about as wide as the zero is far from 0.  A zero nearer 0
+    than the least subnormal is 0 itself."""
+    hi, step = peak, peak * 1e-12
     while f(step) >= 0.0:
-        step /= 2.0
+        hi, step = step, step / 2.0
         if step == 0.0:   # f(0) may be log2(0); not evaluated
             return 0.0
-    return _root(f, step, peak, 1e-15 * (peak - step))
+    return _root(f, step, hi, 1e-15 * (hi - step))
 
 
 def gaussian_threshold(sigma: float) -> float:
@@ -185,7 +245,10 @@ class _ShiftedKernel(Kernel):
         """(h_min, alpha_t, h_max): the left edge of {rho >= 0}, the
         maximizer alpha_t of rho(a)/a, and h_max = 1/max rho(a)/a, for a
         valid kernel.  Where rho(a)/a falls from h_min on (a poisson whose
-        K = 0 atom at alpha0 dominates), alpha_t is h_min itself."""
+        K = 0 atom at alpha0 dominates), alpha_t is h_min itself.
+        MathValidityError where the mode offset is below the resolution of
+        alpha0: the peak rounds onto or below h_min, or so near it that
+        rho(a)/a still rises there."""
         h_min = self.h_min()
         peak = self.peak()
         # the maximizer solves f(a) = rho'(a) a - rho(a) = 0, bracketed by
@@ -198,6 +261,12 @@ class _ShiftedKernel(Kernel):
         if h_min == self.alpha0:
             lo = max(h_min + (peak - h_min) * 1e-12, np.nextafter(h_min, peak))
         f = lambda a: self.rho_prime(a) * a - self.rho(a)
+        # f > 0 at both ends: the peak is so near h_min that the ratio still rises there
+        if not peak > h_min or (f(lo) > 0.0 and f(peak) > 0.0):
+            _, *shape = fields(self)
+            params = ", ".join(f"{p.name}={getattr(self, p.name):.12g}" for p in shape)
+            raise MathValidityError(f"the mode offset of ({params}) is below the resolution "
+                                    f"of alpha0 = {self.alpha0:.12g}: rho has no span")
         alpha_t = h_min if f(lo) <= 0.0 else _root(f, lo, peak, 1e-15 * lo)
         return h_min, alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
 
@@ -495,7 +564,11 @@ class LogDensity:
                 "(constant-exponent) construction instead"
             )
         h_min = float(self.alpha_grid[rho >= 0.0][0])   # positive, as every alpha is
-        h_max = 1.0 / float(np.max(rho[finite] / self.alpha_grid[finite]))
+        # at a subnormal alpha a ratio can pass the largest float: an infinite
+        # sup gives h_max = 0, which snaps onto that alpha and which
+        # ``spectrum_from_rho`` refuses, and an infinite cap leaves rho as it is
+        with np.errstate(over="ignore"):
+            h_max = 1.0 / float(np.max(rho[finite] / self.alpha_grid[finite]))
         grid = _merge_points(self.alpha_grid, [h_max])
         h_max = grid[np.argmin(np.abs(grid - h_max))]
         # merged grid differs from the density grid only by the inserted
@@ -503,7 +576,8 @@ class LogDensity:
         # at alpha / h_max: where h_max snapped up onto a sample, that moves
         # rho by at most the snap and keeps d(h)/h at most 1/h_max
         vals = np.full(grid.shape, -np.inf)
-        vals[np.searchsorted(grid, self.alpha_grid)] = np.minimum(rho, self.alpha_grid / h_max)
+        with np.errstate(over="ignore"):
+            vals[np.searchsorted(grid, self.alpha_grid)] = np.minimum(rho, self.alpha_grid / h_max)
         return grid, vals, h_min, h_max
 
 
@@ -566,15 +640,23 @@ def spectrum_from_rho(density, grid_step: float = DEFAULT_GRID_STEP) -> Spectrum
     (``check_admissible`` returns no violation, and d(h_max) is exactly
     1), or the call raises: FlatSpectrumError when rho touches zero but is
     never positive (the constant-exponent sparse construction applies
-    there), EmptySpectrumError when rho is negative everywhere, and
+    there), EmptySpectrumError when rho is negative everywhere,
     KernelValidityError for a kernel whose rho is nonnegative arbitrarily
-    close to 0 (location <= alpha*).  A kernel needs a positive, finite
-    grid_step (ConfigError); samples ignore it.
+    close to 0 (location <= alpha*), and MathValidityError where h_max is
+    so small (subnormal) that 1/h_max, the sup of d(h)/h, overflows.  A
+    kernel needs a positive, finite grid_step (ConfigError); samples
+    ignore it.
     """
     grid, vals, h_min, h_max = density.spectrum_grid(grid_step)
+    if not h_max > 1.0 / np.finfo(np.float64).max:   # so 1/h_max is a float
+        raise MathValidityError(f"h_max = {float(h_max):.6g} is below 1/(largest float): "
+                                "d(h)/h = 1/h_max overflows")
     # h times the running maximum of rho/alpha over evaluation points <= h;
-    # vals are finite or -inf, never NaN, and -inf / grid stays -inf
-    d = grid * np.maximum.accumulate(vals / grid)
+    # vals are finite or -inf, never NaN, and -inf / grid stays -inf.  Every
+    # ratio is at most 1/h_max, a float; one that passes the largest float
+    # is a negative rho at a subnormal alpha, and its -inf is below any sup
+    with np.errstate(over="ignore"):
+        d = grid * np.maximum.accumulate(vals / grid)
     absent = ~np.isfinite(d) | (grid < h_min) | (grid > h_max)
     np.maximum(d, 0.0, out=d)
     d[absent] = np.nan

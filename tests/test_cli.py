@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -525,12 +526,28 @@ def test_kernel_poisson_small_c_with_positive_shift(tmp_path):
 
 
 def test_kernel_gamma_with_a_zero_below_resolution(tmp_path, capsys):
-    # the left zero of rho lies ~1e-33 right of alpha0, under brentq's 1e-15 tolerance
+    # the left zero of rho lies ~7e-34 right of alpha0, under the root solve's 1e-15 tolerance
     out = tmp_path / "k"
     assert cli.main(["kernel", "gamma", "alpha0=0.1", "nu=0.01", "beta=4", "--out", str(out)]) == 0
     assert "h_min=0.1," in capsys.readouterr().out
     manifest = parse_key_values((out / "manifest.txt").read_text())
     assert -1e-15 < float(manifest["alpha_star"]) <= 0.0
+
+
+@pytest.mark.parametrize("params", [
+    ("alpha0=562.8113728287591", "nu=0.0061029059020793405", "beta=1.1391767324151265e68"),
+    ("alpha0=6.231732261890946e-274", "nu=1.620432620933933e-05", "beta=4.368874533745207e282"),
+], ids=["peak-below-h_min", "peak-ulps-above-h_min"])
+def test_kernel_gamma_with_a_mode_offset_below_resolution_is_refused(params, tmp_path, capsys):
+    assert cli.main(["kernel", "gamma", *params, "--out", str(tmp_path / "k")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the mode offset of (nu=")
+
+
+def test_kernel_dirac_at_a_subnormal_h_is_refused_without_warnings(tmp_path, capsys):
+    # 1/H, the sup of d(h)/h, overflows
+    assert cli.main(["kernel", "dirac", "H=7e-319", "--out", str(tmp_path / "k")]) == 3
+    assert capsys.readouterr().err.startswith("error: h_max = 7")
 
 
 def test_kernel_gamma_with_a_zero_below_the_least_subnormal(tmp_path, capsys):
@@ -742,7 +759,7 @@ def test_selftest_reports_broken_reference(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up: only the kernel laws load scipy
+# start-up: only the kernel quantiles load scipy, and only scipy.special
 
 def run_python(code, *args):
     root = Path(__file__).resolve().parents[1]
@@ -759,18 +776,49 @@ def test_import_loads_no_scipy():
     assert out.split() == ["False", "False"]
 
 
-# synth and analyze of each config named in argv[3:], under argv[2]/<index>;
-# with argv[1] == "block" any import of scipy raises ImportError
-SYNTH_AND_ANALYZE = """
-import sys
-if sys.argv[1] == "block":
-    sys.modules["scipy"] = None
+# runs the rws commands of argv[2], a JSON list of argument lists, and prints
+# on its last line the scipy modules then loaded; with argv[1] naming a
+# module (not "-"), any import of that module raises ImportError
+RWS_COMMANDS = """
+import json, sys
+if sys.argv[1] != "-":
+    sys.modules[sys.argv[1]] = None
 from rws import cli
-for i, cfg in enumerate(sys.argv[3:]):
-    out = f"{sys.argv[2]}/{i}"
-    assert cli.main(["synth", cfg, "--out", out]) == 0
-    assert cli.main(["analyze", out + "/signal.rws", "--out", out + "/an"]) == 0
+for argv in json.loads(sys.argv[2]):
+    assert cli.main(argv) == 0, argv
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
+
+
+def run_blocked_and_loaded(tmp_path, blocked, commands, outputs):
+    """Run ``commands(out)`` once with ``blocked`` unimportable and once
+    without, each under its own out directory; assert that both give the
+    same bytes in every file of ``outputs`` (paths relative to out, with
+    manifest timings dropped), and return the scipy modules the unblocked
+    run loaded."""
+    found = {}
+    for mode, block in (("block", blocked), ("load", "-")):
+        out = tmp_path / mode
+        loaded = run_python(RWS_COMMANDS, block, json.dumps(commands(out))).splitlines()[-1].split()
+        found[mode] = [
+            b"".join(line for line in (out / name).read_bytes().splitlines(True)
+                     if not line.startswith(b"duration_s="))
+            for name in outputs
+        ]
+    assert found["block"] == found["load"]
+    return loaded
+
+
+def synth_and_analyze(*configs):
+    return lambda out: [
+        argv
+        for i, cfg in enumerate(configs)
+        for argv in (["synth", str(cfg), "--out", f"{out}/{i}"],
+                     ["analyze", f"{out}/{i}/signal.rws", "--out", f"{out}/{i}/an"])
+    ]
+
+
+SYNTH_OUTPUTS = ("signal.rws", "an/meta.txt", "an/lambda.csv", "an/tau.csv", "an/spectrum.csv")
 
 
 def test_spectrum_and_flat_commands_run_without_scipy(tmp_path):
@@ -778,13 +826,36 @@ def test_spectrum_and_flat_commands_run_without_scipy(tmp_path):
     write_columns(str(tmp_path / "parabola.csv"), "h,d", parabola.h_grid, parabola.d_values)
     (tmp_path / "spectrum.cfg").write_text("mode=spectrum\nspectrum_file=parabola.csv\nJ=10\nseed=2\n")
     write_flat_config(tmp_path / "flat.cfg")
-    configs = [str(tmp_path / "spectrum.cfg"), str(tmp_path / "flat.cfg")]
-    outputs = {}
-    for mode in ("block", "load"):
-        run_python(SYNTH_AND_ANALYZE, mode, str(tmp_path / mode), *configs)
-        outputs[mode] = [
-            (tmp_path / mode / str(i) / name).read_bytes()
-            for i in range(len(configs))
-            for name in ("signal.rws", "an/meta.txt", "an/lambda.csv", "an/tau.csv", "an/spectrum.csv")
-        ]
-    assert outputs["block"] == outputs["load"]
+    outputs = [f"{i}/{name}" for i in range(2) for name in SYNTH_OUTPUTS]
+    loaded = run_blocked_and_loaded(
+        tmp_path, "scipy", synth_and_analyze(tmp_path / "spectrum.cfg", tmp_path / "flat.cfg"), outputs)
+    assert loaded == []
+
+
+KERNEL_FAMILIES = (
+    ("gaussian", "m=1", "sigma=0.5"),
+    ("gamma", "alpha0=0.1", "nu=1.5", "beta=4"),
+    ("poisson", "alpha0=0.3", "c=1"),
+    ("dirac", "H=0.7"),
+)
+
+
+def test_kernel_commands_run_without_scipy(tmp_path):
+    # a kernel's spectrum solves its roots in-package: no scipy module loads
+    commands = lambda out: [["kernel", *params, "--out", f"{out}/{i}"]
+                            for i, params in enumerate(KERNEL_FAMILIES)]
+    outputs = [f"{i}/{name}" for i in range(len(KERNEL_FAMILIES))
+               for name in ("rho.csv", "spectrum.csv", "manifest.txt")]
+    assert run_blocked_and_loaded(tmp_path, "scipy", commands, outputs) == []
+
+
+def test_kernel_synthesis_loads_scipy_special_only(tmp_path):
+    # gamma and poisson synthesis solve their span in-package and draw their
+    # scale-j quantiles from scipy.special; scipy.optimize never loads
+    (tmp_path / "gamma.cfg").write_text("mode=kernel\nkernel=gamma\nalpha0=0.1\nnu=1.5\nbeta=4\nJ=10\n")
+    (tmp_path / "poisson.cfg").write_text("mode=kernel\nkernel=poisson\nalpha0=0.3\nc=1\nJ=10\nseed=3\n")
+    outputs = [f"{i}/{name}" for i in range(2) for name in SYNTH_OUTPUTS]
+    loaded = run_blocked_and_loaded(
+        tmp_path, "scipy.optimize", synth_and_analyze(tmp_path / "gamma.cfg", tmp_path / "poisson.cfg"),
+        outputs)
+    assert "scipy.special" in loaded and not any(m.startswith("scipy.optimize") for m in loaded)

@@ -1,13 +1,15 @@
 """Kernel densities, validity thresholds, and the density-to-spectrum map."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rws import spectra
 from rws import (
     DiracKernel,
     EmptySpectrumError,
@@ -111,6 +113,32 @@ def test_alpha_star_is_a_root(kernel):
     assert abs(res) < 1e-10
 
 
+# peak() rounds below h_min(); peak() a few ulps above h_min(), where rho(a)/a
+# still rises; a poisson shift point too large to hold c
+UNRESOLVED_OFFSETS = [
+    ShiftedGammaKernel(alpha0=562.8113728287591, nu=0.0061029059020793405, beta=1.1391767324151265e68),
+    ShiftedGammaKernel(alpha0=6.231732261890946e-274, nu=1.620432620933933e-05,
+                       beta=4.368874533745207e282),
+    ShiftedPoissonKernel(alpha0=1e20, c=1.0),
+]
+
+
+@pytest.mark.parametrize("kernel", UNRESOLVED_OFFSETS, ids=["gamma-below", "gamma-ulps", "poisson-far"])
+def test_a_mode_offset_below_the_resolution_of_alpha0_is_refused(kernel):
+    with pytest.raises(MathValidityError, match=r"mode offset of \((nu|c)=.* of alpha0 = "):
+        spectrum_from_rho(kernel)
+    with pytest.raises(MathValidityError, match="mode offset"):
+        synthesize(SynthesisConfig(J=5, source=kernel))
+
+
+def test_a_tangent_equation_zero_at_the_peak_is_its_root(monkeypatch):
+    # f(a) = rho'(a) a - rho(a) made 1 - a: f(peak) == 0 is a root, not an
+    # unresolved offset, and alpha_t is the peak (1.0, so rho(1) / 1 * 1 is exact)
+    k = ShiftedGammaKernel(alpha0=0.5, nu=1.5, beta=3.0)
+    monkeypatch.setattr(ShiftedGammaKernel, "rho_prime", lambda self, a: (self.rho(a) + 1.0 - a) / a)
+    assert k.ratio_max()[1] == k.peak() == 1.0
+
+
 def test_alpha_star_of_gaussian_and_dirac():
     assert GaussianKernel(m=1.0, sigma=0.5).alpha_star() == 0.5 * np.sqrt(2.0 * np.log(2.0))
     assert DiracKernel(H=0.8).alpha_star() == 0.0
@@ -184,7 +212,7 @@ def test_gamma_zero_below_resolution_walks_its_bracket_to_the_shift_point(alpha0
 
 
 @pytest.mark.parametrize(("nu", "star"), [
-    (1e-3, -6.413338752028713e-306),   # a normal float: the walk stops short of it
+    (1e-3, -8.583212461015277e-306),   # a normal float, bracketed by the walk's last two steps
     (3e-4, 0.0),
     (1e-4, 0.0),
     (1e-5, 0.0),
@@ -196,6 +224,9 @@ def test_gamma_alpha_star_below_the_least_subnormal_is_zero(nu, star):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert k.alpha_star() == star
+        if star:   # the shifted density changes sign at the zero's float
+            below, above = k._rho_shifted(np.array([np.nextafter(-star, 0.0), np.nextafter(-star, 1.0)]))
+            assert below < 0.0 < above
 
 
 @pytest.mark.parametrize("kernel", [
@@ -288,6 +319,102 @@ def test_kernel_h_min_poisson_small_c_is_shift_point():
     # density is already nonnegative at alpha0+ when c <= ln 2
     k = ShiftedPoissonKernel(alpha0=0.4, c=0.5)
     assert k.h_min() == 0.4
+
+
+# ---------------------------------------------------------------------------
+# in-package roots: spectra._root is scipy's brentq, bit for bit
+
+def _outcome(solve, f, lo, hi, xtol):
+    """The root's type and bits, or the class of the exception raised."""
+    try:
+        x = solve(f, lo, hi, xtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+    return type(x), x.hex()
+
+
+def _brentq(f, lo, hi, xtol):
+    from scipy.optimize import brentq
+
+    return brentq(f, lo, hi, xtol=xtol, rtol=spectra._ROOT_RTOL, maxiter=spectra._ROOT_MAXITER)
+
+
+def _seeded_brackets(n):
+    """n (f, lo, hi, xtol, maxiter) draws from a fixed seed: tanh, cubic,
+    exp and atan families, some scaled by 10^U(-250, 250) (products of
+    their values under- or overflow), some returning numpy scalars or NaN
+    right of a point, brackets with and without a sign change, xtol
+    10^U(-300, -3), 10^U(-3, 0.5) or <= 0, and a step cap of 3000 or
+    1-19."""
+    rng = np.random.default_rng(27)
+    for _ in range(n):
+        r, w = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        scale = 10.0 ** rng.uniform(-250.0, 250.0) if rng.random() < 0.3 else 1.0
+        g = [lambda x, w=w, r=r: math.tanh(w * (x - r)), lambda x, r=r: (x - r) ** 3 + 0.1 * (x - r),
+             lambda x, r=r: math.exp(x - r) - 1.0, lambda x, r=r: math.atan(x - r)][rng.integers(4)]
+        kind = rng.integers(10)
+        if kind == 0:
+            f = lambda x, g=g, s=np.float64(scale): s * np.float64(g(x))
+        elif kind == 1:
+            f = lambda x, g=g, s=scale, cut=rng.uniform(-10.0, 10.0): math.nan if x > cut else s * g(x)
+        else:
+            f = lambda x, g=g, s=scale: s * g(x)
+        lo = rng.uniform(-10.0, 0.0) if rng.random() < 0.8 else rng.uniform(-3.0, 3.0)
+        u = rng.random()
+        xtol = 10.0 ** (rng.uniform(-300.0, -3.0) if u < 0.7 else rng.uniform(-3.0, 0.5))
+        if u > 0.97:
+            xtol = float(rng.choice([0.0, -1.0]))
+        yield f, lo, rng.uniform(0.0, 10.0), xtol, 3000 if rng.random() < 0.8 else int(rng.integers(1, 20))
+
+
+def test_root_is_brentq_bit_for_bit_on_a_seeded_corpus(monkeypatch):
+    outcomes = set()
+    for f, lo, hi, xtol, maxiter in _seeded_brackets(10_000):
+        monkeypatch.setattr(spectra, "_ROOT_MAXITER", maxiter)
+        expected = _outcome(_brentq, f, lo, hi, xtol)
+        assert _outcome(spectra._root, f, lo, hi, xtol) == expected, (lo, hi, xtol, maxiter)
+        outcomes.add(expected if isinstance(expected, type) else float)
+    assert outcomes == {float, ValueError, RuntimeError}
+
+
+@pytest.mark.parametrize(("r", "lo", "hi", "xtol"), [
+    (-2.2, -8.7, 9.4, 0.99), (-2.32, -6.7, 3.0, 0.63), (-1.33, -3.4, 6.7, 0.2), (0.24, -8.5, 5.1, 1.5),
+])
+def test_root_is_brentq_where_a_coarse_tolerance_decides_the_step(r, lo, hi, xtol):
+    # brackets where the short-step test's margin, 3 |sbis| - delta, picks
+    # interpolation or bisection, which random brackets rarely meet
+    f = lambda x: math.exp(x - r) - 1.0
+    assert _outcome(spectra._root, f, lo, hi, xtol) == _outcome(_brentq, f, lo, hi, xtol)
+
+
+# every gamma and poisson kernel a test, the benchmark or CI pins
+PINNED_SHIFTED_KERNELS = [
+    ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
+    ShiftedGammaKernel(alpha0=0.1, nu=0.01, beta=4.0),
+    ShiftedGammaKernel(alpha0=0.1, nu=1e-3, beta=4.0),
+    ShiftedGammaKernel(alpha0=0.0, nu=1.0, beta=3.0),
+    ShiftedGammaKernel(alpha0=0.0, nu=0.3, beta=9.0),
+    ShiftedGammaKernel(alpha0=0.04289795560504386, nu=0.031511520870867185, beta=0.020426139303159074),
+    ShiftedPoissonKernel(alpha0=0.3, c=1.0),
+    ShiftedPoissonKernel(alpha0=0.0, c=1.0),
+    ShiftedPoissonKernel(alpha0=0.5, c=0.6),
+    ShiftedPoissonKernel(alpha0=0.0, c=0.7),
+    ShiftedPoissonKernel(alpha0=0.0, c=3.0),
+    ShiftedPoissonKernel(alpha0=0.0167, c=0.11),
+    ShiftedPoissonKernel(alpha0=1e-300, c=0.5),
+    ShiftedPoissonKernel(alpha0=82.38766578102307, c=0.0027195009230881685),
+]
+
+
+def test_root_is_brentq_bit_for_bit_on_every_pinned_kernel_solve(monkeypatch):
+    calls = []
+    solve = spectra._root
+    monkeypatch.setattr(spectra, "_root", lambda *args: calls.append(args) or solve(*args))
+    for kernel in PINNED_SHIFTED_KERNELS:
+        spectrum_from_rho(kernel)
+    assert len(calls) >= len(PINNED_SHIFTED_KERNELS)
+    for f, lo, hi, xtol in calls:
+        assert _outcome(solve, f, lo, hi, xtol) == _outcome(_brentq, f, lo, hi, xtol), (lo, hi, xtol)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +744,9 @@ def raw_samples(draw):
 
 
 @given(raw_samples())
+@example(([2.225073858507203e-309], [1.0]))   # 1/h_max overflows: refused, no warning
+@example(([1e-320, 0.5], [-0.5, 1.0]))   # rho/alpha passes -(largest float) left of h_min
+@example(([1e-308, 2.9], [1.0, 0.5]))    # the cap alpha/h_max passes the largest float
 def test_a_log_density_is_made_well_formed_or_refused(sample):
     try:
         out = spectrum_from_rho(LogDensity(*sample))
@@ -656,6 +786,7 @@ random_kernels = st.one_of(
 
 
 @given(random_kernels)
+@example(DiracKernel(H=7e-319))   # 1/h_max overflows: refused, no warning
 @settings(deadline=None)
 def test_a_kernel_spectrum_and_signal_are_right_or_refused(kernel):
     """The curve is admissible on the kernel's own span, and the signal is
