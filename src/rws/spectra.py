@@ -86,6 +86,9 @@ MAX_GRID_STEPS = 2**20
 # accepts) and its step cap
 _ROOT_RTOL = 8.9e-16
 _ROOT_MAXITER = 3000
+# The least absolute tolerance a caller gives ``_root``: two least subnormals,
+# so that half of it, Brent's step floor, is still one and not 0
+_ROOT_XTOL_MIN = 1e-323
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,8 @@ def _root(f, lo, hi, xtol):
     xtol or 8.9e-16 of the zero, whichever is larger.  Callers give xtol
     relative to the kernel's own scale, so a zero is found to the same
     digits at any scale: 1e-15 of the bracket, or 1e-15 of lo > 0 where
-    the zero lies right of lo.  A zero that lies far nearer lo than hi (a
+    the zero lies right of lo, but never below _ROOT_XTOL_MIN, on which
+    a subnormal bracket still converges.  A zero that lies far nearer lo than hi (a
     gamma that rises steeply against its mode offset) can take some
     1,500 steps; the cap leaves room for that.
 
@@ -163,13 +167,14 @@ def _left_zero(f, peak):
     bracket starts just right of 0 and walks toward it while f >= 0, and
     once the walk has moved the zero lies between its last two steps,
     a bracket about as wide as the zero is far from 0.  A zero nearer 0
-    than the least subnormal is 0 itself."""
+    than the least subnormal is 0 itself; a subnormal zero is solved to
+    the tolerance floor, where 1e-15 of its bracket would round to 0."""
     hi, step = peak, peak * 1e-12
     while f(step) >= 0.0:
         hi, step = step, step / 2.0
         if step == 0.0:   # f(0) may be log2(0); not evaluated
             return 0.0
-    return _root(f, step, hi, 1e-15 * (hi - step))
+    return _root(f, step, hi, max(1e-15 * (hi - step), _ROOT_XTOL_MIN))
 
 
 def gaussian_threshold(sigma: float) -> float:
@@ -261,13 +266,14 @@ class _ShiftedKernel(Kernel):
         if h_min == self.alpha0:
             lo = max(h_min + (peak - h_min) * 1e-12, np.nextafter(h_min, peak))
         f = lambda a: self.rho_prime(a) * a - self.rho(a)
+        f_lo = f(lo) if peak > h_min else math.nan   # no bracket: refused below
         # f > 0 at both ends: the peak is so near h_min that the ratio still rises there
-        if not peak > h_min or (f(lo) > 0.0 and f(peak) > 0.0):
+        if not peak > h_min or (f_lo > 0.0 and f(peak) > 0.0):
             _, *shape = fields(self)
             params = ", ".join(f"{p.name}={getattr(self, p.name):.12g}" for p in shape)
             raise MathValidityError(f"the mode offset of ({params}) is below the resolution "
                                     f"of alpha0 = {self.alpha0:.12g}: rho has no span")
-        alpha_t = h_min if f(lo) <= 0.0 else _root(f, lo, peak, 1e-15 * lo)
+        alpha_t = h_min if f_lo <= 0.0 else _root(f, lo, peak, max(1e-15 * lo, _ROOT_XTOL_MIN))
         return h_min, alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
 
 

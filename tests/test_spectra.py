@@ -213,13 +213,18 @@ def test_gamma_zero_below_resolution_walks_its_bracket_to_the_shift_point(alpha0
 
 @pytest.mark.parametrize(("nu", "star"), [
     (1e-3, -8.583212461015277e-306),   # a normal float, bracketed by the walk's last two steps
+    (9.85e-4, -2.2022821631693e-310),  # subnormal: 1e-15 of the bracket rounds below the floor
+    (9.6e-4, -2.3605e-318),            # subnormal: 1e-15 of the bracket rounds to 0
+    (9.4e-4, 0.0),
     (3e-4, 0.0),
     (1e-4, 0.0),
     (1e-5, 0.0),
 ])
 def test_gamma_alpha_star_below_the_least_subnormal_is_zero(nu, star):
-    # from nu ~ 3e-4 down the left zero of the shifted density underflows:
-    # the walk's step halves to 0.0 and alpha* is 0, without evaluating log2(0)
+    # from nu ~ 9.85e-4 down the left zero of the shifted density is
+    # subnormal, solved to the tolerance floor, and from nu ~ 9.4e-4 down it
+    # underflows: the walk's step halves to 0.0 and alpha* is 0, without
+    # evaluating log2(0)
     k = ShiftedGammaKernel(alpha0=0.1, nu=nu, beta=4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -392,6 +397,7 @@ PINNED_SHIFTED_KERNELS = [
     ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
     ShiftedGammaKernel(alpha0=0.1, nu=0.01, beta=4.0),
     ShiftedGammaKernel(alpha0=0.1, nu=1e-3, beta=4.0),
+    ShiftedGammaKernel(alpha0=0.1, nu=9.6e-4, beta=4.0),
     ShiftedGammaKernel(alpha0=0.0, nu=1.0, beta=3.0),
     ShiftedGammaKernel(alpha0=0.0, nu=0.3, beta=9.0),
     ShiftedGammaKernel(alpha0=0.04289795560504386, nu=0.031511520870867185, beta=0.020426139303159074),
