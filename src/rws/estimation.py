@@ -71,17 +71,21 @@ class AlphaField:
         """The field of the fit levels: the finest scale_count of a pyramid's
         levels 1 .. J-1 (all of them if there are fewer).  This is where the
         fit range is chosen; both estimators fit every level of the field.
-        Each level takes one |C| array and one array of its nonzero entries,
-        which becomes the exponents in place: at its peak, the field so far
-        plus one level's size twice.
+        Each level takes its |C| into one new array, which becomes the
+        exponents in place; only a level that holds zeros is compressed to
+        its nonzero entries, a second array.  Where no level holds zeros,
+        the peak is the field plus one byte per coefficient of its top
+        level (the nonzero mask).
 
         Raises ConfigError unless scale_count is an integer of at least 3.
         """
         _integer("scale_count", scale_count, 3)
         levels = {}
         for j in range(1, pyramid.J)[-int(scale_count):]:  # int(): -np.uint64 wraps
-            c = np.abs(pyramid.levels[j])
-            alpha = c[c > 0]
+            alpha = np.abs(pyramid.levels[j])
+            nonzero = alpha > 0
+            if not nonzero.all():
+                alpha = alpha[nonzero]
             np.log2(alpha, out=alpha)
             np.negative(alpha, out=alpha)
             alpha /= j

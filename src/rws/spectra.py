@@ -41,9 +41,10 @@ self-similarity semigroup (``scale_cap``, ``scale_quantile``).  The base
 ``Kernel`` reads h_min = location - alpha* and validity, h_min > 0 (rho
 < 0 near 0), off that threshold, once for every family.  alpha* is
 sigma sqrt(2 ln 2) for the gaussian, 0 for dirac, and minus the left
-zero of the family's own shifted density for gamma and poisson; a
-poisson density puts its K = 0 atom, 1 - c log2(e), at alpha0, so for
-c <= ln 2 it has no left zero and alpha* is 0.  The gaussian span is
+zero of the family's own shifted density for gamma and poisson, solved
+once per kernel object; a poisson density puts its K = 0 atom, 1 - c
+log2(e), at alpha0, so for c <= ln 2 it has no left zero and alpha* is
+0.  The gaussian span is
 closed form; the shifted families solve alpha* and alpha_t through one
 bracketed solver, ``_root``, to a tolerance relative to the kernel's own
 scale, and where their rho(a)/a falls from alpha0 on, alpha_t is alpha0.
@@ -58,6 +59,7 @@ scipy.optimize as well would cost about 23 MB of RSS and 0.1-0.2 s.
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -89,6 +91,11 @@ _ROOT_MAXITER = 3000
 # The least absolute tolerance a caller gives ``_root``: two least subnormals,
 # so that half of it, Brent's step floor, is still one and not 0
 _ROOT_XTOL_MIN = 1e-323
+# alpha* of each live shifted kernel, keyed by identity: validity, h_min and
+# the CLI's report all read it, and a frozen kernel's fields do not change.
+# Kept outside the instance, whose ``vars`` are its parameters; an entry
+# goes with its kernel.
+_ALPHA_STARS = {}
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +250,13 @@ class _ShiftedKernel(Kernel):
 
     def alpha_star(self) -> float:
         """Minus the left zero of the shifted density: alpha0 > alpha* puts
-        that zero, h_min, right of 0.  Never -0.0."""
-        return 0.0 - _left_zero(self._rho_shifted, self._offset())
+        that zero, h_min, right of 0.  Never -0.0.  Solved once per kernel
+        object; later calls return the same float."""
+        key = id(self)
+        if key not in _ALPHA_STARS:
+            _ALPHA_STARS[key] = 0.0 - _left_zero(self._rho_shifted, self._offset())
+            weakref.finalize(self, _ALPHA_STARS.pop, key, None)
+        return _ALPHA_STARS[key]
 
     def ratio_max(self):
         """(h_min, alpha_t, h_max): the left edge of {rho >= 0}, the

@@ -44,7 +44,9 @@ level j.  A level thus holds its input, its outputs and block-sized
 temporaries, and neither transform writes to its argument.  Beyond its
 input, the forward transform peaks at about 1.6 times the signal's size
 (the pyramid, the top level's approx and a finiteness mask), the
-inverse at about 1.5 (its output and the last level's approx).
+inverse at about 1.5: it makes its output and one spare buffer of half
+that size before the first level, and every level writes into one of the
+two, so no level makes or drops a level-sized array.
 
 ``_map_blocks`` is the one worker pool of the package: exponent
 sampling (synthesis) and the partition-sum ladder (estimation) hand it
@@ -325,19 +327,20 @@ def _down_corr(s, lo, hi, scale=1.0):
     return approx, detail
 
 
-def _up_conv(approx, detail, lo, hi, scale=1.0):
-    # s[i] = sum_m lo[m]*ua[(i-m) mod n] + hi[m]*ud[(i-m) mod n], with ua and
-    # ud the zero-upsampled approx and scale * detail.  Tap m adds to output
-    # 2p + m % 2 from approx/detail at p - m // 2, read from the block's
-    # window that starts K samples early (circularly).  The terms it skips
-    # are exact zeros, and adding a zero never changes a sum that starts at
-    # +0.0: the bytes equal the zero-filled form.
+def _up_conv(approx, detail, lo, hi, out, scale=1.0):
+    # out[i] = sum_m lo[m]*ua[(i-m) mod n] + hi[m]*ud[(i-m) mod n], with ua
+    # and ud the zero-upsampled approx and scale * detail, written into out
+    # (n contiguous floats that overlap neither input) and returned.  Tap m
+    # adds to output 2p + m % 2 from approx/detail at p - m // 2, read from
+    # the block's window that starts K samples early (circularly).  The
+    # terms it skips are exact zeros, and adding a zero never changes a sum
+    # that starts at +0.0: the bytes equal the zero-filled form.
     h = approx.size
     n = 2 * h
     L = lo.size
     if n >= L:
         K = (L + 1) // 2 - 1
-        s = np.empty((h, 2))    # row p holds outputs 2p and 2p + 1
+        s = out.reshape(h, 2)    # row p holds outputs 2p and 2p + 1
         for b0 in range(0, h, DWT_BLOCK):
             w = min(DWT_BLOCK, h - b0)
             if b0 < K:  # the window starts before sample 0 and wraps
@@ -352,13 +355,14 @@ def _up_conv(approx, detail, lo, hi, scale=1.0):
                 k = K - m // 2
                 phases[m % 2] += lo[m] * ea[k : k + w] + hi[m] * ed[k : k + w]
             s[b0 : b0 + w] = phases.T
-        return s.ravel()
+        return out
     ua = np.zeros(n)
     ua[::2] = approx
     ud = np.zeros(n)
     np.multiply(detail, scale, out=ud[::2])
     idx = (np.arange(n)[:, None] - np.arange(L)[None, :]) % n
-    return ua[idx] @ lo + ud[idx] @ hi
+    out[:] = ua[idx] @ lo + ud[idx] @ hi
+    return out
 
 
 def forward_dwt(signal, filt: WaveletFilter) -> CoefficientPyramid:
@@ -387,10 +391,19 @@ def forward_dwt(signal, filt: WaveletFilter) -> CoefficientPyramid:
 
 
 def inverse_dwt(pyramid: CoefficientPyramid, filt: WaveletFilter) -> np.ndarray:
-    """Rebuild the 2**J sample vector from a coefficient pyramid."""
+    """Rebuild the 2**J sample vector from a coefficient pyramid.
+
+    Every level is written into one of two buffers made before the first:
+    the output (2**J samples) and a spare half its size.  Level j writes
+    its 2**(j+1) samples to the front of the output when J - j is odd and
+    of the spare when it is even, so the last level writes the output and
+    each level reads its approx from the other buffer."""
+    J = pyramid.J
+    out, spare = np.empty(2**J), np.empty(2**J // 2)
     s = np.array([pyramid.coarse_mean], dtype=np.float64)
-    for j in range(pyramid.J):
+    for j in range(J):
         det = np.asarray(pyramid.levels[j], dtype=np.float64)
-        s = _up_conv(s, det, filt.lowpass, filt.highpass, 2.0 ** (-0.5 * j))
-    s *= 2.0 ** (0.5 * pyramid.J)
+        buf = out if (J - j) % 2 else spare
+        s = _up_conv(s, det, filt.lowpass, filt.highpass, buf[: 2 * s.size], 2.0 ** (-0.5 * j))
+    s *= 2.0 ** (0.5 * J)
     return s

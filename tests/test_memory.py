@@ -74,6 +74,16 @@ def test_forward_dwt_memory_budget(order):
     assert _traced_peak(forward_dwt, x, daubechies_filter(order)) <= 2.0 * 8 * 2**J
 
 
+def test_alpha_field_memory_budget():
+    # every level nonzero: measured 1.09 signals beyond the pyramid, the
+    # field (about one signal) and the top level's nonzero mask; 1.56 when
+    # each level took a |C| copy and a second copy of its nonzero entries
+    J = 20
+    pyr = forward_dwt(_signal(J), daubechies_filter(3))
+    assert all(lev.all() for lev in pyr.levels)
+    assert _traced_peak(AlphaField.from_pyramid, pyr) <= 1.25 * 8 * 2**J
+
+
 def test_read_signal_memory_budget(tmp_path):
     # measured 1.13 signals: the payload and the finiteness mask; 3.0 when
     # the file's bytes, their slice and a converted copy were all live

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rws import spectra
+from rws import cli, spectra
 from rws import (
     DiracKernel,
     EmptySpectrumError,
@@ -32,7 +32,9 @@ from rws import (
     kernel_validity,
     spectrum_from_rho,
     synthesize,
+    validate_config,
 )
+from rws.fileio import parse_key_values
 
 LOG2E = np.log2(np.e)
 
@@ -421,6 +423,50 @@ def test_root_is_brentq_bit_for_bit_on_every_pinned_kernel_solve(monkeypatch):
     assert len(calls) >= len(PINNED_SHIFTED_KERNELS)
     for f, lo, hi, xtol in calls:
         assert _outcome(solve, f, lo, hi, xtol) == _outcome(_brentq, f, lo, hi, xtol), (lo, hi, xtol)
+
+
+def _run_kernel_command(kernel, tmp_path):
+    params = [f"{f.name}={getattr(kernel, f.name)!r}" for f in dataclasses.fields(kernel)]
+    variant = "gamma" if isinstance(kernel, ShiftedGammaKernel) else "poisson"
+    assert cli.main(["kernel", variant, *params, "--out", str(tmp_path)]) == 0
+
+
+# every call that reads alpha* more than once: validity, then h_min for the
+# span, then (rws kernel) the printed threshold
+ALPHA_STAR_READERS = {
+    "spectrum_from_rho": lambda kernel, tmp_path: spectrum_from_rho(kernel),
+    "validate_config": lambda kernel, tmp_path: validate_config(SynthesisConfig(J=5, source=kernel)),
+    "rws kernel": _run_kernel_command,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ALPHA_STAR_READERS))
+@pytest.mark.parametrize("kernel", [
+    ShiftedGammaKernel(alpha0=0.1, nu=1.25, beta=4.0),
+    ShiftedPoissonKernel(alpha0=0.3, c=1.25),
+], ids=["gamma", "poisson"])
+def test_alpha_star_is_solved_once_per_call(reader, kernel, monkeypatch, tmp_path):
+    # a fresh kernel object per case; an alpha* solve is the one that
+    # brackets the family's shifted density
+    kernel = dataclasses.replace(kernel)
+    density = type(kernel)._rho_shifted
+    solved = []
+    solve = spectra._root
+    monkeypatch.setattr(spectra, "_root", lambda f, *rest: solved.append(f) or solve(f, *rest))
+    ALPHA_STAR_READERS[reader](kernel, tmp_path)
+    assert sum(getattr(f, "__func__", None) is density for f in solved) == 1
+
+
+def test_a_kernel_reads_its_one_alpha_star_solve(monkeypatch):
+    kernel = ShiftedGammaKernel(alpha0=0.1, nu=1.25, beta=4.0)
+    star = kernel.alpha_star()
+    assert star == 0.0 - spectra._left_zero(kernel._rho_shifted, kernel._offset())
+    # later reads solve nothing and see that float; no cached key joins the
+    # parameters that ``vars`` lists (manifests print them)
+    monkeypatch.setattr(spectra, "_root", None)
+    assert kernel.alpha_star() == star and kernel.h_min() == 0.1 - star
+    kernel_validity(kernel)
+    assert sorted(vars(kernel)) == ["alpha0", "beta", "nu"]
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def _assert_kernels_match_references(order, n, tag):
     assert approx.tobytes() == reference_down_corr(s, f.lowpass).tobytes(), f"forward lowpass n={n}"
     assert detail.tobytes() == reference_down_corr(s, f.highpass).tobytes(), f"forward highpass n={n}"
     a, d = _sparse_signed(gen, n // 2), _sparse_signed(gen, n // 2)
-    got = wavelet._up_conv(a, d, f.lowpass, f.highpass)
+    got = wavelet._up_conv(a, d, f.lowpass, f.highpass, np.empty(n))
     assert got.tobytes() == reference_up_conv(a, d, f.lowpass, f.highpass).tobytes(), f"inverse n={n}"
 
 
@@ -272,7 +272,7 @@ def test_polyphase_kernels_scale_like_a_prescaled_input(order, block, monkeypatc
         assert approx.tobytes() == reference_down_corr(s * c, f.lowpass).tobytes(), f"n={n}"
         assert detail.tobytes() == reference_down_corr(s * c, f.highpass).tobytes(), f"n={n}"
         a, d = _sparse_signed(gen, n // 2), _sparse_signed(gen, n // 2)
-        got = wavelet._up_conv(a, d, f.lowpass, f.highpass, c)
+        got = wavelet._up_conv(a, d, f.lowpass, f.highpass, np.empty(n), c)
         assert got.tobytes() == reference_up_conv(a, d * c, f.lowpass, f.highpass).tobytes(), f"n={n}"
 
 
@@ -299,6 +299,43 @@ def test_inverse_dwt_leaves_the_pyramid_unchanged(J, order, block, monkeypatch):
     before = [lev.tobytes() for lev in pyr.levels]
     inverse_dwt(pyr, daubechies_filter(order))
     assert [lev.tobytes() for lev in pyr.levels] == before
+
+
+@pytest.mark.parametrize("J, order, block", NO_MUTATION_CASES + [(5, 1, "default"), (6, 2, 3)])
+def test_inverse_dwt_levels_share_two_buffers(J, order, block, monkeypatch):
+    # every level's output lies in one of two arrays made before the first
+    # level, so no level-sized array is made and dropped per level
+    if block != "default":
+        monkeypatch.setattr(wavelet, "DWT_BLOCK", block)
+    outputs = []
+    up_conv = wavelet._up_conv
+    monkeypatch.setattr(wavelet, "_up_conv", lambda *args: outputs.append(up_conv(*args)) or outputs[-1])
+    pyr = forward_dwt(_sparse_signed(_rng(J + 2), 2**J), daubechies_filter(order))
+    result = inverse_dwt(pyr, daubechies_filter(order))
+    assert len(outputs) == J and np.shares_memory(outputs[-1], result)
+    groups = []
+    for out in outputs:
+        group = next((g for g in groups if np.shares_memory(g[0], out)), None)
+        if group is None:
+            groups.append([out])
+        else:
+            group.append(out)
+    assert len(groups) <= 2, [len(g) for g in groups]
+    # and a level never reads the buffer it writes
+    assert not any(np.shares_memory(a, b) for a, b in zip(outputs, outputs[1:]))
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS)
+def test_inverse_dwt_of_the_smallest_pyramids(order):
+    # J = 0 is the coarse mean alone; J = 1 is one level, shorter than every
+    # filter but db1's, scaled by 2**(1/2)
+    f = daubechies_filter(order)
+    c, d = 0.6180339887498949, -1.4142135623730951
+    alone = inverse_dwt(CoefficientPyramid(J=0, levels=[], coarse_mean=c), f)
+    assert alone.dtype == np.float64 and alone.tobytes() == np.array([c]).tobytes()
+    one = inverse_dwt(CoefficientPyramid(J=1, levels=[np.array([d])], coarse_mean=c), f)
+    want = reference_up_conv(np.array([c]), np.array([d]), f.lowpass, f.highpass) * 2.0**0.5
+    assert one.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
