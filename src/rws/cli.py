@@ -22,6 +22,7 @@ before the first output, so a manifest stands only beside a whole bundle.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -101,10 +102,10 @@ def _write_manifest(args, items, t0) -> None:
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     cfg, resolved = fileio.load_synthesis_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed   # validated with the config by synthesize
+    if args.seed is not None:   # the config checks the new value
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.wavelet is not None:
-        cfg.wavelet_order = parse_wavelet_name(args.wavelet).order
+        cfg = dataclasses.replace(cfg, wavelet_order=parse_wavelet_name(args.wavelet).order)
     # the values in effect; a dict update keeps each key where the config put it
     resolved = dict(resolved, seed=cfg.seed, wavelet=f"db{cfg.wavelet_order}")
     try:
@@ -176,7 +177,7 @@ def cmd_kernel(args) -> int:
     fileio.write_columns(os.path.join(args.out, "spectrum.csv"), "h,d",
                          curve.h_grid, curve.d_values)
     astar_text = f"{kernel.alpha_star():.12g}"
-    _write_manifest(args, [("variant", args.variant)] + sorted(vars(kernel).items()) + [
+    _write_manifest(args, [("variant", args.variant)] + sorted(dataclasses.asdict(kernel).items()) + [
         ("alpha_star", astar_text),
         ("h_min", curve.h_min),
         ("h_max", curve.h_max),
@@ -200,14 +201,6 @@ def _selftest_curves():
         curve_from_function(lambda h: (h - 0.5) ** 2, 0.5, 1.5),
         curve_from_function(lambda h: h - 0.5, 0.5, 1.5),
     )
-
-
-_SELFTEST_KERNELS = (  # (kernel, closed-form location of its peak)
-    (GaussianKernel(m=1.0, sigma=0.5), 1.0),
-    (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), 0.1 + 1.5 / 4.0),
-    (ShiftedPoissonKernel(alpha0=0.3, c=1.0), 0.3 + 1.0),
-    (ShiftedPoissonKernel(alpha0=0.0, c=1.0), 1.0),
-)
 
 
 def _check_filter_qmf():
@@ -236,7 +229,14 @@ def _check_perfect_reconstruction():
 def _check_kernel_maxima():
     """Each density equals 1 at its closed-form peak and is at most 1 within 0.05 of it."""
     ok, details = True, []
-    for kernel, at in _SELFTEST_KERNELS:
+    # (kernel, closed-form location of its peak), made here and not on import:
+    # a kernel solves its alpha* when made
+    for kernel, at in (
+        (GaussianKernel(m=1.0, sigma=0.5), 1.0),
+        (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), 0.1 + 1.5 / 4.0),
+        (ShiftedPoissonKernel(alpha0=0.3, c=1.0), 0.3 + 1.0),
+        (ShiftedPoissonKernel(alpha0=0.0, c=1.0), 1.0),
+    ):
         scan = at + 1e-4 * np.arange(-500, 501)
         vals = kernel.rho(scan)
         top, where = float(np.max(vals)), float(scan[np.argmax(vals)])

@@ -19,14 +19,15 @@ Configs are flat ``key=value`` text; unknown keys are rejected rather
 than ignored.  All three text formats share one line grammar
 (``_records``): lines are stripped, blank and ``#`` lines are skipped,
 and a malformed line is reported as ``path:line``.  Every error in a
-config's text or values, ranges included, starts with the config's path.
+config's text or values, ranges and kernel validity included, starts with
+the config's path.
 """
 
 import math
 import os
 import stat
 import struct
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .spectra import (
     SpectrumCurve,
     curve_from_samples,
 )
-from .synthesis import FlatLaw, SynthesisConfig, _check_settings
+from .synthesis import FlatLaw, SynthesisConfig
 from .wavelet import dyadic_exponent, parse_wavelet_name
 
 _MAGIC = b"RWS1"
@@ -273,8 +274,10 @@ def _take(raw: dict, key: str, kind=float, default=None):
 
 
 def load_synthesis_config(path: str):
-    """(SynthesisConfig, resolved) of a range-checked synth config file, where
-    resolved lists the (key, value) pairs in effect, in order, for the manifest."""
+    """(SynthesisConfig, resolved) of a synth config file, where resolved
+    lists the (key, value) pairs in effect, in order, for the manifest.  The
+    source and the config check themselves when made; their ConfigError or
+    MathValidityError (a kernel's validity) starts with the path."""
     raw = parse_key_values(_read_text(path), path)
     try:
         mode = _take(raw, "mode", str)
@@ -291,7 +294,7 @@ def load_synthesis_config(path: str):
             name = _take(raw, "kernel", str)
             source = build_kernel(name, raw)   # every key left is a kernel parameter
             raw.clear()
-            resolved += [("kernel", name)] + sorted(vars(source).items())
+            resolved += [("kernel", name)] + sorted(asdict(source).items())
         elif mode == "flat":
             source = FlatLaw(_take(raw, "alpha0"))
             resolved.append(("alpha0", source.alpha0))
@@ -300,7 +303,6 @@ def load_synthesis_config(path: str):
         if raw:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(raw))}")
         cfg = SynthesisConfig(J=J, source=source, wavelet_order=filt.order, seed=seed)
-        _check_settings(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except (ConfigError, MathValidityError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return cfg, resolved

@@ -23,31 +23,35 @@ with h_max = 1/sup_{a>0} rho(a)/a and h_min the infimum of {rho >= 0}.
 The sup is a running maximum over the points each density supplies
 (``spectrum_grid``), no interpolation.  That grid is the one place the
 span is decided, and h_min and h_max are points of it: a sampled
-``LogDensity`` gives its samples plus h_max, where an h_max within 1e-9
-of a sample is that sample; a ``Kernel`` gives a step grid out to
-4 h_max that holds h_min, alpha_t and h_max of one ``ratio_max`` solve
-exactly.
+``LogDensity`` gives its samples plus h_max, where an h_max within a
+relative 1e-9 of a sample is that sample; a ``Kernel`` gives a step grid
+out to 4 h_max that holds h_min, alpha_t and h_max of one ``ratio_max``
+solve exactly.  Both snaps are relative, so a density and its rescaling
+in h get the same grid.
 
 Closed-form densities come from four kernel families used for
 self-similar cascade models: gaussian, shifted gamma, shifted poisson
 (the log-Poisson cascade) and dirac (exact monofractal).  Each family is
 a frozen dataclass deriving from ``Kernel`` and carries its own
 formulas as methods: the density ``rho``, the ``peak`` where rho = 1,
-``alpha_star``, its one threshold on its location parameter (its first
-field: m, alpha0 or H), ``ratio_max`` (h_min, the maximizer alpha_t of
-rho(a)/a and h_max from one solve, for both ``spectrum_from_rho`` and
-the synthesis regularity warning), and the scale-j exponent law of the
-self-similarity semigroup (``scale_cap``, ``scale_quantile``).  The base
-``Kernel`` reads h_min = location - alpha* and validity, h_min > 0 (rho
-< 0 near 0), off that threshold, once for every family.  alpha* is
-sigma sqrt(2 ln 2) for the gaussian, 0 for dirac, and minus the left
-zero of the family's own shifted density for gamma and poisson, solved
-once per kernel object; a poisson density puts its K = 0 atom, 1 - c
-log2(e), at alpha0, so for c <= ln 2 it has no left zero and alpha* is
-0.  The gaussian span is
-closed form; the shifted families solve alpha* and alpha_t through one
-bracketed solver, ``_root``, to a tolerance relative to the kernel's own
-scale, and where their rho(a)/a falls from alpha0 on, alpha_t is alpha0.
+``_threshold``, its domain check and its one threshold alpha* on its
+location parameter (its first field: m, alpha0 or H), ``ratio_max``
+(h_min, the maximizer alpha_t of rho(a)/a and h_max from one solve, for
+both ``spectrum_from_rho`` and the synthesis regularity warning), and the
+scale-j exponent law of the self-similarity semigroup (``scale_cap``,
+``scale_quantile``).  A kernel checks itself when made: ``__post_init__``
+runs ``kernel_validity`` once, which refuses a non-finite parameter, one
+outside the family's domain, and location <= alpha* (validity is h_min >
+0, rho < 0 near 0), and the kernel keeps the alpha* it returns, so no
+reader checks or solves it again; the base ``Kernel`` reads h_min =
+location - alpha* off it.  alpha* is sigma sqrt(2 ln 2) for the gaussian, 0 for dirac, and
+minus the left zero of the family's own shifted density for gamma and
+poisson; a poisson density puts its K = 0 atom, 1 - c log2(e), at
+alpha0, so for c <= ln 2 it has no left zero and alpha* is 0.  The
+gaussian span is closed form; the shifted families solve alpha* and
+alpha_t through one bracketed solver, ``_root``, to a tolerance relative
+to the kernel's own scale, and where their rho(a)/a falls from alpha0
+on, alpha_t is alpha0.
 
 Roots are solved in-package (``_root``, a port of scipy's brentq).  The
 one scipy module loaded is scipy.special, on a kernel's first scale-j
@@ -59,7 +63,6 @@ scipy.optimize as well would cost about 23 MB of RSS and 0.1-0.2 s.
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -91,11 +94,6 @@ _ROOT_MAXITER = 3000
 # The least absolute tolerance a caller gives ``_root``: two least subnormals,
 # so that half of it, Brent's step floor, is still one and not 0
 _ROOT_XTOL_MIN = 1e-323
-# alpha* of each live shifted kernel, keyed by identity: validity, h_min and
-# the CLI's report all read it, and a frozen kernel's fields do not change.
-# Kept outside the instance, whose ``vars`` are its parameters; an entry
-# goes with its kernel.
-_ALPHA_STARS = {}
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +189,17 @@ def gaussian_threshold(sigma: float) -> float:
 
 class Kernel:
     """Base of the kernel families; subclasses supply ``_rho`` (on an
-    array), ``peak``, ``alpha_star``, ``ratio_max``, ``scale_cap`` and
+    array), ``peak``, ``_threshold``, ``ratio_max``, ``scale_cap`` and
     ``scale_quantile``.  A family's first field is its location
-    parameter, and ``alpha_star`` its one threshold: h_min is location -
-    alpha*, and the kernel is valid iff h_min > 0, that is iff location >
-    alpha*.  Scale-j laws put no mass at +inf: kernels produce no zero
-    coefficients."""
+    parameter, and alpha* its one threshold: h_min is location - alpha*,
+    and the kernel is valid iff h_min > 0, that is iff location > alpha*.
+    A kernel checks itself when made (``kernel_validity``) and keeps the
+    alpha* it solved; that is not a field, so ``fields``, ``repr`` and
+    ``==`` see only the parameters.  Scale-j laws put no mass at +inf:
+    kernels produce no zero coefficients."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_alpha_star", kernel_validity(self))
 
     def rho(self, alpha):
         """Upper logarithmic density (vectorized; -inf allowed; a scalar
@@ -204,15 +207,9 @@ class Kernel:
         out = self._rho(np.asarray(alpha, dtype=np.float64))
         return out if out.shape else float(out)
 
-    def validate(self) -> None:
-        """KernelValidityError unless location > alpha*, which puts rho < 0
-        near 0.  In floats location - alpha* > 0 exactly when location >
-        alpha*, so this is the verdict h_min > 0."""
-        location, *rest = fields(self)
-        star = self.alpha_star()
-        if not getattr(self, location.name) > star:
-            params = f"({', '.join(f.name for f in rest)})" if rest else ""
-            raise KernelValidityError(f"{location.name} <= alpha*{params} = {star:.12g}")
+    def alpha_star(self) -> float:
+        """The threshold on the location parameter, solved when the kernel was made."""
+        return self._alpha_star
 
     def h_min(self) -> float:
         """The left edge of {rho >= 0}, location - alpha*; where that rounds
@@ -224,8 +221,7 @@ class Kernel:
     def spectrum_grid(self, grid_step: float):
         """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``: the
         step grid with h_min, alpha_t and h_max of one ``ratio_max`` solve
-        as exact points, step points within 1e-9 of them dropped."""
-        kernel_validity(self)
+        as exact points, step points within a relative 1e-9 of them dropped."""
         h_min, alpha_t, h_max = self.ratio_max()
         grid = _merge_points([h_min, alpha_t, h_max], _step_grid(4.0 * h_max, grid_step))
         return grid, self.rho(grid), h_min, h_max
@@ -248,15 +244,10 @@ class _ShiftedKernel(Kernel):
     def peak(self) -> float:
         return self.alpha0 + self._offset()
 
-    def alpha_star(self) -> float:
+    def _threshold(self) -> float:
         """Minus the left zero of the shifted density: alpha0 > alpha* puts
-        that zero, h_min, right of 0.  Never -0.0.  Solved once per kernel
-        object; later calls return the same float."""
-        key = id(self)
-        if key not in _ALPHA_STARS:
-            _ALPHA_STARS[key] = 0.0 - _left_zero(self._rho_shifted, self._offset())
-            weakref.finalize(self, _ALPHA_STARS.pop, key, None)
-        return _ALPHA_STARS[key]
+        that zero, h_min, right of 0.  Never -0.0."""
+        return 0.0 - _left_zero(self._rho_shifted, self._offset())
 
     def ratio_max(self):
         """(h_min, alpha_t, h_max): the left edge of {rho >= 0}, the
@@ -306,7 +297,7 @@ class GaussianKernel(Kernel):
     def peak(self) -> float:
         return self.m
 
-    def alpha_star(self) -> float:
+    def _threshold(self) -> float:
         # rho divides by sigma**2; below the least normal float it has lost digits
         if not (self.sigma > 0 and self.sigma**2 >= np.finfo(np.float64).tiny):
             raise KernelValidityError("sigma <= 0, or sigma**2 is below the least normal float")
@@ -353,10 +344,10 @@ class ShiftedGammaKernel(_ShiftedKernel):
     def _offset(self) -> float:
         return self.nu / self.beta
 
-    def alpha_star(self) -> float:
+    def _threshold(self) -> float:
         if self.nu <= 0 or self.beta <= 0:
             raise KernelValidityError("nu <= 0 or beta <= 0")
-        return super().alpha_star()
+        return super()._threshold()
 
     def scale_cap(self, j: int) -> float:
         return self.peak() + 12.0 * (math.sqrt(self.nu / j) / self.beta)
@@ -394,14 +385,14 @@ class ShiftedPoissonKernel(_ShiftedKernel):
     def _offset(self) -> float:
         return self.c
 
-    def alpha_star(self) -> float:
+    def _threshold(self) -> float:
         """0 for c <= ln 2, where the K = 0 atom at alpha0 is already >= 0
         and rho has no left zero: h_min is alpha0 itself."""
         if self.c <= 0:
             raise KernelValidityError("c <= 0")
         if 1.0 - self.c * LOG2E >= 0.0:
             return 0.0
-        return super().alpha_star()
+        return super()._threshold()
 
     def scale_cap(self, j: int) -> float:
         return self.peak() + 12.0 * math.sqrt(self.c / j)
@@ -424,12 +415,12 @@ class DiracKernel(Kernel):
     H: float
 
     def _rho(self, a):
-        return np.where(np.abs(a - self.H) <= 1e-12 * max(1.0, self.H), 1.0, -np.inf)
+        return np.where(np.abs(a - self.H) <= 1e-12 * self.H, 1.0, -np.inf)
 
     def peak(self) -> float:
         return self.H
 
-    def alpha_star(self) -> float:
+    def _threshold(self) -> float:
         return 0.0
 
     def ratio_max(self):
@@ -442,15 +433,24 @@ class DiracKernel(Kernel):
         return np.full(u.shape, self.H)
 
 
-def kernel_validity(kernel) -> None:
-    """Raise KernelValidityError naming a non-finite parameter or the
-    violated threshold, if any; root solves need finite parameters."""
+def kernel_validity(kernel) -> float:
+    """alpha* of a valid kernel, which every kernel runs once when made.
+    KernelValidityError names a non-finite parameter (root solves need
+    finite ones), a parameter outside the family's domain, or location <=
+    alpha*, which puts rho >= 0 arbitrarily close to 0.  In floats location
+    - alpha* > 0 exactly when location > alpha*, so this is the verdict
+    h_min > 0."""
     if not isinstance(kernel, Kernel):
         raise UnsupportedVariantError(f"unknown kernel {type(kernel).__name__}")
+    location, *rest = fields(kernel)
     for f in fields(kernel):
         if not math.isfinite(getattr(kernel, f.name)):
             raise KernelValidityError(f"{f.name} = {getattr(kernel, f.name)} is not finite")
-    kernel.validate()
+    star = kernel._threshold()
+    if not getattr(kernel, location.name) > star:
+        params = f"({', '.join(f.name for f in rest)})" if rest else ""
+        raise KernelValidityError(f"{location.name} <= alpha*{params} = {star:.12g}")
+    return star
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +561,14 @@ class LogDensity:
 
     @classmethod
     def from_kernel(cls, kernel):
-        """The kernel itself, validated: a ``Kernel`` is a density already."""
-        kernel_validity(kernel)
+        """The kernel itself: a ``Kernel`` is a density already, checked when made."""
         return kernel
 
     def spectrum_grid(self, grid_step: float):
         """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``; grid_step
         is not used.  The grid is the samples plus h_max; an h_max within
-        1e-9 of a sample snaps onto it, and that sample is the h_max returned,
-        with rho capped at alpha / h_max."""
+        a relative 1e-9 of a sample snaps onto it, and that sample is the
+        h_max returned, with rho capped at alpha / h_max."""
         rho = self.rho_values
         finite = np.isfinite(rho)
         if not finite.any() or np.max(rho[finite]) < -_TOL_ZERO:
@@ -583,8 +582,8 @@ class LogDensity:
             )
         h_min = float(self.alpha_grid[rho >= 0.0][0])   # positive, as every alpha is
         # at a subnormal alpha a ratio can pass the largest float: an infinite
-        # sup gives h_max = 0, which snaps onto that alpha and which
-        # ``spectrum_from_rho`` refuses, and an infinite cap leaves rho as it is
+        # sup gives h_max = 0, a grid point that ``spectrum_from_rho``
+        # refuses, and an infinite cap (alpha / 0 among them) leaves rho as it is
         with np.errstate(over="ignore"):
             h_max = 1.0 / float(np.max(rho[finite] / self.alpha_grid[finite]))
         grid = _merge_points(self.alpha_grid, [h_max])
@@ -594,16 +593,17 @@ class LogDensity:
         # at alpha / h_max: where h_max snapped up onto a sample, that moves
         # rho by at most the snap and keeps d(h)/h at most 1/h_max
         vals = np.full(grid.shape, -np.inf)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             vals[np.searchsorted(grid, self.alpha_grid)] = np.minimum(rho, self.alpha_grid / h_max)
         return grid, vals, h_min, h_max
 
 
 def _merge_points(base, extras):
-    """Sorted union of grids; an extra within 1e-9 * max(1, |x|) of a base point snaps onto it."""
+    """Sorted union of grids; an extra x within 1e-9 |x| of a base point
+    snaps onto it, so a grid and its rescaling merge alike."""
     base = np.asarray(base, dtype=np.float64)
     x = np.asarray(extras, dtype=np.float64)
-    near = np.abs(x[:, None] - base) <= 1e-9 * np.maximum(1.0, np.abs(x))[:, None]
+    near = np.abs(x[:, None] - base) <= 1e-9 * np.abs(x)[:, None]
     return np.union1d(base, x[~near.any(axis=1)])
 
 

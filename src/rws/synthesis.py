@@ -18,8 +18,11 @@ Three sources of per-scale laws:
     ``j * 2**(-j)`` (zero otherwise), producing a degenerate spectrum.
 
 A scale law samples itself (``law.sample(u)``): a ``ScaleLawTable`` for
-spectrum and flat sources, a ``KernelScaleLaw`` for kernels.  All input
-enters through ``validate_config``, which validates the source once.
+spectrum and flat sources, a ``KernelScaleLaw`` for kernels.  Every input
+checks itself when made: a kernel, a flat law and ``SynthesisConfig``
+(J, the wavelet order and the seed) refuse bad values at construction,
+also through ``dataclasses.replace``.  ``validate_config`` judges only
+what is left: a spectrum's admissibility, and the regularity warning.
 
 Randomness is counter-based: scale j of a run keyed by ``seed`` uses a
 Philox stream with key (seed, j); coefficient k reads column k of the
@@ -48,7 +51,7 @@ from .spectra import (
     _grid_steps,
     _integer,
     check_admissible,
-    kernel_validity,
+    kernel_validity,  # unused here (kernels run it when made); perfbench/tracing.py hooks it
     spectrum_from_rho,  # unused here; perfbench/tracing.py hooks it in this module
 )
 from .wavelet import (SUPPORTED_ORDERS, CoefficientPyramid, _map_blocks, daubechies_filter,
@@ -73,25 +76,26 @@ class FlatLaw:
             raise ConfigError("flat law needs a finite alpha0 > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisConfig:
+    """ConfigError when made unless J, the wavelet order and the seed are
+    integers in range; change one through ``dataclasses.replace``."""
+
     J: int
     source: object          # SpectrumCurve | kernel | FlatLaw
     wavelet_order: int = 10
     seed: int = 0
 
-
-def _check_settings(config: SynthesisConfig) -> None:
-    """ConfigError unless J, the wavelet order and the seed are integers in range."""
-    _integer("J", config.J, 4, 24)
-    _integer("wavelet order", config.wavelet_order, SUPPORTED_ORDERS[0], SUPPORTED_ORDERS[-1])
-    _integer("seed", config.seed, 0, 2**64 - 1)
+    def __post_init__(self):
+        _integer("J", self.J, 4, 24)
+        _integer("wavelet order", self.wavelet_order, SUPPORTED_ORDERS[0], SUPPORTED_ORDERS[-1])
+        _integer("seed", self.seed, 0, 2**64 - 1)
 
 
 def validate_config(config: SynthesisConfig):
-    """The one gate for synthesis input: check the config, validate the source
-    once, warn if h_max > wavelet order - 1; return ``(law, c00)``."""
-    _check_settings(config)
+    """``(law, c00)`` of a config, whose settings and source checked
+    themselves when made: judge only a spectrum's admissibility, and warn
+    if h_max > wavelet order - 1."""
     law, c00, h_max = _source_parts(config.source)
     if h_max > config.wavelet_order - 1:
         warnings.warn(
@@ -183,7 +187,7 @@ def flat_scale_law(alpha0: float, j: int) -> ScaleLawTable:
 
 
 def scale_law_from_kernel(kernel: Kernel, j: int) -> KernelScaleLaw:
-    """Scale-j exponent law of a valid kernel (``kernel_validity``)."""
+    """Scale-j exponent law of a kernel (valid, as every kernel is when made)."""
     if j < 1:
         raise MathValidityError("kernel scale laws are defined for j >= 1")
     return KernelScaleLaw(j=j, kernel=kernel, alpha_cap=kernel.scale_cap(j))
@@ -213,7 +217,7 @@ def uniform_field(seed: int, j: int) -> np.ndarray:
 
 def _source_parts(source):
     """(law, c00, h_max) of a synthesis source; the one place that
-    dispatches on its type, and where the source is validated, once.
+    dispatches on its type, and where a spectrum is judged admissible.
 
     ``law(j)`` builds the scale-j exponent law.  ``c00`` is |C[0][0]|:
     scale 0 is degenerate, the j-weighted laws of spectrum and flat
@@ -226,7 +230,6 @@ def _source_parts(source):
             raise AdmissibilityError("; ".join(violations))
         return (lambda j: scale_law_from_spectrum(source, j)), 0.0, source.h_max
     if isinstance(source, Kernel):
-        kernel_validity(source)
         return (lambda j: scale_law_from_kernel(source, j)), 1.0, source.ratio_max()[2]
     if isinstance(source, FlatLaw):
         return (lambda j: flat_scale_law(source.alpha0, j)), 0.0, source.alpha0

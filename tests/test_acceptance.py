@@ -104,11 +104,9 @@ def test_a05_threshold_roots():
     ]
     # c <= ln 2: the K = 0 atom at alpha0 is already >= 0, so rho has no
     # left zero, alpha* is 0 and validity switches at alpha0 = 0
-    small_c = ShiftedPoissonKernel(alpha0=0.0, c=0.5)
     with pytest.raises(KernelValidityError, match="alpha0 <= alpha"):
-        kernel_validity(small_c)
-    kernel_validity(ShiftedPoissonKernel(alpha0=5e-324, c=0.5))
-    zero = small_c.alpha_star() == 0.0
+        ShiftedPoissonKernel(alpha0=0.0, c=0.5)
+    zero = kernel_validity(ShiftedPoissonKernel(alpha0=5e-324, c=0.5)) == 0.0
     worst = 0.0
     for kernel in kernels:
         a = kernel.alpha_star()

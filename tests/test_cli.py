@@ -159,7 +159,7 @@ def test_synth_negative_seed_exits_2(tmp_path):
 
 
 def test_the_file_seed_is_checked_with_the_path_even_when_overridden(tmp_path, capsys):
-    # a config is checked as written; a --seed value is checked by synthesis, without a path
+    # a config is checked as written; a --seed value is checked by the config it replaces, without a path
     cfg = tmp_path / "c.cfg"
     write_flat_config(cfg, extra="seed=-1\n")
     out = tmp_path / "run"
@@ -191,7 +191,8 @@ def test_synth_inadmissible_spectrum_exits_3(tmp_path, capsys):
     "mode=kernel\nkernel=gaussian\nm=0.1\nsigma=0.5\nJ=8\n",
     "mode=spectrum\nspectrum_file=gap.csv\nJ=8\n",
     "mode=kernel\nkernel=poisson\nalpha0=0\nc=0.5\nJ=8\n",
-], ids=["gaussian-below-threshold", "spectrum-with-a-gap", "poisson-reaching-zero"])
+    "mode=kernel\nkernel=gamma\nalpha0=inf\nnu=1.5\nbeta=4\nJ=8\n",
+], ids=["gaussian-below-threshold", "spectrum-with-a-gap", "poisson-reaching-zero", "gamma-alpha0-inf"])
 def test_synth_math_errors_start_with_the_config_path(config, tmp_path, capsys):
     # a config that parses but fails a mathematical condition is still the config's error
     (tmp_path / "gap.csv").write_text("0.5,0.5\n0.75,\n1.0,1.0\n")
@@ -550,6 +551,17 @@ def test_kernel_dirac_at_a_subnormal_h_is_refused_without_warnings(tmp_path, cap
     assert capsys.readouterr().err.startswith("error: h_max = 7")
 
 
+def test_kernel_dirac_far_below_unit_scale_keeps_its_one_point(tmp_path):
+    # the unit-scale grid, H = 0.8 at step 0.005, rescaled by 1e-13: 640
+    # points, and rho = 1 at H alone
+    out = tmp_path / "k"
+    assert cli.main(["kernel", "dirac", "H=8e-14", "--grid-step", "5e-16", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "rho.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 640
+    assert [alpha for alpha, rho in rows if rho] == ["8e-14"]
+    assert [rho for _, rho in rows if rho] == ["1"]
+
+
 def test_kernel_gamma_with_a_zero_below_the_least_subnormal(tmp_path, capsys):
     # the left zero of the shifted density underflows to 0: no log2(0) warning
     out = tmp_path / "k"
@@ -774,6 +786,15 @@ def test_import_loads_no_scipy():
     out = run_python("import sys, rws; a = 'scipy' in sys.modules; import rws.cli; "
                      "print(a, 'scipy' in sys.modules)")
     assert out.split() == ["False", "False"]
+
+
+def test_import_solves_no_root():
+    # a kernel solves its alpha* when made: the selftest makes its kernels when it runs
+    out = run_python("import sys, rws.spectra as s; assert 'rws.cli' not in sys.modules; "
+                     "calls = []; root = s._root; "
+                     "s._root = lambda *a: calls.append(a) or root(*a); "
+                     "import rws.cli; print(len(calls))")
+    assert out.split() == ["0"]
 
 
 # runs the rws commands of argv[2], a JSON list of argument lists, and prints

@@ -80,9 +80,9 @@ def test_alpha_star_frozen_values(kernel, expected):
 
 
 @pytest.mark.parametrize("kernel", [
-    ShiftedPoissonKernel(alpha0=0.0, c=0.5),
-    ShiftedPoissonKernel(alpha0=0.0, c=0.1),
-    ShiftedGammaKernel(alpha0=0.0, nu=1e-4, beta=4.0),
+    ShiftedPoissonKernel(alpha0=0.1, c=0.5),
+    ShiftedPoissonKernel(alpha0=0.1, c=0.1),
+    ShiftedGammaKernel(alpha0=0.1, nu=1e-4, beta=4.0),
     DiracKernel(H=0.8),
 ], ids=repr)
 def test_alpha_star_without_a_left_zero_is_zero(kernel):
@@ -189,7 +189,7 @@ def test_alpha_star_is_minus_the_left_zero_of_the_shifted_density(kernel, alpha0
 @pytest.mark.parametrize("kernel", THRESHOLD_KERNELS + [
     GaussianKernel(m=1.0, sigma=0.5),
     DiracKernel(H=0.8),
-    ShiftedPoissonKernel(alpha0=0.0, c=0.5),
+    ShiftedPoissonKernel(alpha0=0.1, c=0.5),
 ], ids=repr)
 def test_validity_switches_at_alpha_star(kernel):
     # the location parameter is each family's first field
@@ -236,19 +236,47 @@ def test_gamma_alpha_star_below_the_least_subnormal_is_zero(nu, star):
             assert below < 0.0 < above
 
 
-@pytest.mark.parametrize("kernel", [
-    GaussianKernel(m=np.inf, sigma=0.5),
-    GaussianKernel(m=1.0, sigma=np.nan),
-    ShiftedGammaKernel(alpha0=0.1, nu=np.nan, beta=4.0),
-    ShiftedPoissonKernel(alpha0=0.3, c=np.inf),
-    DiracKernel(H=np.inf),
+@pytest.mark.parametrize(("family", "params"), [
+    (GaussianKernel, dict(m=np.inf, sigma=0.5)),
+    (GaussianKernel, dict(m=1.0, sigma=np.nan)),
+    (ShiftedGammaKernel, dict(alpha0=0.1, nu=np.nan, beta=4.0)),
+    (ShiftedPoissonKernel, dict(alpha0=0.3, c=np.inf)),
+    (DiracKernel, dict(H=np.inf)),
 ], ids=["gaussian-m-inf", "gaussian-sigma-nan", "gamma-nu-nan", "poisson-c-inf", "dirac-H-inf"])
-def test_non_finite_parameters_are_rejected_before_any_root_solve(kernel):
-    name = next(n for n, v in vars(kernel).items() if not np.isfinite(v))
-    with pytest.raises(KernelValidityError, match=f"{name} = .* is not finite"):
-        kernel_validity(kernel)
-    with pytest.raises(KernelValidityError, match=f"{name} = .* is not finite"):
-        spectrum_from_rho(kernel)
+def test_non_finite_parameters_are_rejected_before_any_root_solve(family, params, monkeypatch):
+    monkeypatch.setattr(spectra, "_root", None)   # a root solve would raise TypeError
+    name = next(n for n, v in params.items() if not np.isfinite(v))
+    with pytest.raises(KernelValidityError, match=f"^{name} = .* is not finite$"):
+        family(**params)
+
+
+# each family with values that it refuses when made: non-finite, outside its
+# domain, and at or below its threshold
+BAD_KERNEL_VALUES = [
+    (GaussianKernel(m=1.0, sigma=0.5), dict(sigma=-0.5), "^sigma <= 0"),
+    (GaussianKernel(m=1.0, sigma=0.5), dict(m=0.5), r"^m <= alpha\*\(sigma\)"),
+    (GaussianKernel(m=1.0, sigma=0.5), dict(m=-np.inf), "^m = -inf is not finite$"),
+    (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), dict(beta=0.0), "^nu <= 0 or beta <= 0$"),
+    (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), dict(alpha0=-0.2), r"^alpha0 <= alpha\*\(nu, beta\)"),
+    (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), dict(nu=np.inf), "^nu = inf is not finite$"),
+    (ShiftedPoissonKernel(alpha0=0.3, c=1.0), dict(c=-1.0), "^c <= 0$"),
+    (ShiftedPoissonKernel(alpha0=0.3, c=1.0), dict(alpha0=-0.1), r"^alpha0 <= alpha\*\(c\)"),
+    (ShiftedPoissonKernel(alpha0=0.3, c=1.0), dict(alpha0=np.nan), "^alpha0 = nan is not finite$"),
+    (DiracKernel(H=0.8), dict(H=-0.8), r"^H <= alpha\* = 0$"),
+    (DiracKernel(H=0.8), dict(H=np.nan), "^H = nan is not finite$"),
+]
+
+
+@pytest.mark.parametrize(("kernel", "bad", "match"), BAD_KERNEL_VALUES,
+                         ids=[f"{type(k).__name__}-{n}={v}" for k, b, _ in BAD_KERNEL_VALUES
+                              for n, v in b.items()])
+def test_every_family_refuses_bad_values_when_made(kernel, bad, match):
+    with pytest.raises(KernelValidityError, match=match):
+        type(kernel)(**{**dataclasses.asdict(kernel), **bad})
+    with pytest.raises(KernelValidityError, match=match):
+        dataclasses.replace(kernel, **bad)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(kernel, *next(iter(bad.items())))
 
 
 def test_validity_rejects_non_kernels():
@@ -418,8 +446,8 @@ def test_root_is_brentq_bit_for_bit_on_every_pinned_kernel_solve(monkeypatch):
     calls = []
     solve = spectra._root
     monkeypatch.setattr(spectra, "_root", lambda *args: calls.append(args) or solve(*args))
-    for kernel in PINNED_SHIFTED_KERNELS:
-        spectrum_from_rho(kernel)
+    for kernel in PINNED_SHIFTED_KERNELS:   # made again inside the recording: alpha* is solved when made
+        spectrum_from_rho(dataclasses.replace(kernel))
     assert len(calls) >= len(PINNED_SHIFTED_KERNELS)
     for f, lo, hi, xtol in calls:
         assert _outcome(solve, f, lo, hi, xtol) == _outcome(_brentq, f, lo, hi, xtol), (lo, hi, xtol)
@@ -432,10 +460,12 @@ def _run_kernel_command(kernel, tmp_path):
 
 
 # every call that reads alpha* more than once: validity, then h_min for the
-# span, then (rws kernel) the printed threshold
+# span, then (rws kernel) the printed threshold.  Each makes its kernel (the
+# CLI from the parameters), so the count covers the solve when it is made
 ALPHA_STAR_READERS = {
-    "spectrum_from_rho": lambda kernel, tmp_path: spectrum_from_rho(kernel),
-    "validate_config": lambda kernel, tmp_path: validate_config(SynthesisConfig(J=5, source=kernel)),
+    "spectrum_from_rho": lambda kernel, tmp_path: spectrum_from_rho(dataclasses.replace(kernel)),
+    "validate_config": lambda kernel, tmp_path: validate_config(
+        SynthesisConfig(J=5, source=dataclasses.replace(kernel))),
     "rws kernel": _run_kernel_command,
 }
 
@@ -446,9 +476,7 @@ ALPHA_STAR_READERS = {
     ShiftedPoissonKernel(alpha0=0.3, c=1.25),
 ], ids=["gamma", "poisson"])
 def test_alpha_star_is_solved_once_per_call(reader, kernel, monkeypatch, tmp_path):
-    # a fresh kernel object per case; an alpha* solve is the one that
-    # brackets the family's shifted density
-    kernel = dataclasses.replace(kernel)
+    # an alpha* solve is the one that brackets the family's shifted density
     density = type(kernel)._rho_shifted
     solved = []
     solve = spectra._root
@@ -461,12 +489,14 @@ def test_a_kernel_reads_its_one_alpha_star_solve(monkeypatch):
     kernel = ShiftedGammaKernel(alpha0=0.1, nu=1.25, beta=4.0)
     star = kernel.alpha_star()
     assert star == 0.0 - spectra._left_zero(kernel._rho_shifted, kernel._offset())
-    # later reads solve nothing and see that float; no cached key joins the
-    # parameters that ``vars`` lists (manifests print them)
+    # the kept alpha* is no field: manifests (``asdict``), repr and == see
+    # only the parameters
+    assert sorted(dataclasses.asdict(kernel)) == ["alpha0", "beta", "nu"]
+    assert repr(kernel) == "ShiftedGammaKernel(alpha0=0.1, nu=1.25, beta=4.0)"
+    assert kernel == ShiftedGammaKernel(alpha0=0.1, nu=1.25, beta=4.0)
+    # later reads solve nothing and see that float
     monkeypatch.setattr(spectra, "_root", None)
     assert kernel.alpha_star() == star and kernel.h_min() == 0.1 - star
-    kernel_validity(kernel)
-    assert sorted(vars(kernel)) == ["alpha0", "beta", "nu"]
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +727,8 @@ def test_dirac_spectrum_keeps_h_near_a_grid_point(H):
 def test_spectrum_rejects_density_reaching_zero():
     # rho >= 0 arbitrarily close to 0 leaves no positive h_min, no spectrum:
     # for c <= ln 2 that is alpha0 <= alpha* = 0, refused by validity
-    k = ShiftedPoissonKernel(alpha0=0.0, c=0.5)
     with pytest.raises(KernelValidityError, match="alpha0 <= alpha"):
-        spectrum_from_rho(k)
+        spectrum_from_rho(ShiftedPoissonKernel(alpha0=0.0, c=0.5))
 
 
 @st.composite
@@ -887,6 +916,36 @@ def _strict_spectrum(kernel):
         return spectrum_from_rho(kernel)
 
 
+# a density at unit scale and rescaled by s in alpha: rho_s(s a) = rho(a)
+SCALED_DENSITIES = {
+    "samples": lambda s: LogDensity(s * np.array([0.3, 0.5, 0.8, 1.1, 1.6]),
+                                    [-0.5, 0.2, 0.9, 1.0, 0.4]),
+    "gaussian": lambda s: GaussianKernel(m=s * 1.0, sigma=s * 0.5),
+    "gamma": lambda s: ShiftedGammaKernel(alpha0=s * 0.1, nu=1.5, beta=4.0 / s),
+    "dirac": lambda s: DiracKernel(H=s * 0.8),
+}
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 1e3])
+@pytest.mark.parametrize("name", sorted(SCALED_DENSITIES))
+def test_a_rescaled_density_gives_the_rescaled_spectrum(name, s):
+    # grid snaps and the dirac's point are relative: the unit-scale grid,
+    # span and d at every scale
+    unit = spectrum_from_rho(SCALED_DENSITIES[name](1.0))
+    scaled = spectrum_from_rho(SCALED_DENSITIES[name](s), grid_step=spectra.DEFAULT_GRID_STEP * s)
+    assert scaled.h_grid.size == unit.h_grid.size
+    np.testing.assert_allclose(scaled.h_grid / s, unit.h_grid, rtol=1e-12, atol=0)
+    assert abs(scaled.h_min / s - unit.h_min) <= 1e-12 * unit.h_min
+    assert abs(scaled.h_max / s - unit.h_max) <= 1e-12 * unit.h_max
+    np.testing.assert_array_equal(scaled.present(), unit.present())
+    assert np.max(np.abs(scaled.d_values - unit.d_values)[unit.present()]) <= 1e-12
+
+
+def test_a_dirac_density_is_one_at_h_alone_at_any_scale():
+    assert DiracKernel(H=1e-13).rho(5e-13) == -np.inf
+    assert DiracKernel(H=1e-13).rho(1e-13) == 1.0
+
+
 def test_kernel_spectra_scale_with_the_kernel():
     # 900 valid kernels, scale down to 1e-150: none is refused
     wrong = []
@@ -906,8 +965,8 @@ def test_gaussian_kernels_far_below_unit_scale_are_right_or_refused():
     wrong = []
     for f in GAUSSIAN_FACTORS:
         for sigma in np.logspace(-3, -161.5, 160):
-            kernel = GaussianKernel(m=sigma * (gaussian_threshold(1.0) * f), sigma=sigma)
             try:
+                kernel = GaussianKernel(m=sigma * (gaussian_threshold(1.0) * f), sigma=sigma)
                 curve = _strict_spectrum(kernel)
             except MathValidityError:
                 assert sigma**2 < np.finfo(np.float64).tiny

@@ -1,5 +1,6 @@
 """Per-scale exponent laws, coefficient draws, and path realization."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -30,6 +31,7 @@ from rws import (
     sample_alphas,
     scale_law_from_kernel,
     scale_law_from_spectrum,
+    spectra,
     synthesis,
     synthesize,
     uniform_field,
@@ -77,10 +79,26 @@ def test_config_bounds(entry):
     ("J", 10.0), ("J", 10.5), ("wavelet_order", 3.0), ("seed", True),
 ])
 def test_integer_options_refuse_floats_and_bools(entry, option, value):
+    # a config is frozen and checks its settings when made, replace included
     cfg = SynthesisConfig(J=10, source=GaussianKernel(m=1.0, sigma=0.5), wavelet_order=3)
-    setattr(cfg, option, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, option, value)
     with pytest.raises(ConfigError, match=f"{option.replace('_', ' ')} must be an integer"):
-        entry(cfg)
+        entry(dataclasses.replace(cfg, **{option: value}))
+
+
+@pytest.mark.parametrize(("setting", "value"), [
+    ("J", 3), ("J", 25), ("wavelet_order", 0), ("wavelet_order", 11), ("seed", -1), ("seed", 2**64),
+])
+def test_a_config_refuses_bad_settings_when_made(setting, value):
+    cfg = SynthesisConfig(J=10, source=FlatLaw(0.7))
+    match = f"^{setting.replace('_', ' ')} must be an integer in "
+    with pytest.raises(ConfigError, match=match):
+        SynthesisConfig(**{"J": 10, "source": FlatLaw(0.7), setting: value})
+    with pytest.raises(ConfigError, match=match):
+        dataclasses.replace(cfg, **{setting: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.source = FlatLaw(0.8)
 
 
 def test_integer_options_take_numpy_integers():
@@ -105,37 +123,38 @@ def test_config_rejects_invalid_kernel():
 BUMP = curve_from_function(lambda h: 1.0 - ((h - 1.0) / 0.5) ** 2, 0.5, 1.5)
 
 
-# validate_config and generate_coefficients on BUMP have tests of their own
+# validate_config and generate_coefficients on BUMP have tests of their own;
+# an invalid kernel is refused when made, so it never reaches the entry
 @pytest.mark.parametrize(("entry", "source", "error", "match"), [
-    (synthesize, BUMP, AdmissibilityError, None),
-    (synthesize, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError, None),
-    (generate_coefficients, GaussianKernel(m=1.0, sigma=1.0), KernelValidityError, None),
+    (synthesize, lambda: BUMP, AdmissibilityError, None),
+    (synthesize, lambda: GaussianKernel(m=1.0, sigma=1.0), KernelValidityError, None),
+    (generate_coefficients, lambda: GaussianKernel(m=1.0, sigma=1.0), KernelValidityError, None),
     # rho >= 0 arbitrarily close to 0: alpha0 = alpha* = 0 for c <= ln 2
-    (generate_coefficients, ShiftedPoissonKernel(alpha0=0.0, c=0.5), KernelValidityError,
+    (generate_coefficients, lambda: ShiftedPoissonKernel(alpha0=0.0, c=0.5), KernelValidityError,
      "alpha0 <= alpha"),
 ], ids=["synthesize-inadmissible-spectrum", "synthesize-invalid-kernel",
         "generate-invalid-kernel", "generate-density-reaching-zero"])
 def test_generate_and_synthesize_reject_invalid_sources(entry, source, error, match):
     with pytest.raises(error, match=match):
-        entry(SynthesisConfig(J=10, source=source))
+        entry(SynthesisConfig(J=10, source=source()))
 
 
-@pytest.mark.parametrize("source", [
-    curve_from_function(lambda h: (h - 0.5) ** 2, 0.5, 1.5),
-    ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
+@pytest.mark.parametrize(("source", "counted", "per_call"), [
+    (lambda: curve_from_function(lambda h: (h - 0.5) ** 2, 0.5, 1.5),
+     (synthesis, "check_admissible"), 1),
+    # alpha* when the kernel is made, and alpha_t for the regularity warning
+    (lambda: ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), (spectra, "_root"), 2),
 ], ids=["spectrum", "gamma"])
-def test_sources_are_validated_independently_of_J(source, monkeypatch):
+def test_sources_are_validated_independently_of_J(source, counted, per_call, monkeypatch):
+    owner, name = counted
     calls = []
-    for name in ("check_admissible", "kernel_validity"):
-        def counted(*args, _name=name, _real=getattr(synthesis, name)):
-            calls.append(_name)
-            return _real(*args)
-        monkeypatch.setattr(synthesis, name, counted)
-    synthesize(SynthesisConfig(J=8, source=source))
-    at_8 = sorted(calls)
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
+    synthesize(SynthesisConfig(J=8, source=source()))
+    at_8 = len(calls)
     calls.clear()
-    synthesize(SynthesisConfig(J=16, source=source))
-    assert len(at_8) == 1 and sorted(calls) == at_8
+    synthesize(SynthesisConfig(J=16, source=source()))
+    assert at_8 == per_call and len(calls) == at_8
 
 
 def test_synthesize_rejects_an_infinite_h_grid_point():
