@@ -110,7 +110,7 @@ def cmd_synth(args) -> int:
     resolved = dict(resolved, seed=cfg.seed, wavelet=f"db{cfg.wavelet_order}")
     try:
         signal = synthesize(cfg)
-    except MathValidityError as exc:   # the config's values, framed like its other errors
+    except (ConfigError, MathValidityError) as exc:   # the config's values, framed with its path
         raise type(exc)(f"{args.config}: {exc}") from None
     _start_bundle(args)
     sig_path = os.path.join(args.out, "signal.rws")

@@ -174,17 +174,20 @@ def upper_closure(curve: LambdaCurve) -> LambdaCurve:
 
 def large_deviation_spectrum(curve: LambdaCurve) -> np.ndarray:
     """d2(h) = h * sup over alpha <= h of lambda(alpha) / alpha, on the
-    curve's own alpha grid; a sup that ends negative or NaN leaves the
-    point absent (negative values participate, they only lower the sup).
+    curve's own alpha grid; where every lambda up to h is negative or NaN,
+    the point is absent (negative values participate, they only lower the
+    sup).  That is read off the lambdas, not the ratios: a ratio has the
+    sign of its lambda but can underflow to -0.0, and a running max of
+    +0.0 and -0.0 may keep either.
 
     The raw curve and its upper closure give the same d2: a closed value
     at a is some earlier lambda(b) divided by a > b, so wherever the sup
-    is nonnegative it is attained at a raw value, and where it is
-    negative the point is absent either way.
+    is nonnegative it is attained at a raw value, and the closure keeps
+    the running max of the lambdas, which decides presence.
     """
     h = curve.alpha_grid
     sup = np.fmax.accumulate(curve.values / h)
-    return np.where(sup < 0, np.nan, h * sup)  # a NaN sup gives h * NaN
+    return np.where(np.fmax.accumulate(curve.values) >= 0, h * sup, np.nan)
 
 
 def structure_function(field: AlphaField) -> TauCurve:

@@ -32,23 +32,29 @@ in h get the same grid.
 Closed-form densities come from four kernel families used for
 self-similar cascade models: gaussian, shifted gamma, shifted poisson
 (the log-Poisson cascade) and dirac (exact monofractal).  Each family is
-a frozen dataclass deriving from ``Kernel`` and carries its own
-formulas as methods: the density ``rho``, the ``peak`` where rho = 1,
-``_threshold``, its domain check and its one threshold alpha* on its
-location parameter (its first field: m, alpha0 or H), ``ratio_max``
-(h_min, the maximizer alpha_t of rho(a)/a and h_max from one solve, for
-both ``spectrum_from_rho`` and the synthesis regularity warning), and the
-scale-j exponent law of the self-similarity semigroup (``scale_cap``,
+a frozen dataclass deriving from ``Kernel``; its first field is its
+location parameter (m, alpha0 or H) and the rest its shape parameters.
+Each rule common to the families is stated once, in the base ``Kernel``
+or in ``kernel_validity``, and a family carries only its own formulas:
+the density ``rho``, the mode offset ``_offset`` (the ``peak``, where rho
+= 1, is location + offset), ``_threshold`` (its one threshold alpha* on
+the location), ``_alpha_t`` (the maximizer of rho(a)/a), and the scale-j
+exponent law of the self-similarity semigroup (``scale_cap``,
 ``scale_quantile``).  A kernel checks itself when made: ``__post_init__``
-runs ``kernel_validity`` once, which refuses a non-finite parameter, one
-outside the family's domain, and location <= alpha* (validity is h_min >
-0, rho < 0 near 0), and the kernel keeps the alpha* it returns, so no
-reader checks or solves it again; the base ``Kernel`` reads h_min =
-location - alpha* off it.  alpha* is sigma sqrt(2 ln 2) for the gaussian, 0 for dirac, and
-minus the left zero of the family's own shifted density for gamma and
-poisson; a poisson density puts its K = 0 atom, 1 - c log2(e), at
-alpha0, so for c <= ln 2 it has no left zero and alpha* is 0.  The
-gaussian span is closed form; the shifted families solve alpha* and
+runs ``kernel_validity`` once, which refuses a non-finite parameter, a
+shape parameter <= 0, a closed form beyond float precision, and
+location <= alpha* (validity is h_min > 0, rho < 0 near 0), and the
+kernel keeps the alpha* it returns, so no reader checks or solves it
+again; the base reads h_min = location - alpha* off it.  alpha* is sigma
+sqrt(2 ln 2) for the gaussian, 0 for dirac, and minus the left zero of
+the family's own shifted density for gamma and poisson; a poisson
+density puts its K = 0 atom, 1 - c log2(e), at alpha0, so for c <= ln 2
+it has no left zero and alpha* is 0.  The base ``ratio_max`` gives
+h_min, alpha_t and h_max from one solve, for both ``spectrum_from_rho``
+and the synthesis regularity warning, and refuses a span that floats
+cannot resolve (the peak on or below h_min, alpha_t below h_min, or
+h_max below h_min or not finite); dirac's span is the one point H.  The
+gaussian alpha_t is closed form; the shifted families solve alpha* and
 alpha_t through one bracketed solver, ``_root``, to a tolerance relative
 to the kernel's own scale, and where their rho(a)/a falls from alpha0
 on, alpha_t is alpha0.
@@ -188,15 +194,19 @@ def gaussian_threshold(sigma: float) -> float:
 
 
 class Kernel:
-    """Base of the kernel families; subclasses supply ``_rho`` (on an
-    array), ``peak``, ``_threshold``, ``ratio_max``, ``scale_cap`` and
-    ``scale_quantile``.  A family's first field is its location
-    parameter, and alpha* its one threshold: h_min is location - alpha*,
-    and the kernel is valid iff h_min > 0, that is iff location > alpha*.
-    A kernel checks itself when made (``kernel_validity``) and keeps the
-    alpha* it solved; that is not a field, so ``fields``, ``repr`` and
-    ``==`` see only the parameters.  Scale-j laws put no mass at +inf:
-    kernels produce no zero coefficients."""
+    """Base of the kernel families.  A family's first field is its
+    location parameter and the others its shape parameters, each > 0;
+    alpha* is its one threshold: h_min is location - alpha*, and the
+    kernel is valid iff h_min > 0, that is iff location > alpha*.  A
+    family supplies ``_rho`` (on an array), ``_alpha_t``, ``scale_cap``
+    and ``scale_quantile`` (dirac, whose span is one point, supplies
+    ``ratio_max`` instead of ``_alpha_t``), and overrides the defaults
+    here where they differ: ``_offset``, the mode's offset from the
+    location (0), and ``_threshold``, alpha* (0).  A kernel checks itself
+    when made (``kernel_validity``) and keeps the alpha* it solved; that
+    is not a field, so ``fields``, ``repr`` and ``==`` see only the
+    parameters.  Scale-j laws put no mass at +inf: kernels produce no
+    zero coefficients."""
 
     def __post_init__(self):
         object.__setattr__(self, "_alpha_star", kernel_validity(self))
@@ -206,6 +216,21 @@ class Kernel:
         argument gives a float)."""
         out = self._rho(np.asarray(alpha, dtype=np.float64))
         return out if out.shape else float(out)
+
+    def _offset(self) -> float:
+        return 0.0
+
+    def _threshold(self) -> float:
+        return 0.0
+
+    def _shape_text(self) -> str:
+        """The shape parameters as name=value pairs, for messages."""
+        _, *shape = fields(self)
+        return ", ".join(f"{p.name}={getattr(self, p.name):.12g}" for p in shape)
+
+    def peak(self) -> float:
+        """The mode, where rho = 1: the location plus the mode offset."""
+        return getattr(self, fields(self)[0].name) + self._offset()
 
     def alpha_star(self) -> float:
         """The threshold on the location parameter, solved when the kernel was made."""
@@ -217,6 +242,28 @@ class Kernel:
         resolution of its shift point), the next float up."""
         h = getattr(self, fields(self)[0].name) - self.alpha_star()
         return h if self.rho(h) > -math.inf else float(np.nextafter(h, math.inf))
+
+    def ratio_max(self):
+        """(h_min, alpha_t, h_max): the left edge of {rho >= 0}, the
+        maximizer alpha_t of rho(a)/a (the family's ``_alpha_t``), and h_max
+        = 1/max rho(a)/a, for both ``spectrum_from_rho`` and the synthesis
+        regularity warning.  MathValidityError unless peak > h_min, h_min
+        <= alpha_t and h_min <= h_max < inf: the mode offset is below the
+        resolution of the location, which rounds the peak onto or below
+        h_min, or leaves so few floats between them that rho(a)/a still
+        rises at the peak or its maximum comes out of order.  alpha_t may
+        lie an ulp right of h_max: rho <= 1 puts h_max at or right of
+        alpha_t, save for the rounding of 1/(rho/alpha_t) where
+        rho(alpha_t) rounds to 1."""
+        h_min, peak = self.h_min(), self.peak()
+        alpha_t = self._alpha_t(h_min, peak) if peak > h_min else None
+        if alpha_t is not None:
+            ratio = self.rho(alpha_t) / alpha_t
+            if ratio > 0.0 and h_min <= alpha_t and h_min <= 1.0 / ratio < math.inf:
+                return h_min, alpha_t, 1.0 / ratio
+        location = fields(self)[0].name
+        raise MathValidityError(f"the mode offset of ({self._shape_text()}) is below the resolution "
+                                f"of {location} = {getattr(self, location):.12g}: rho has no span")
 
     def spectrum_grid(self, grid_step: float):
         """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``: the
@@ -241,24 +288,26 @@ class _ShiftedKernel(Kernel):
         out[pos] = self._rho_shifted(t[pos])
         return out
 
-    def peak(self) -> float:
-        return self.alpha0 + self._offset()
-
     def _threshold(self) -> float:
         """Minus the left zero of the shifted density: alpha0 > alpha* puts
-        that zero, h_min, right of 0.  Never -0.0."""
+        that zero, h_min, right of 0.  Never -0.0.  KernelValidityError,
+        before the solve, unless rho at the mode offset is finite and
+        within 1e-9 of 1: where it is not, the closed form's terms
+        overflow, underflow or cancel, and no root of it can be trusted."""
+        with np.errstate(all="ignore"):
+            try:
+                top = float(self._rho_shifted(self._offset()))
+            except ValueError:   # math.log2 of a constant that underflowed to 0
+                top = math.nan
+        if not abs(top - 1.0) <= _TOL_ONE:
+            raise KernelValidityError(f"rho at the mode of ({self._shape_text()}) is {top:.6g}, "
+                                      "not 1: its closed form is beyond float precision")
         return 0.0 - _left_zero(self._rho_shifted, self._offset())
 
-    def ratio_max(self):
-        """(h_min, alpha_t, h_max): the left edge of {rho >= 0}, the
-        maximizer alpha_t of rho(a)/a, and h_max = 1/max rho(a)/a, for a
-        valid kernel.  Where rho(a)/a falls from h_min on (a poisson whose
-        K = 0 atom at alpha0 dominates), alpha_t is h_min itself.
-        MathValidityError where the mode offset is below the resolution of
-        alpha0: the peak rounds onto or below h_min, or so near it that
-        rho(a)/a still rises there."""
-        h_min = self.h_min()
-        peak = self.peak()
+    def _alpha_t(self, h_min, peak):
+        """The maximizer of rho(a)/a on (h_min, peak), or h_min itself where
+        rho(a)/a falls from h_min on (a poisson whose K = 0 atom at alpha0
+        dominates); None where rho(a)/a still rises at the peak."""
         # the maximizer solves f(a) = rho'(a) a - rho(a) = 0, bracketed by
         # the left zero of rho (ratio rising, f > 0) and the peak (ratio
         # falling).  Where h_min is the shift point alpha0 (a poisson with
@@ -269,21 +318,16 @@ class _ShiftedKernel(Kernel):
         if h_min == self.alpha0:
             lo = max(h_min + (peak - h_min) * 1e-12, np.nextafter(h_min, peak))
         f = lambda a: self.rho_prime(a) * a - self.rho(a)
-        f_lo = f(lo) if peak > h_min else math.nan   # no bracket: refused below
-        # f > 0 at both ends: the peak is so near h_min that the ratio still rises there
-        if not peak > h_min or (f_lo > 0.0 and f(peak) > 0.0):
-            _, *shape = fields(self)
-            params = ", ".join(f"{p.name}={getattr(self, p.name):.12g}" for p in shape)
-            raise MathValidityError(f"the mode offset of ({params}) is below the resolution "
-                                    f"of alpha0 = {self.alpha0:.12g}: rho has no span")
-        alpha_t = h_min if f_lo <= 0.0 else _root(f, lo, peak, max(1e-15 * lo, _ROOT_XTOL_MIN))
-        return h_min, alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
+        f_lo = f(lo)
+        if f_lo > 0.0 and f(peak) > 0.0:
+            return None
+        return h_min if f_lo <= 0.0 else _root(f, lo, peak, max(1e-15 * lo, _ROOT_XTOL_MIN))
 
 
 @dataclass(frozen=True)
 class GaussianKernel(Kernel):
     """rho(a) = 1 - log2(e) (a-m)^2 / (2 sigma^2); valid iff m > alpha* =
-    sigma*sqrt(2 ln 2), with sigma^2 a normal float.
+    sigma*sqrt(2 ln 2), with 2 sigma^2 a normal float.
 
     Scale j: Normal(m, sigma^2/j) conditioned on alpha > 0; a sampled
     alpha is >= 0, the quantile clipped at 0, where it can round below."""
@@ -294,22 +338,17 @@ class GaussianKernel(Kernel):
     def _rho(self, a):
         return 1.0 - LOG2E * (a - self.m) ** 2 / (2.0 * self.sigma**2)
 
-    def peak(self) -> float:
-        return self.m
-
     def _threshold(self) -> float:
-        # rho divides by sigma**2; below the least normal float it has lost digits
-        if not (self.sigma > 0 and self.sigma**2 >= np.finfo(np.float64).tiny):
-            raise KernelValidityError("sigma <= 0, or sigma**2 is below the least normal float")
+        # rho divides by 2 sigma sigma: it must be finite, and sigma sigma
+        # at least the least normal float, below which it has lost digits
+        if not 2.0 * np.finfo(np.float64).tiny <= 2.0 * self.sigma * self.sigma < math.inf:
+            raise KernelValidityError("sigma: 2 sigma^2 is not a normal float")
         return gaussian_threshold(self.sigma)
 
-    def ratio_max(self):
-        """(h_min, alpha_t, h_max) in closed form: rho(a)/a peaks at
-        alpha_t = sqrt(m - alpha*) sqrt(m + alpha*), each root taken on its
-        own so that the product cannot underflow."""
-        h_min = self.h_min()
-        alpha_t = math.sqrt(h_min) * math.sqrt(self.m + self.alpha_star())
-        return h_min, alpha_t, 1.0 / (self.rho(alpha_t) / alpha_t)
+    def _alpha_t(self, h_min, peak):
+        """rho(a)/a peaks at alpha_t = sqrt(m - alpha*) sqrt(m + alpha*),
+        each root taken on its own so that the product cannot underflow."""
+        return math.sqrt(h_min) * math.sqrt(self.m + self.alpha_star())
 
     def scale_cap(self, j: int) -> float:
         return self.m + 12.0 * self.sigma / math.sqrt(j)
@@ -343,11 +382,6 @@ class ShiftedGammaKernel(_ShiftedKernel):
 
     def _offset(self) -> float:
         return self.nu / self.beta
-
-    def _threshold(self) -> float:
-        if self.nu <= 0 or self.beta <= 0:
-            raise KernelValidityError("nu <= 0 or beta <= 0")
-        return super()._threshold()
 
     def scale_cap(self, j: int) -> float:
         return self.peak() + 12.0 * (math.sqrt(self.nu / j) / self.beta)
@@ -387,9 +421,9 @@ class ShiftedPoissonKernel(_ShiftedKernel):
 
     def _threshold(self) -> float:
         """0 for c <= ln 2, where the K = 0 atom at alpha0 is already >= 0
-        and rho has no left zero: h_min is alpha0 itself."""
-        if self.c <= 0:
-            raise KernelValidityError("c <= 0")
+        and rho has no left zero: h_min is alpha0 itself.  No root is
+        solved there, and rho at the mode, 1 - c log2 e + c log2(ce/c), is
+        1 to a few ulps, so the mode check is not needed."""
         if 1.0 - self.c * LOG2E >= 0.0:
             return 0.0
         return super()._threshold()
@@ -417,12 +451,6 @@ class DiracKernel(Kernel):
     def _rho(self, a):
         return np.where(np.abs(a - self.H) <= 1e-12 * self.H, 1.0, -np.inf)
 
-    def peak(self) -> float:
-        return self.H
-
-    def _threshold(self) -> float:
-        return 0.0
-
     def ratio_max(self):
         return self.H, self.H, self.H
 
@@ -436,16 +464,21 @@ class DiracKernel(Kernel):
 def kernel_validity(kernel) -> float:
     """alpha* of a valid kernel, which every kernel runs once when made.
     KernelValidityError names a non-finite parameter (root solves need
-    finite ones), a parameter outside the family's domain, or location <=
-    alpha*, which puts rho >= 0 arbitrarily close to 0.  In floats location
-    - alpha* > 0 exactly when location > alpha*, so this is the verdict
-    h_min > 0."""
+    finite ones), a shape parameter <= 0, a value the family's
+    ``_threshold`` refuses (a gaussian sigma whose square is not a normal
+    float, a gamma or poisson closed form beyond float precision), or
+    location <= alpha*, which puts rho >= 0 arbitrarily close to 0.  In
+    floats location - alpha* > 0 exactly when location > alpha*, so this
+    is the verdict h_min > 0."""
     if not isinstance(kernel, Kernel):
         raise UnsupportedVariantError(f"unknown kernel {type(kernel).__name__}")
     location, *rest = fields(kernel)
     for f in fields(kernel):
         if not math.isfinite(getattr(kernel, f.name)):
             raise KernelValidityError(f"{f.name} = {getattr(kernel, f.name)} is not finite")
+    for f in rest:
+        if not getattr(kernel, f.name) > 0:
+            raise KernelValidityError(f"{f.name} <= 0")
     star = kernel._threshold()
     if not getattr(kernel, location.name) > star:
         params = f"({', '.join(f.name for f in rest)})" if rest else ""

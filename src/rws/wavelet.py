@@ -244,8 +244,10 @@ class CoefficientPyramid:
     ``levels[j]`` holds the 2**j coefficients of scale j in the
     rescaled convention described in the module docstring;
     ``coarse_mean`` is the single remaining scaling coefficient, equal
-    to the sample mean of the signal.  Checks its own shape when made:
-    InvalidPyramidError unless there are J levels of those sizes.
+    to the sample mean of the signal.  Checks its own shape when made
+    and stores each level in final form, a 1-D float64 array (a float64
+    input is not copied): InvalidPyramidError unless there are J levels
+    of those sizes.
     """
 
     J: int
@@ -257,11 +259,10 @@ class CoefficientPyramid:
             raise InvalidPyramidError(
                 f"expected {self.J} detail levels, found {len(self.levels)}"
             )
+        self.levels = [np.asarray(lev, dtype=np.float64) for lev in self.levels]
         for j, lev in enumerate(self.levels):
-            if lev is None or np.asarray(lev).size != 2**j:
-                raise InvalidPyramidError(
-                    f"level {j} must hold {2**j} coefficients"
-                )
+            if lev.shape != (2**j,):
+                raise InvalidPyramidError(f"level {j} must hold {2**j} coefficients in one dimension")
 
 
 # Outputs per block of the polyphase loops: a block's accumulators and the
@@ -402,8 +403,8 @@ def inverse_dwt(pyramid: CoefficientPyramid, filt: WaveletFilter) -> np.ndarray:
     out, spare = np.empty(2**J), np.empty(2**J // 2)
     s = np.array([pyramid.coarse_mean], dtype=np.float64)
     for j in range(J):
-        det = np.asarray(pyramid.levels[j], dtype=np.float64)
         buf = out if (J - j) % 2 else spare
-        s = _up_conv(s, det, filt.lowpass, filt.highpass, buf[: 2 * s.size], 2.0 ** (-0.5 * j))
+        s = _up_conv(s, pyramid.levels[j], filt.lowpass, filt.highpass, buf[: 2 * s.size],
+                     2.0 ** (-0.5 * j))
     s *= 2.0 ** (0.5 * J)
     return s

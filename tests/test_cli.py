@@ -133,9 +133,14 @@ def test_synth_bad_config_exits_2(tmp_path, capsys):
     "mode=flat\nalpha0=0.7\nJ=3\n",
     "mode=flat\nalpha0=0.7\nJ=10\nseed=-1\n",
     "mode=flat\nalpha0=0\nJ=10\n",
+    "mode=spectrum\nspectrum_file=wide.csv\nJ=8\n",
 ], ids=["unknown-kernel", "missing-parameter", "parameter-not-a-number", "unknown-key",
-        "J-not-an-integer", "no-kernel-variant", "J-3", "seed-negative", "flat-alpha0-0"])
+        "J-not-an-integer", "no-kernel-variant", "J-3", "seed-negative", "flat-alpha0-0",
+        "scale-law-beyond-the-step-bound"])
+@pytest.mark.filterwarnings("ignore:target h_max:UserWarning")   # h_max 10000 is beyond db10's regularity
 def test_synth_config_errors_start_with_the_config_path(config, tmp_path, capsys):
+    # h_max = 10000: the scale-1 law needs 5e6 steps, refused while synthesizing
+    (tmp_path / "wide.csv").write_text("# h,d\n1,0.0001\n10000,1\n")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config)
     out = tmp_path / "run"
@@ -192,7 +197,10 @@ def test_synth_inadmissible_spectrum_exits_3(tmp_path, capsys):
     "mode=spectrum\nspectrum_file=gap.csv\nJ=8\n",
     "mode=kernel\nkernel=poisson\nalpha0=0\nc=0.5\nJ=8\n",
     "mode=kernel\nkernel=gamma\nalpha0=inf\nnu=1.5\nbeta=4\nJ=8\n",
-], ids=["gaussian-below-threshold", "spectrum-with-a-gap", "poisson-reaching-zero", "gamma-alpha0-inf"])
+    "mode=kernel\nkernel=gaussian\nm=1e17\nsigma=1\nJ=8\n",
+    "mode=kernel\nkernel=gamma\nalpha0=0.1\nnu=1e20\nbeta=3\nJ=8\n",
+], ids=["gaussian-below-threshold", "spectrum-with-a-gap", "poisson-reaching-zero", "gamma-alpha0-inf",
+        "gaussian-without-a-span", "gamma-beyond-float-precision"])
 def test_synth_math_errors_start_with_the_config_path(config, tmp_path, capsys):
     # a config that parses but fails a mathematical condition is still the config's error
     (tmp_path / "gap.csv").write_text("0.5,0.5\n0.75,\n1.0,1.0\n")
@@ -536,13 +544,35 @@ def test_kernel_gamma_with_a_zero_below_resolution(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("params", [
-    ("alpha0=562.8113728287591", "nu=0.0061029059020793405", "beta=1.1391767324151265e68"),
-    ("alpha0=6.231732261890946e-274", "nu=1.620432620933933e-05", "beta=4.368874533745207e282"),
-], ids=["peak-below-h_min", "peak-ulps-above-h_min"])
-def test_kernel_gamma_with_a_mode_offset_below_resolution_is_refused(params, tmp_path, capsys):
-    assert cli.main(["kernel", "gamma", *params, "--out", str(tmp_path / "k")]) == 3
+    ("gamma", "alpha0=562.8113728287591", "nu=0.0061029059020793405", "beta=1.1391767324151265e68"),
+    ("gamma", "alpha0=6.231732261890946e-274", "nu=1.620432620933933e-05", "beta=4.368874533745207e282"),
+    ("gaussian", "m=1e17", "sigma=1"),
+    ("gaussian", "m=5.0389267553610016e+23", "sigma=244383.01128204848"),
+], ids=["peak-below-h_min", "peak-ulps-above-h_min", "gaussian-m-1e17", "gaussian-far"])
+def test_kernel_with_a_mode_offset_below_resolution_is_refused(params, tmp_path, capsys):
+    # the gaussians printed a negative h_max, and ended in a traceback
+    assert cli.main(["kernel", *params, "--out", str(tmp_path / "k")]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: the mode offset of (nu=")
+    assert len(err) == 1 and err[0].startswith("error: the mode offset of (")
+
+
+@pytest.mark.parametrize(("params", "start"), [
+    (("gamma", "alpha0=0.1", "nu=1e20", "beta=3"), "rho at the mode of (nu="),
+    (("gamma", "alpha0=0.1", "nu=1e-300", "beta=1e100"), "rho at the mode of (nu="),
+    (("gamma", "alpha0=0.1", "nu=1e100", "beta=1e-300"), "rho at the mode of (nu="),
+    (("gamma", "alpha0=1.0049832833225104e-20", "nu=3.042441400855942e+29", "beta=4.3769152727561215e+24"),
+     "rho at the mode of (nu="),
+    (("poisson", "alpha0=284790.0352470305", "c=1.7539621864850382e+28"), "rho at the mode of (c="),
+    (("gaussian", "m=1", "sigma=1e300"), "sigma"),
+], ids=["gamma-nu-1e20", "gamma-nu-1e-300", "gamma-beta-1e-300", "gamma-nu-3e29", "poisson-c-2e28",
+        "gaussian-sigma-1e300"])
+def test_kernel_beyond_float_precision_is_refused_by_name(params, start, tmp_path, capsys):
+    # each ended in a traceback: its closed form overflows, underflows or cancels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["kernel", *params, "--out", str(tmp_path / "k")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {start}")
 
 
 def test_kernel_dirac_at_a_subnormal_h_is_refused_without_warnings(tmp_path, capsys):

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rws import (
@@ -270,6 +270,8 @@ def test_closure_nan_handling_and_idempotence():
     ),
     min_size=1, max_size=40,
 ))
+@example(points=[(1.0, -5e-324), (1.0, np.nan)])   # the closed ratio -5e-324 / 2 underflows to -0.0
+@example(points=[(1.0, np.nan), (1.0, 0.0), (1.0, -5e-324)])   # a running max of 0.0 and -0.0
 def test_large_deviation_is_the_same_on_the_raw_and_closed_curve(points):
     # the sup of lambda/alpha over alpha <= h is attained at a raw value
     # wherever it is nonnegative, so closing the curve first changes no bit

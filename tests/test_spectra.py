@@ -116,18 +116,25 @@ def test_alpha_star_is_a_root(kernel):
 
 
 # peak() rounds below h_min(); peak() a few ulps above h_min(), where rho(a)/a
-# still rises; a poisson shift point too large to hold c
+# still rises; a poisson shift point too large to hold c; gaussians whose
+# alpha* rounds away against m (h_min = m = peak), so that alpha_t rounds
+# an ulp off m and h_max comes out negative (the second sized its grid from it
+# and ended in a traceback)
 UNRESOLVED_OFFSETS = [
     ShiftedGammaKernel(alpha0=562.8113728287591, nu=0.0061029059020793405, beta=1.1391767324151265e68),
     ShiftedGammaKernel(alpha0=6.231732261890946e-274, nu=1.620432620933933e-05,
                        beta=4.368874533745207e282),
     ShiftedPoissonKernel(alpha0=1e20, c=1.0),
+    GaussianKernel(m=1e17, sigma=1.0),
+    GaussianKernel(m=5.0389267553610016e+23, sigma=244383.01128204848),
 ]
 
 
-@pytest.mark.parametrize("kernel", UNRESOLVED_OFFSETS, ids=["gamma-below", "gamma-ulps", "poisson-far"])
+# the location is alpha0, or m for the gaussian
+@pytest.mark.parametrize("kernel", UNRESOLVED_OFFSETS,
+                         ids=["gamma-below", "gamma-ulps", "poisson-far", "gaussian-m-1e17", "gaussian-far"])
 def test_a_mode_offset_below_the_resolution_of_alpha0_is_refused(kernel):
-    with pytest.raises(MathValidityError, match=r"mode offset of \((nu|c)=.* of alpha0 = "):
+    with pytest.raises(MathValidityError, match=r"mode offset of \((nu|c|sigma)=.* of (alpha0|m) = "):
         spectrum_from_rho(kernel)
     with pytest.raises(MathValidityError, match="mode offset"):
         synthesize(SynthesisConfig(J=5, source=kernel))
@@ -256,7 +263,8 @@ BAD_KERNEL_VALUES = [
     (GaussianKernel(m=1.0, sigma=0.5), dict(sigma=-0.5), "^sigma <= 0"),
     (GaussianKernel(m=1.0, sigma=0.5), dict(m=0.5), r"^m <= alpha\*\(sigma\)"),
     (GaussianKernel(m=1.0, sigma=0.5), dict(m=-np.inf), "^m = -inf is not finite$"),
-    (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), dict(beta=0.0), "^nu <= 0 or beta <= 0$"),
+    (GaussianKernel(m=1.0, sigma=0.5), dict(sigma=1e300), r"^sigma: 2 sigma\^2 is not a normal float$"),
+    (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), dict(beta=0.0), "^beta <= 0$"),
     (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), dict(alpha0=-0.2), r"^alpha0 <= alpha\*\(nu, beta\)"),
     (ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0), dict(nu=np.inf), "^nu = inf is not finite$"),
     (ShiftedPoissonKernel(alpha0=0.3, c=1.0), dict(c=-1.0), "^c <= 0$"),
@@ -277,6 +285,30 @@ def test_every_family_refuses_bad_values_when_made(kernel, bad, match):
         dataclasses.replace(kernel, **bad)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(kernel, *next(iter(bad.items())))
+
+
+# closed forms whose terms overflow, underflow or cancel: each reached the
+# root solver and ended there in a traceback
+BEYOND_FLOAT_PRECISION = [
+    (ShiftedGammaKernel, dict(alpha0=0.1, nu=1e20, beta=3.0)),   # f(lo) and f(hi) of one sign
+    (ShiftedGammaKernel, dict(alpha0=0.1, nu=1e-300, beta=1e100)),   # a NaN value of f
+    (ShiftedGammaKernel, dict(alpha0=0.1, nu=1e100, beta=1e-300)),   # math.log2(0)
+    (ShiftedGammaKernel, dict(alpha0=1.0049832833225104e-20, nu=3.042441400855942e+29,
+                              beta=4.3769152727561215e+24)),   # ZeroDivisionError
+    (ShiftedPoissonKernel, dict(alpha0=284790.0352470305, c=1.7539621864850382e+28)),   # one sign
+]
+
+
+@pytest.mark.parametrize(("family", "params"), BEYOND_FLOAT_PRECISION,
+                         ids=["gamma-nu-1e20", "gamma-nu-1e-300", "gamma-beta-1e-300", "gamma-nu-3e29",
+                              "poisson-c-2e28"])
+def test_a_closed_form_beyond_float_precision_is_refused_before_any_root_solve(family, params, monkeypatch):
+    monkeypatch.setattr(spectra, "_root", None)   # a root solve would raise TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelValidityError, match=r"^rho at the mode of \((nu|c)=.*\) is .*, not 1: "
+                                                      "its closed form is beyond float precision$"):
+            family(**params)
 
 
 def test_validity_rejects_non_kernels():
@@ -891,6 +923,26 @@ def test_a_kernel_spectrum_and_signal_are_right_or_refused(kernel):
         except MathValidityError:
             return
     assert np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("exponent", [30, 300])
+@pytest.mark.parametrize("family", [GaussianKernel, ShiftedGammaKernel, ShiftedPoissonKernel, DiracKernel],
+                         ids=lambda f: f.__name__)
+def test_log_uniform_kernels_are_made_right_or_refused(family, exponent):
+    """Every parameter 10^U(-exponent, exponent), 300 kernels a family from
+    a fixed seed: each is made with an admissible spectrum on a finite span,
+    or refused with an RwsError, and raises no warning."""
+    rng = np.random.default_rng(exponent)
+    draws = 10.0 ** rng.uniform(-exponent, exponent, (300, len(dataclasses.fields(family))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in draws.tolist():
+            try:
+                curve = spectrum_from_rho(family(*params))
+            except RwsError:
+                continue
+            assert check_admissible(curve) == [], params
+            assert 0 < curve.h_min <= curve.h_max < math.inf, params
 
 
 # kernels rescaled from unit scale: the gaussian (m, sigma) = sigma (alpha*(1) f, 1)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rws import (
+    AlphaField,
     CoefficientPyramid,
     ConfigError,
     InvalidLengthError,
@@ -160,6 +161,18 @@ def test_inverse_validates_pyramid():
         CoefficientPyramid(J=3, levels=[np.zeros(1), np.zeros(2)], coarse_mean=0.0)
     with pytest.raises(InvalidPyramidError, match="level 1 must hold 2"):
         CoefficientPyramid(J=2, levels=[np.zeros(1), np.zeros(3)], coarse_mean=0.0)
+    with pytest.raises(InvalidPyramidError, match="level 2 must hold 4 coefficients in one dimension"):
+        CoefficientPyramid(J=3, levels=[np.zeros(1), np.zeros(2), np.zeros((2, 2))], coarse_mean=0.0)
+
+
+def test_a_pyramid_stores_its_levels_as_float64_vectors():
+    # an integer level is converted when made, and a float64 one is kept as it is
+    ints = [np.ones(2**j, dtype=np.int64) for j in range(8)]
+    pyr = CoefficientPyramid(J=8, levels=ints, coarse_mean=0.0)
+    assert all(lev.dtype == np.float64 for lev in pyr.levels)
+    AlphaField.from_pyramid(pyr)
+    floats = [np.ones(2**j) for j in range(8)]
+    assert all(a is b for a, b in zip(CoefficientPyramid(J=8, levels=floats).levels, floats))
 
 
 def test_unsupported_orders_rejected():
