@@ -78,68 +78,3 @@ from .wavelet import (
     inverse_dwt,
     parse_wavelet_name,
 )
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityError",
-    "AlphaField",
-    "AnalysisResult",
-    "CoefficientPyramid",
-    "ConfigError",
-    "DegenerateLevelError",
-    "DiracKernel",
-    "EmptySpectrumError",
-    "EstimatedSpectrum",
-    "FlatLaw",
-    "FlatSpectrumError",
-    "FormatError",
-    "GaussianKernel",
-    "InsufficientScalesError",
-    "InvalidLengthError",
-    "InvalidPyramidError",
-    "Kernel",
-    "KernelScaleLaw",
-    "KernelValidityError",
-    "LambdaCurve",
-    "LogDensity",
-    "MathValidityError",
-    "NonFiniteSampleError",
-    "RwsError",
-    "ScaleLawTable",
-    "ShiftedGammaKernel",
-    "ShiftedPoissonKernel",
-    "SpectrumCurve",
-    "SynthesisConfig",
-    "TauCurve",
-    "UnsupportedOrderError",
-    "UnsupportedVariantError",
-    "WaveletFilter",
-    "analyze_pyramid",
-    "check_admissible",
-    "critical_q",
-    "curve_from_function",
-    "curve_from_samples",
-    "daubechies_filter",
-    "default_q_grid",
-    "dyadic_exponent",
-    "estimate_lambda",
-    "flat_scale_law",
-    "forward_dwt",
-    "gaussian_threshold",
-    "generate_coefficients",
-    "inverse_dwt",
-    "kernel_validity",
-    "large_deviation_spectrum",
-    "legendre_spectrum",
-    "parse_wavelet_name",
-    "sample_alphas",
-    "scale_law_from_kernel",
-    "scale_law_from_spectrum",
-    "spectrum_from_rho",
-    "structure_function",
-    "synthesize",
-    "uniform_field",
-    "upper_closure",
-    "validate_config",
-]

@@ -686,6 +686,20 @@ def test_synthesis_scripts_reject_unknown_wavelet(script, flag, name, tmp_path):
     assert f"error: unknown wavelet {name!r}" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_code_lines_script_skips_blanks_comments_and_docstrings(tmp_path):
+    # docstrings of the module, a function and a class are not code; an
+    # assigned string literal is, even where it spans lines
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nx = """not a\ndocstring"""\n\n'
+        'def f():\n    """Doc."""\n    return x  # trailing\n'
+        "class C:\n    '''Doc\n    more.'''\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(root / "scripts" / "code_lines.py"), str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-2:] == [f"       11      5  {tmp_path / 'm.py'}", "       11      5  total"]
+
+
 def test_synth_kernel_density_reaching_zero_exits_3(tmp_path, capsys):
     # a kernel whose density is nonnegative arbitrarily close to 0 is invalid:
     # for c <= ln 2, alpha* is 0
