@@ -252,7 +252,9 @@ def generate_coefficients(config: SynthesisConfig) -> CoefficientPyramid:
         c = sample_alphas(law(j), u[0])
         np.multiply(c, -j, out=c)
         np.exp2(c, out=c)  # +0.0 where alpha = +inf
-        np.negative(c, out=c, where=u[1] < 0.5)  # bit for bit c * -1.0
+        # the sign: -c where u < 0.5, as exp2 never sets the sign bit of c
+        np.subtract(u[1], 0.5, out=u[1])
+        np.copysign(c, u[1], out=c)
         levels.append(c)
     return CoefficientPyramid(J=config.J, levels=levels, coarse_mean=0.0)
 

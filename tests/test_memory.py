@@ -20,6 +20,7 @@ from rws import (
     curve_from_function,
     daubechies_filter,
     forward_dwt,
+    inverse_dwt,
     scale_law_from_spectrum,
     structure_function,
     synthesize,
@@ -72,6 +73,17 @@ def test_forward_dwt_memory_budget(order):
     J = 20
     x = _signal(J)
     assert _traced_peak(forward_dwt, x, daubechies_filter(order)) <= 2.0 * 8 * 2**J
+
+
+@pytest.mark.parametrize("order", [3, 10])
+def test_inverse_dwt_memory_budget(order):
+    # measured 1.11 signals beyond the pyramid: the output, in which every
+    # level works, and block-sized temporaries; 1.61 with a spare buffer of
+    # half a signal that alternate levels wrote into
+    J = 20
+    f = daubechies_filter(order)
+    pyr = forward_dwt(_signal(J), f)
+    assert _traced_peak(inverse_dwt, pyr, f) <= 1.25 * 8 * 2**J
 
 
 def test_alpha_field_memory_budget():

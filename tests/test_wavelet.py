@@ -248,7 +248,17 @@ def _assert_kernels_match_references(order, n, tag):
     assert detail.tobytes() == reference_down_corr(s, f.highpass).tobytes(), f"forward highpass n={n}"
     a, d = _sparse_signed(gen, n // 2), _sparse_signed(gen, n // 2)
     got = wavelet._up_conv(a, d, f.lowpass, f.highpass, np.empty(n))
-    assert got.tobytes() == reference_up_conv(a, d, f.lowpass, f.highpass).tobytes(), f"inverse n={n}"
+    want = reference_up_conv(a, d, f.lowpass, f.highpass).tobytes()
+    assert got.tobytes() == want, f"inverse n={n}"
+    assert _up_conv_in_place(a, d, f).tobytes() == want, f"inverse in place n={n}"
+
+
+def _up_conv_in_place(approx, detail, f, scale=1.0):
+    # the call inverse_dwt makes: approx is the front of the output buffer
+    h = approx.size
+    out = np.empty(2 * h)
+    out[:h] = approx
+    return wavelet._up_conv(out[:h], detail, f.lowpass, f.highpass, out, scale)
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)
@@ -269,11 +279,13 @@ def test_polyphase_kernels_match_over_full_blocks():
     _assert_kernels_match_references(10, 4 * wavelet.DWT_BLOCK + 6, 2)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 10])
-@pytest.mark.parametrize("block", ["default", 3])
+@pytest.mark.parametrize("order", ALL_ORDERS)
+@pytest.mark.parametrize("block", ["default", 1, 2, 3])
 def test_polyphase_kernels_scale_like_a_prescaled_input(order, block, monkeypatch):
     # the forward kernel scales its input, and the inverse its detail, one
-    # block at a time; the bytes equal those of scaling the whole array first
+    # block at a time; the bytes equal those of scaling the whole array first.
+    # In place, the inverse runs its blocks last to first, and blocks shorter
+    # than the filter's reach all wrap into the saved tail.
     if block != "default":
         monkeypatch.setattr(wavelet, "DWT_BLOCK", block)
     f = daubechies_filter(order)
@@ -286,7 +298,9 @@ def test_polyphase_kernels_scale_like_a_prescaled_input(order, block, monkeypatc
         assert detail.tobytes() == reference_down_corr(s * c, f.highpass).tobytes(), f"n={n}"
         a, d = _sparse_signed(gen, n // 2), _sparse_signed(gen, n // 2)
         got = wavelet._up_conv(a, d, f.lowpass, f.highpass, np.empty(n), c)
-        assert got.tobytes() == reference_up_conv(a, d * c, f.lowpass, f.highpass).tobytes(), f"n={n}"
+        want = reference_up_conv(a, d * c, f.lowpass, f.highpass).tobytes()
+        assert got.tobytes() == want, f"n={n}"
+        assert _up_conv_in_place(a, d, f, c).tobytes() == want, f"in place n={n}"
 
 
 # (J, order, block): the top level shorter than the filter, one block per
@@ -315,9 +329,10 @@ def test_inverse_dwt_leaves_the_pyramid_unchanged(J, order, block, monkeypatch):
 
 
 @pytest.mark.parametrize("J, order, block", NO_MUTATION_CASES + [(5, 1, "default"), (6, 2, 3)])
-def test_inverse_dwt_levels_share_two_buffers(J, order, block, monkeypatch):
-    # every level's output lies in one of two arrays made before the first
-    # level, so no level-sized array is made and dropped per level
+def test_inverse_dwt_levels_share_one_buffer(J, order, block, monkeypatch):
+    # every level reads its approx from and writes its output to the front of
+    # the returned array, made before the first level, so no level-sized
+    # array is made and dropped per level
     if block != "default":
         monkeypatch.setattr(wavelet, "DWT_BLOCK", block)
     outputs = []
@@ -325,17 +340,8 @@ def test_inverse_dwt_levels_share_two_buffers(J, order, block, monkeypatch):
     monkeypatch.setattr(wavelet, "_up_conv", lambda *args: outputs.append(up_conv(*args)) or outputs[-1])
     pyr = forward_dwt(_sparse_signed(_rng(J + 2), 2**J), daubechies_filter(order))
     result = inverse_dwt(pyr, daubechies_filter(order))
-    assert len(outputs) == J and np.shares_memory(outputs[-1], result)
-    groups = []
-    for out in outputs:
-        group = next((g for g in groups if np.shares_memory(g[0], out)), None)
-        if group is None:
-            groups.append([out])
-        else:
-            group.append(out)
-    assert len(groups) <= 2, [len(g) for g in groups]
-    # and a level never reads the buffer it writes
-    assert not any(np.shares_memory(a, b) for a, b in zip(outputs, outputs[1:]))
+    assert len(outputs) == J
+    assert all(np.shares_memory(out, result) for out in outputs)
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)
