@@ -1,10 +1,13 @@
-"""Test-suite settings.
+"""One hypothesis profile for every run of the suite: a fixed set of examples,
+no example database, and a storage directory under which no directory can be
+made (hypothesis caches best-effort), so every run draws the same inputs and
+writes no ``.hypothesis/``."""
 
-The ``ci`` hypothesis profile replays a fixed set of examples with no
-example database, so a CI gate sees the same inputs on every run; select
-it with ``--hypothesis-profile=ci``.  Local runs keep the default profile.
-"""
+import os
 
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
-settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
+set_hypothesis_home_dir(os.devnull)

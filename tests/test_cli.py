@@ -172,7 +172,7 @@ def test_the_file_seed_is_checked_with_the_path_even_when_overridden(tmp_path, c
     assert capsys.readouterr().err.startswith(f"error: {cfg}: seed must be an integer")
     write_flat_config(cfg)
     assert cli.main(["synth", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
-    assert capsys.readouterr().err.startswith("error: seed must be an integer")
+    assert capsys.readouterr().err == f"error: seed must be an integer in [0, {2**64 - 1}], got -1\n"
     assert not out.exists()
 
 
@@ -192,23 +192,55 @@ def test_synth_inadmissible_spectrum_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", [
-    "mode=kernel\nkernel=gaussian\nm=0.1\nsigma=0.5\nJ=8\n",
-    "mode=spectrum\nspectrum_file=gap.csv\nJ=8\n",
-    "mode=kernel\nkernel=poisson\nalpha0=0\nc=0.5\nJ=8\n",
-    "mode=kernel\nkernel=gamma\nalpha0=inf\nnu=1.5\nbeta=4\nJ=8\n",
-    "mode=kernel\nkernel=gaussian\nm=1e17\nsigma=1\nJ=8\n",
-    "mode=kernel\nkernel=gamma\nalpha0=0.1\nnu=1e20\nbeta=3\nJ=8\n",
+@pytest.mark.parametrize("kernel", [
+    None,
+    ("gamma", "alpha0=0.04289795560504386", "nu=0.031511520870867185", "beta=0.020426139303159074"),
+], ids=["first-d-cell-empty", "gamma-steep-at-its-left-zero"])
+def test_synth_takes_a_spectrum_file_as_written(kernel, tmp_path):
+    # an empty first d cell narrows the span to the present samples, and the
+    # spectrum.csv of rws kernel resynthesizes, even for a density this steep
+    if kernel:
+        assert cli.main(["kernel", *kernel, "--out", str(tmp_path)]) == 0
+    else:
+        (tmp_path / "spectrum.csv").write_text("0.5,\n0.75,0.75\n1.0,1.0\n")
+    (tmp_path / "c.cfg").write_text("mode=spectrum\nspectrum_file=spectrum.csv\nJ=8\n")
+    out = tmp_path / "run"
+    assert cli.main(["synth", str(tmp_path / "c.cfg"), "--out", str(out)]) == 0
+    assert parse_key_values((out / "manifest.txt").read_text())["samples"] == "256"
+
+
+def test_the_admissible_edge_synthesizes_and_analyzes_at_J21(tmp_path):
+    # d(h) = h on [0.1, 1], the admissible maximum, at a J where its
+    # trapezoid-tabulated scale laws have mass just above 1
+    h = np.linspace(0.1, 1.0, 181).tolist()
+    (tmp_path / "edge.csv").write_text("# h,d\n" + "".join(f"{v!r},{v!r}\n" for v in h))
+    (tmp_path / "c.cfg").write_text("mode=spectrum\nspectrum_file=edge.csv\nJ=21\nseed=3\n")
+    assert cli.main(["synth", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "s")]) == 0
+    out = tmp_path / "an"
+    assert cli.main(["analyze", str(tmp_path / "s" / "signal.rws"), "--out", str(out)]) == 0
+    assert parse_key_values((out / "manifest.txt").read_text())["command"] == "analyze"
+    assert parse_key_values((out / "meta.txt").read_text())["J"] == "21"
+
+
+@pytest.mark.parametrize(("config", "message"), [
+    ("mode=kernel\nkernel=gaussian\nm=0.1\nsigma=0.5\nJ=8\n", "m <= alpha*(sigma) = 0.588705011258"),
+    ("mode=spectrum\nspectrum_file=gap.csv\nJ=8\n", "absent value inside [h_min, h_max]"),
+    ("mode=kernel\nkernel=poisson\nalpha0=0\nc=0.5\nJ=8\n", "alpha0 <= alpha*(c) = 0"),
+    ("mode=kernel\nkernel=gamma\nalpha0=inf\nnu=1.5\nbeta=4\nJ=8\n", "alpha0 = inf is not finite"),
+    ("mode=kernel\nkernel=gaussian\nm=1e17\nsigma=1\nJ=8\n",
+     "the mode offset of (sigma=1) is below the resolution of m = 1e+17: rho has no span"),
+    ("mode=kernel\nkernel=gamma\nalpha0=0.1\nnu=1e20\nbeta=3\nJ=8\n",
+     "rho at the mode of (nu=1e+20, beta=3) is -933888, not 1: its closed form is beyond float precision"),
 ], ids=["gaussian-below-threshold", "spectrum-with-a-gap", "poisson-reaching-zero", "gamma-alpha0-inf",
         "gaussian-without-a-span", "gamma-beyond-float-precision"])
-def test_synth_math_errors_start_with_the_config_path(config, tmp_path, capsys):
+def test_synth_math_errors_start_with_the_config_path(config, message, tmp_path, capsys):
     # a config that parses but fails a mathematical condition is still the config's error
     (tmp_path / "gap.csv").write_text("0.5,0.5\n0.75,\n1.0,1.0\n")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config)
     out = tmp_path / "run"
     assert cli.main(["synth", str(cfg), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert not out.exists()
 
 
@@ -438,8 +470,8 @@ def test_kernel_writes_density_and_spectrum(tmp_path, capsys):
     assert rho_lines[0] == "# alpha,rho"
 
 
-# the span lines of seven kernel manifests, pinned: the span a curve reads off
-# its first and last present samples must not move them
+# the span lines of kernel manifests, pinned: the span a curve reads off its
+# first and last present samples must not move them
 KERNEL_SPANS = [
     (("gaussian", "m=1", "sigma=0.5"), "0.411294988742", "0.904173975449"),
     (("gamma", "alpha0=0.1", "nu=1.5", "beta=4"), "0.219531260902", "0.413153646053"),
@@ -448,6 +480,19 @@ KERNEL_SPANS = [
     (("poisson", "alpha0=0.5", "c=0.6"), "0.5", "0.921736958706"),
     (("gamma", "alpha0=0.1", "nu=0.01", "beta=4"), "0.1", "0.101458164908"),
     (("dirac", "H=0.7000000005"), "0.7000000005", "0.7000000005"),
+    # rho(a)/a falls from alpha0 on: h_max = alpha0 / (1 - c log2 e), at any scale
+    (("poisson", "alpha0=0.0167", "c=0.11"), "0.0167", "0.0198501481294"),
+    (("poisson", "alpha0=1e-300", "c=0.5"), "1e-300", "3.58869944956e-300"),
+    # alpha0 + 1e-12 (peak - alpha0) rounds back onto a far shift point
+    (("poisson", "alpha0=82.38766578102307", "c=0.0027195009230881685"), "82.387665781", "82.3903738744"),
+    # a gamma density this steep at its left zero
+    (("gamma", "alpha0=0.04289795560504386", "nu=0.031511520870867185", "beta=0.020426139303159074"),
+     "0.0428979557639", "0.0602514780464"),
+    # gaussians far below unit scale get their span scaled
+    (("gaussian", "m=1.1774100236928848e-13", "sigma=1e-13"), "1.17741011579e-22", "5.88731339536e-14"),
+    (("gaussian", "m=2.35482004738577e-12", "sigma=2e-12"), "2.35482043353e-21", "1.17746267908e-12"),
+    (("gaussian", "m=5.9010287261965705e-12", "sigma=5.011872336272715e-12"),
+     "5.90102894177e-21", "2.95064631411e-12"),
 ]
 
 
@@ -550,10 +595,11 @@ def test_kernel_gamma_with_a_zero_below_resolution(tmp_path, capsys):
     ("gaussian", "m=5.0389267553610016e+23", "sigma=244383.01128204848"),
 ], ids=["peak-below-h_min", "peak-ulps-above-h_min", "gaussian-m-1e17", "gaussian-far"])
 def test_kernel_with_a_mode_offset_below_resolution_is_refused(params, tmp_path, capsys):
-    # the gaussians printed a negative h_max, and ended in a traceback
+    # the gaussians printed a negative h_max, and ended in a traceback; the
+    # message names the shape parameter that follows the location (nu, sigma)
     assert cli.main(["kernel", *params, "--out", str(tmp_path / "k")]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: the mode offset of (")
+    assert len(err) == 1 and err[0].startswith(f"error: the mode offset of ({params[2].split('=')[0]}=")
 
 
 @pytest.mark.parametrize(("params", "start"), [
@@ -564,8 +610,9 @@ def test_kernel_with_a_mode_offset_below_resolution_is_refused(params, tmp_path,
      "rho at the mode of (nu="),
     (("poisson", "alpha0=284790.0352470305", "c=1.7539621864850382e+28"), "rho at the mode of (c="),
     (("gaussian", "m=1", "sigma=1e300"), "sigma"),
+    (("gaussian", "m=1e-300", "sigma=1e-301"), "sigma"),
 ], ids=["gamma-nu-1e20", "gamma-nu-1e-300", "gamma-beta-1e-300", "gamma-nu-3e29", "poisson-c-2e28",
-        "gaussian-sigma-1e300"])
+        "gaussian-sigma-1e300", "gaussian-sigma-1e-301"])
 def test_kernel_beyond_float_precision_is_refused_by_name(params, start, tmp_path, capsys):
     # each ended in a traceback: its closed form overflows, underflows or cancels
     with warnings.catch_warnings():
@@ -578,7 +625,8 @@ def test_kernel_beyond_float_precision_is_refused_by_name(params, start, tmp_pat
 def test_kernel_dirac_at_a_subnormal_h_is_refused_without_warnings(tmp_path, capsys):
     # 1/H, the sup of d(h)/h, overflows
     assert cli.main(["kernel", "dirac", "H=7e-319", "--out", str(tmp_path / "k")]) == 3
-    assert capsys.readouterr().err.startswith("error: h_max = 7")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: h_max = 7")
 
 
 def test_kernel_dirac_far_below_unit_scale_keeps_its_one_point(tmp_path):
@@ -600,6 +648,13 @@ def test_kernel_gamma_with_a_zero_below_the_least_subnormal(tmp_path, capsys):
         assert cli.main(["kernel", "gamma", "alpha0=0.1", "nu=1e-4", "beta=4", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert float(parse_key_values((out / "manifest.txt").read_text())["alpha_star"]) == 0.0
+
+
+def test_kernel_gamma_prints_a_subnormal_threshold(tmp_path):
+    # the left zero of the shifted density is subnormal, solved to the tolerance floor
+    out = tmp_path / "k"
+    assert cli.main(["kernel", "gamma", "alpha0=0.1", "nu=0.00096", "beta=4", "--out", str(out)]) == 0
+    assert parse_key_values((out / "manifest.txt").read_text())["alpha_star"] == "-2.36050237679e-318"
 
 
 # sha256 of (rho.csv, spectrum.csv) at the default grid step
@@ -712,6 +767,9 @@ def test_synth_kernel_density_reaching_zero_exits_3(tmp_path, capsys):
 def test_kernel_invalid_parameters_exit_3(tmp_path, capsys):
     assert cli.main(["kernel", "gaussian", "m=1.0", "sigma=1.0", "--out", str(tmp_path)]) == 3
     assert "m <= alpha*(sigma) = 1.17741002252" in capsys.readouterr().err
+    # c <= ln 2 puts alpha* at 0, and a negative alpha0 below it
+    assert cli.main(["kernel", "poisson", "alpha0=-1.5", "c=0.5", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: alpha0 <= alpha*(c) = 0\n"
 
 
 @pytest.mark.parametrize("params", [

@@ -454,7 +454,7 @@ def test_root_is_brentq_where_a_coarse_tolerance_decides_the_step(r, lo, hi, xto
     assert _outcome(spectra._root, f, lo, hi, xtol) == _outcome(_brentq, f, lo, hi, xtol)
 
 
-# every gamma and poisson kernel a test, the benchmark or CI pins
+# every gamma and poisson kernel a test or the benchmark pins
 PINNED_SHIFTED_KERNELS = [
     ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
     ShiftedGammaKernel(alpha0=0.1, nu=0.01, beta=4.0),
