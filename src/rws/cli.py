@@ -126,11 +126,12 @@ def cmd_synth(args) -> int:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    x = fileio.read_signal(args.signal)
-    filt = parse_wavelet_name(args.wavelet)
-    pyramid = forward_dwt(x, filt)
-    del x  # free the signal (8 * 2^J bytes): analysis reads only the pyramid
-    result = analyze_pyramid(pyramid, scale_count=args.scales, grid_step=args.grid_step)
+    # no local holds the signal or the pyramid, so each is freed as soon as
+    # the stage it feeds has read it (see forward_dwt and analyze_pyramid)
+    result = analyze_pyramid(
+        forward_dwt(fileio.read_signal(args.signal), parse_wavelet_name(args.wavelet)),
+        scale_count=args.scales, grid_step=args.grid_step,
+    )
     _start_bundle(args)
     fileio.write_lambda_csv(
         os.path.join(args.out, "lambda.csv"), result.lambda_curve, result.closed_curve
@@ -142,8 +143,8 @@ def cmd_analyze(args) -> int:
     fileio.write_key_values(
         os.path.join(args.out, "meta.txt"),
         [
-            ("J", pyramid.J),
-            ("wavelet", filt.name),
+            ("J", meta["J"]),
+            ("wavelet", args.wavelet),
             ("scales", f"{j0}..{j1}"),
             ("q_c", meta["q_c"]),
             ("h_min", meta["h_min"]),
@@ -153,7 +154,7 @@ def cmd_analyze(args) -> int:
         ],
     )
     _write_manifest(args, [
-        ("wavelet", filt.name),
+        ("wavelet", args.wavelet),
         ("scales", args.scales),
         ("grid_step", args.grid_step),
         ("input", args.signal),

@@ -368,10 +368,16 @@ def analyze_pyramid(
     half a grid step of slack): beyond it the formula grows linearly
     out of the last ratio and would fabricate spectrum mass.
 
+    The pyramid is released as soon as the alpha field is made: a pyramid
+    that only the call holds (a temporary argument, on CPython >= 3.11)
+    is freed before the fits run, unless a wrapper keeps the call's
+    arguments.  ``spectrum.meta["J"]`` keeps its J.
+
     Raises ConfigError unless scale_count is an integer of at least 3
     and grid_step is positive and finite.
     """
     field_ = AlphaField.from_pyramid(pyramid, scale_count)
+    del pyramid
     lam = estimate_lambda(field_, _default_alpha_grid(field_, grid_step))
     closed = upper_closure(lam)
     d2 = large_deviation_spectrum(closed)
@@ -390,6 +396,7 @@ def analyze_pyramid(
         d2=d2,
         d1=d1,
         meta={
+            "J": field_.J,
             "q_c": q_c,
             "q_c_found": q_c_found,
             "h_min": h_min_est,

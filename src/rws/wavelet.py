@@ -42,9 +42,11 @@ wrap and the level's scale are applied to that window: 2**(-J/2) on the
 forward transform's signal, 2**(-j/2) on the inverse transform's detail
 level j.  A level thus holds its input, its outputs and block-sized
 temporaries, and neither transform writes to its argument.  Beyond its
-input, the forward transform peaks at about 1.6 times the signal's size
-(the pyramid, the top level's approx and a finiteness mask), the
-inverse at about 1.0 (1.03 at J = 22, 1.11 at J = 20, where its
+input, the forward transform peaks at about 1.56 times the signal's size
+(the pyramid and the top level's approx; the finiteness mask is dropped
+once checked), and it holds no reference to its input past the top
+level, so a caller that keeps none frees the signal there.  The
+inverse peaks at about 1.0 (1.03 at J = 22, 1.11 at J = 20, where its
 block-sized temporaries weigh more): it makes only its output, before
 the first level, and every level reads its approx from the front of that
 buffer and writes its outputs over it, so no level makes or drops a
@@ -382,16 +384,24 @@ def forward_dwt(signal, filt: WaveletFilter) -> CoefficientPyramid:
     Boundary handling is circular at every level, so the transform is
     exactly orthogonal for any order (filters longer than a level wrap).
     A NaN or infinite sample raises NonFiniteSampleError.
+
+    The finiteness mask is dropped once checked, and the function keeps
+    no reference to its input past the top level: a signal that only the
+    call holds (a temporary argument, on CPython >= 3.11) is freed there,
+    so the levels below run beside the pyramid alone.  A wrapper that
+    keeps its call's arguments (a tracer, say) keeps the signal alive for
+    the whole call.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
+    # s alone holds the input, until the top level's approx replaces it
+    s = np.asarray(signal, dtype=np.float64)
+    del signal
+    if s.ndim != 1:
         raise InvalidLengthError("signal must be one-dimensional")
-    J = dyadic_exponent(x.size)
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NonFiniteSampleError(f"sample {i} is {float(x[i])}; samples must be finite")
-    s, scale = x, 2.0 ** (-0.5 * J)  # the top level scales its input per block
+    J = dyadic_exponent(s.size)
+    if not np.isfinite(s).all():
+        i = int(np.argmin(np.isfinite(s)))
+        raise NonFiniteSampleError(f"sample {i} is {float(s[i])}; samples must be finite")
+    scale = 2.0 ** (-0.5 * J)  # the top level scales its input per block
     levels = [None] * J
     for j in range(J - 1, -1, -1):
         s, det = _down_corr(s, filt.lowpass, filt.highpass, scale)

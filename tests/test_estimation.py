@@ -178,6 +178,22 @@ def assert_same_analysis(a, b):
     np.testing.assert_equal(a.spectrum.meta, b.spectrum.meta)
 
 
+@pytest.mark.parametrize("zeros", [False, True], ids=["every-level-nonzero", "levels-with-zeros"])
+def test_the_field_and_the_analysis_leave_the_pyramid_unchanged(zeros):
+    # each converts its own copy of a level: analyze_pyramid releases the
+    # pyramid once the field is made, but no stage writes to its argument
+    pyramid = gaussian_pyramid()
+    assert all(lev.all() for lev in pyramid.levels)
+    if zeros:  # each fit level is then compressed to its nonzero entries
+        for lev in pyramid.levels[4:]:
+            lev[::3] = 0.0
+    before = [lev.tobytes() for lev in pyramid.levels]
+    AlphaField.from_pyramid(pyramid)
+    assert [lev.tobytes() for lev in pyramid.levels] == before
+    assert analyze_pyramid(pyramid).spectrum.meta["J"] == 14
+    assert [lev.tobytes() for lev in pyramid.levels] == before
+
+
 @pytest.mark.parametrize("kind", [np.uint8, np.uint64, np.int16])
 def test_numpy_scale_count_fits_like_a_python_int(kind):
     # -scale_count wraps for an unsigned type: the slice kept no scale
