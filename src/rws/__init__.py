@@ -12,8 +12,6 @@ from .errors import (
     AdmissibilityError,
     ConfigError,
     DegenerateLevelError,
-    EmptySpectrumError,
-    FlatSpectrumError,
     FormatError,
     InsufficientScalesError,
     InvalidLengthError,
@@ -44,7 +42,6 @@ from .spectra import (
     DiracKernel,
     GaussianKernel,
     Kernel,
-    LogDensity,
     ShiftedGammaKernel,
     ShiftedPoissonKernel,
     SpectrumCurve,

@@ -33,11 +33,10 @@ import numpy as np
 
 from . import fileio
 from .errors import ConfigError, FormatError, MathValidityError
-from .estimation import DEFAULT_SCALE_COUNT, analyze_pyramid
+from .estimation import DEFAULT_SCALE_COUNT, LambdaCurve, analyze_pyramid, large_deviation_spectrum
 from .spectra import (
     DEFAULT_GRID_STEP,
     GaussianKernel,
-    LogDensity,
     ShiftedGammaKernel,
     ShiftedPoissonKernel,
     check_admissible,
@@ -196,8 +195,9 @@ def cmd_kernel(args) -> int:
 # selftest: the acceptance gate runs these same checks as a02, a03, a04 and a07
 
 def _selftest_curves():
-    """Admissible reference curves whose densities regenerate them exactly:
-    the convex arc (h - 1/2)^2 and its chord h - 1/2 on [1/2, 3/2]."""
+    """Admissible reference curves, each its own image under the map
+    d(h) -> h sup_{a<=h} d(a)/a: the convex arc (h - 1/2)^2 and its chord
+    h - 1/2 on [1/2, 3/2]."""
     return (
         curve_from_function(lambda h: (h - 0.5) ** 2, 0.5, 1.5),
         curve_from_function(lambda h: h - 0.5, 0.5, 1.5),
@@ -249,15 +249,18 @@ def _check_kernel_maxima():
 
 
 def _check_spectrum_identity():
-    """The reference curves are admissible and regenerate from their densities."""
-    worst = 0.0
+    """The reference curves are admissible, so each is a fixed point of the
+    map d(h) -> h sup_{a<=h} d(a)/a: ``large_deviation_spectrum`` of a
+    lambda curve equal to d returns d on every present sample."""
+    errs = []
     for curve in _selftest_curves():
         violations = check_admissible(curve)
         if violations:
             return False, f"reference curve inadmissible: {'; '.join(violations)}"
-        out = spectrum_from_rho(LogDensity(curve.h_grid, curve.d_values))
-        idx = np.searchsorted(out.h_grid, curve.h_grid)
-        worst = max(worst, float(np.nanmax(np.abs(out.d_values[idx] - curve.d_values))))
+        # the map reads the grid and the values alone
+        d2 = large_deviation_spectrum(LambdaCurve(curve.h_grid, curve.d_values, None, None))
+        errs.append(np.abs(d2 - curve.d_values)[curve.present()])
+    worst = float(np.max(np.concatenate(errs)))   # NaN where d2 is absent: a failure
     return worst <= 1e-9, f"max_err={worst:.3e} (<=1e-9)"
 
 

@@ -50,16 +50,6 @@ class AdmissibilityError(MathValidityError):
     """Spectrum curve fails the admissibility conditions."""
 
 
-class FlatSpectrumError(MathValidityError):
-    """Log-density touches zero but is never positive; the flat
-    construction (constant exponent, sparse occupancy) applies instead."""
-
-
-class EmptySpectrumError(MathValidityError):
-    """Log-density is negative everywhere; the resulting process is
-    smooth and carries no singularity spectrum."""
-
-
 class InsufficientScalesError(MathValidityError):
     """Fewer than three usable scales for regression."""
 

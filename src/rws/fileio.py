@@ -4,9 +4,10 @@ Signals travel either as ``rws-sig`` binary (magic ``RWS1``, three
 little-endian uint32 header words: version = 1, J, reserved = 0, then
 2**J float64 samples, little-endian, J <= 30) or as plain text with one
 sample per line.  Readers sniff the magic, so either format can be
-handed to any command.  The writer and both readers take only what the
-transforms take (``dyadic_exponent``): a power of two of at least 2
-samples.
+handed to any command.  The writer takes a power of two of at least 2
+samples (``dyadic_exponent``); both readers take only what the transforms
+take (``wavelet._signal_exponent``): that many samples, every one finite.
+Each such refusal is a FormatError starting with the file's path.
 
 Tabular outputs are comment-headed CSV: a single ``# col,col`` line
 followed by one row per grid point, each number written with 12
@@ -31,7 +32,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InvalidLengthError, MathValidityError
+from .errors import ConfigError, FormatError, MathValidityError
 from .spectra import (
     DiracKernel,
     GaussianKernel,
@@ -41,7 +42,7 @@ from .spectra import (
     curve_from_samples,
 )
 from .synthesis import FlatLaw, SynthesisConfig
-from .wavelet import dyadic_exponent, parse_wavelet_name
+from .wavelet import _signal_exponent, dyadic_exponent, parse_wavelet_name
 
 _MAGIC = b"RWS1"
 _HEADER = struct.Struct("<4sIII")
@@ -79,18 +80,18 @@ def _read_text(path: str) -> str:
 # ---------------------------------------------------------------------------
 # signals
 
-def _sample_exponent(path: str, n: int) -> int:
-    """J of a signal of n samples by the transforms' rule (``dyadic_exponent``:
-    a power of two >= 2); any other count raises FormatError."""
+def _framed(path: str, check, *args):
+    """check(*args); a MathValidityError it raises is raised again as a
+    FormatError starting with path."""
     try:
-        return dyadic_exponent(n)
-    except InvalidLengthError as exc:
+        return check(*args)
+    except MathValidityError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def write_signal(path: str, samples: np.ndarray) -> None:
     x = np.ascontiguousarray(samples, dtype="<f8")
-    J = _sample_exponent(path, x.size)
+    J = _framed(path, dyadic_exponent, x.size)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, J, 0))
         f.write(x.data)  # the array's own buffer, not a bytes copy of it
@@ -98,23 +99,25 @@ def write_signal(path: str, samples: np.ndarray) -> None:
 
 def read_signal(path: str) -> np.ndarray:
     """The samples of a signal file, either format; a binary payload is
-    read straight into the returned array."""
+    read straight into the returned array.  Both formats are held to the
+    transforms' sample rule (``wavelet._signal_exponent``)."""
     try:
         with open(path, "rb") as f:
             blob = f.read(_HEADER.size)
             if blob[:4] == _MAGIC:
-                return _finite_samples(path, _read_payload(path, f, blob))
-            blob += f.read()
+                x = _read_payload(path, f, blob)
+            else:
+                blob += f.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
-    # text fallback: one sample per line
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: neither rws-sig binary nor text") from None
-    values = [_parse_cell(line, path, ln) for ln, line in _records(text)]
-    _sample_exponent(path, len(values))
-    return _finite_samples(path, np.array(values, dtype=np.float64))
+    if blob[:4] != _MAGIC:   # text fallback: one sample per line
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: neither rws-sig binary nor text") from None
+        x = np.array([_parse_cell(line, path, ln) for ln, line in _records(text)], dtype=np.float64)
+    _framed(path, _signal_exponent, x)
+    return x
 
 
 def _read_payload(path: str, f, header: bytes) -> np.ndarray:
@@ -126,7 +129,7 @@ def _read_payload(path: str, f, header: bytes) -> np.ndarray:
         raise FormatError(f"{path}: unsupported signal format version {version}")
     if J > 30:
         raise FormatError(f"{path}: implausible J = {J}")
-    _sample_exponent(path, 2**J)
+    _framed(path, dyadic_exponent, 2**J)
     want = 8 * 2**J
     st = os.fstat(f.fileno())
     got = st.st_size - _HEADER.size
@@ -138,15 +141,6 @@ def _read_payload(path: str, f, header: bytes) -> np.ndarray:
     if got != want:
         raise FormatError(f"{path}: payload is {got} bytes, header promises {want}")
     return x.astype(np.float64, copy=False)  # a copy only on a big-endian machine
-
-
-def _finite_samples(path: str, x: np.ndarray) -> np.ndarray:
-    """x itself; a NaN or infinite sample raises FormatError naming its index."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise FormatError(f"{path}: sample {i} is {float(x[i])}; samples must be finite")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +179,7 @@ def read_spectrum_csv(path: str) -> SpectrumCurve:
         ds.append(_parse_cell(cells[1], path, ln))
     if not hs:
         raise FormatError(f"{path}: no data rows")
-    try:
-        return curve_from_samples(hs, ds)
-    except MathValidityError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _framed(path, curve_from_samples, hs, ds)
 
 
 # ---------------------------------------------------------------------------

@@ -4,30 +4,27 @@ A spectrum curve assigns to each Hoelder exponent h a dimension d(h) in
 [0, 1], sampled on a finite grid; absent values (exponents that do not
 occur) are stored as NaN and never enter arithmetic unmasked.  The span
 [h_min, h_max] of a curve runs from its first to its last present sample.
-Both sampled types, ``SpectrumCurve`` and ``LogDensity``, check their own
-shape when made (a positive, finite, strictly increasing grid of equal
-length to its values, and for a curve one present sample), so no reader
-checks it again.  An admissible target spectrum satisfies:
+The one sampled type, ``SpectrumCurve``, checks its own shape when made (a
+positive, finite, strictly increasing grid of equal length to its values,
+and one present sample), so no reader checks it again.  An admissible
+target spectrum satisfies:
 
   * d(h) <= 1 everywhere it is present,
   * d is present on every grid point of [h_min, h_max] and nonnegative there,
   * h -> d(h)/h is non-decreasing,
   * d(h_max) = 1.
 
-``spectrum_from_rho`` maps an upper logarithmic density rho to the
-spectrum it generates,
+``spectrum_from_rho`` maps the upper logarithmic density rho of a kernel
+to the spectrum it generates,
 
     d(h) = h * sup_{0 < a <= h} rho(a)/a   on [h_min, h_max],
 
 with h_max = 1/sup_{a>0} rho(a)/a and h_min the infimum of {rho >= 0}.
-The sup is a running maximum over the points each density supplies
-(``spectrum_grid``), no interpolation.  That grid is the one place the
-span is decided, and h_min and h_max are points of it: a sampled
-``LogDensity`` gives its samples plus h_max, where an h_max within a
-relative 1e-9 of a sample is that sample; a ``Kernel`` gives a step grid
-out to 4 h_max that holds h_min, alpha_t and h_max of one ``ratio_max``
-solve exactly.  Both snaps are relative, so a density and its rescaling
-in h get the same grid.
+The sup is a running maximum over a step grid out to 4 h_max, no
+interpolation.  The span is decided by the kernel's ``ratio_max``: its
+one solve gives h_min, alpha_t and h_max, which the grid holds exactly.
+The snaps onto the step grid are relative, so a density and its
+rescaling in h get the same grid.
 
 Closed-form densities come from four kernel families used for
 self-similar cascade models: gaussian, shifted gamma, shifted poisson
@@ -75,8 +72,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    EmptySpectrumError,
-    FlatSpectrumError,
     KernelValidityError,
     MathValidityError,
     UnsupportedVariantError,
@@ -264,14 +259,6 @@ class Kernel:
         location = fields(self)[0].name
         raise MathValidityError(f"the mode offset of ({self._shape_text()}) is below the resolution "
                                 f"of {location} = {getattr(self, location):.12g}: rho has no span")
-
-    def spectrum_grid(self, grid_step: float):
-        """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``: the
-        step grid with h_min, alpha_t and h_max of one ``ratio_max`` solve
-        as exact points, step points within a relative 1e-9 of them dropped."""
-        h_min, alpha_t, h_max = self.ratio_max()
-        grid = _merge_points([h_min, alpha_t, h_max], _step_grid(4.0 * h_max, grid_step))
-        return grid, self.rho(grid), h_min, h_max
 
 
 class _ShiftedKernel(Kernel):
@@ -503,8 +490,13 @@ class SpectrumCurve:
     d_values: np.ndarray
 
     def __post_init__(self):
-        self.h_grid, self.d_values = _sampled_grid(self.h_grid, self.d_values, "h", "d")
-        if np.isnan(self.d_values).all():
+        h = self.h_grid = np.asarray(self.h_grid, dtype=np.float64)
+        d = self.d_values = np.asarray(self.d_values, dtype=np.float64)
+        if h.size != d.size or h.size == 0:
+            raise MathValidityError("h and d grids must be non-empty and equal length")
+        if not (h[0] > 0 and h[-1] < math.inf and np.all(np.diff(h) > 0)):
+            raise MathValidityError("h grid must be strictly increasing, positive and finite")
+        if np.isnan(d).all():
             raise MathValidityError("curve has no present values")
 
     def present(self):
@@ -570,65 +562,15 @@ def check_admissible(curve: SpectrumCurve) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# upper logarithmic densities
+# the kernel -> spectrum map
 
-@dataclass(eq=False)
 class LogDensity:
-    """An upper logarithmic density sampled as (alpha_grid, rho_values);
-    like a ``Kernel`` it supplies ``spectrum_grid``.
-
-    Checks its own shape when made: alpha_grid and rho_values become
-    float64 arrays of equal, nonzero length, alpha positive, finite and
-    strictly increasing, a NaN rho reads as -inf (absent), and rho is at
-    most 1 + 1e-9; MathValidityError otherwise."""
-
-    alpha_grid: np.ndarray
-    rho_values: np.ndarray
-
-    def __post_init__(self):
-        a, r = _sampled_grid(self.alpha_grid, self.rho_values, "alpha", "rho")
-        r = np.where(np.isnan(r), -np.inf, r)
-        if np.any(r > 1.0 + _TOL_ONE):
-            raise MathValidityError("log-density exceeds 1")
-        self.alpha_grid, self.rho_values = a, r
+    """Nothing in the package makes one; perfbench/tracing.py hooks
+    ``LogDensity.from_kernel`` until the benchmark-only change (ROADMAP items 7, 21)."""
 
     @classmethod
     def from_kernel(cls, kernel):
-        """The kernel itself: a ``Kernel`` is a density already, checked when made."""
         return kernel
-
-    def spectrum_grid(self, grid_step: float):
-        """(grid, rho on it, h_min, h_max) for ``spectrum_from_rho``; grid_step
-        is not used.  The grid is the samples plus h_max; an h_max within
-        a relative 1e-9 of a sample snaps onto it, and that sample is the
-        h_max returned, with rho capped at alpha / h_max."""
-        rho = self.rho_values
-        finite = np.isfinite(rho)
-        if not finite.any() or np.max(rho[finite]) < -_TOL_ZERO:
-            raise EmptySpectrumError(
-                "log-density is negative everywhere; the process is smooth"
-            )
-        if np.max(rho[finite]) <= _TOL_ZERO:
-            raise FlatSpectrumError(
-                "log-density touches zero but is never positive; use the flat "
-                "(constant-exponent) construction instead"
-            )
-        h_min = float(self.alpha_grid[rho >= 0.0][0])   # positive, as every alpha is
-        # at a subnormal alpha a ratio can pass the largest float: an infinite
-        # sup gives h_max = 0, a grid point that ``spectrum_from_rho``
-        # refuses, and an infinite cap (alpha / 0 among them) leaves rho as it is
-        with np.errstate(over="ignore"):
-            h_max = 1.0 / float(np.max(rho[finite] / self.alpha_grid[finite]))
-        grid = _merge_points(self.alpha_grid, [h_max])
-        h_max = grid[np.argmin(np.abs(grid - h_max))]
-        # merged grid differs from the density grid only by the inserted
-        # h_max, whose running max is already the global one.  rho is capped
-        # at alpha / h_max: where h_max snapped up onto a sample, that moves
-        # rho by at most the snap and keeps d(h)/h at most 1/h_max
-        vals = np.full(grid.shape, -np.inf)
-        with np.errstate(over="ignore", divide="ignore"):
-            vals[np.searchsorted(grid, self.alpha_grid)] = np.minimum(rho, self.alpha_grid / h_max)
-        return grid, vals, h_min, h_max
 
 
 def _merge_points(base, extras):
@@ -658,18 +600,6 @@ def _grid_steps(steps, what):
     return int(math.ceil(steps))
 
 
-def _sampled_grid(x, y, xname, yname):
-    """(x, y) as float64 arrays; MathValidityError unless both are non-empty
-    and of equal length and x is positive, finite and strictly increasing."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size or x.size == 0:
-        raise MathValidityError(f"{xname} and {yname} grids must be non-empty and equal length")
-    if not (x[0] > 0 and x[-1] < math.inf and np.all(np.diff(x) > 0)):
-        raise MathValidityError(f"{xname} grid must be strictly increasing, positive and finite")
-    return x, y
-
-
 def _integer(name, value, lo, hi=None):
     """ConfigError unless value is an integer of any type but bool, in [lo, hi]
     (no upper bound when hi is None)."""
@@ -679,26 +609,25 @@ def _integer(name, value, lo, hi=None):
         raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def spectrum_from_rho(density, grid_step: float = DEFAULT_GRID_STEP) -> SpectrumCurve:
-    """Spectrum generated by an upper logarithmic density: any ``Kernel``
-    (validated here) or a ``LogDensity(alpha_grid, rho_values)``.
+def spectrum_from_rho(kernel, grid_step: float = DEFAULT_GRID_STEP) -> SpectrumCurve:
+    """Spectrum generated by the upper logarithmic density of a ``Kernel``.
 
-    The span is decided once, by ``density.spectrum_grid``, which returns
-    h_min and h_max as points of its grid; presence is read off that grid
-    by exact comparison.  On the span d >= 0 by definition, so d is
-    clipped at 0 there: where rho is steep at its left zero, the solve and
-    the rounding of h_min can cost 1e-9 in rho.  The result is admissible
-    (``check_admissible`` returns no violation, and d(h_max) is exactly
-    1), or the call raises: FlatSpectrumError when rho touches zero but is
-    never positive (the constant-exponent sparse construction applies
-    there), EmptySpectrumError when rho is negative everywhere,
-    KernelValidityError for a kernel whose rho is nonnegative arbitrarily
-    close to 0 (location <= alpha*), and MathValidityError where h_max is
-    so small (subnormal) that 1/h_max, the sup of d(h)/h, overflows.  A
-    kernel needs a positive, finite grid_step (ConfigError); samples
-    ignore it.
+    The span is decided once, by one ``kernel.ratio_max()`` solve: its
+    h_min, alpha_t and h_max are exact points of the step grid out to
+    4 h_max (step points within a relative 1e-9 of them dropped), and
+    presence is read off that grid by exact comparison.  On the span
+    d >= 0 by definition, so d is clipped at 0 there: where rho is steep at
+    its left zero, the solve and the rounding of h_min can cost 1e-9 in
+    rho.  The result is admissible (``check_admissible`` returns no
+    violation, and d(h_max) is exactly 1), or the call raises:
+    ConfigError unless grid_step is positive and finite, and
+    MathValidityError where the kernel's span is beyond float resolution
+    (``ratio_max``) or h_max is so small (subnormal) that 1/h_max, the sup
+    of d(h)/h, overflows.
     """
-    grid, vals, h_min, h_max = density.spectrum_grid(grid_step)
+    h_min, alpha_t, h_max = kernel.ratio_max()
+    grid = _merge_points([h_min, alpha_t, h_max], _step_grid(4.0 * h_max, grid_step))
+    vals = kernel.rho(grid)
     if not h_max > 1.0 / np.finfo(np.float64).max:   # so 1/h_max is a float
         raise MathValidityError(f"h_max = {float(h_max):.6g} is below 1/(largest float): "
                                 "d(h)/h = 1/h_max overflows")

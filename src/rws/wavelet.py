@@ -303,6 +303,19 @@ def dyadic_exponent(n: int) -> int:
     return n.bit_length() - 1
 
 
+def _signal_exponent(s) -> int:
+    """J of a sample array the transforms take: one-dimensional, 2**J >= 2
+    samples, every sample finite; InvalidLengthError or NonFiniteSampleError
+    (naming the first bad sample's index) otherwise."""
+    if s.ndim != 1:
+        raise InvalidLengthError("signal must be one-dimensional")
+    J = dyadic_exponent(s.size)
+    if not np.isfinite(s).all():
+        i = int(np.argmin(np.isfinite(s)))
+        raise NonFiniteSampleError(f"sample {i} is {float(s[i])}; samples must be finite")
+    return J
+
+
 def _down_corr(s, lo, hi, scale=1.0):
     # (approx, detail) with y[k] = sum_m taps[m] * (scale * s)[(2k+m) mod n],
     # n even.  Tap m reads the even (m even) or odd row of the block's
@@ -395,12 +408,7 @@ def forward_dwt(signal, filt: WaveletFilter) -> CoefficientPyramid:
     # s alone holds the input, until the top level's approx replaces it
     s = np.asarray(signal, dtype=np.float64)
     del signal
-    if s.ndim != 1:
-        raise InvalidLengthError("signal must be one-dimensional")
-    J = dyadic_exponent(s.size)
-    if not np.isfinite(s).all():
-        i = int(np.argmin(np.isfinite(s)))
-        raise NonFiniteSampleError(f"sample {i} is {float(s[i])}; samples must be finite")
+    J = _signal_exponent(s)
     scale = 2.0 ** (-0.5 * J)  # the top level scales its input per block
     levels = [None] * J
     for j in range(J - 1, -1, -1):

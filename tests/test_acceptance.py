@@ -152,7 +152,8 @@ def test_a06_sampler_fidelity():
 
 
 def test_a07_spectrum_density_identity():
-    report("a07 density round trip reproduces the spectrum", *SELFTEST["spectrum-identity"]())
+    report("a07 an admissible spectrum is a fixed point of the counting map",
+           *SELFTEST["spectrum-identity"]())
 
 
 def test_a08_monofractal_end_to_end():

@@ -884,6 +884,15 @@ def run_python(code, *args):
     return done.stdout
 
 
+def test_the_module_runs_as_a_script():
+    # ``python -m rws.cli`` reaches main() through the module's __main__ guard
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "rws.cli", "selftest"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "4 of 4 checks passed" in done.stdout
+
+
 def test_import_loads_no_scipy():
     out = run_python("import sys, rws; a = 'scipy' in sys.modules; import rws.cli; "
                      "print(a, 'scipy' in sys.modules)")

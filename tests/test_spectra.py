@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 from rws import cli, spectra
 from rws import (
     DiracKernel,
-    EmptySpectrumError,
-    FlatSpectrumError,
     GaussianKernel,
     KernelValidityError,
-    LogDensity,
     MathValidityError,
     RwsError,
     ShiftedGammaKernel,
@@ -406,6 +403,13 @@ def _brentq(f, lo, hi, xtol):
     return brentq(f, lo, hi, xtol=xtol, rtol=spectra._ROOT_RTOL, maxiter=spectra._ROOT_MAXITER)
 
 
+def test_root_returns_a_zero_at_the_low_end_of_its_bracket():
+    f = lambda x: x - 1.0
+    expected = _outcome(_brentq, f, 1.0, 3.0, 1e-12)
+    assert expected == (float, (1.0).hex())
+    assert _outcome(spectra._root, f, 1.0, 3.0, 1e-12) == expected
+
+
 def _seeded_brackets(n):
     """n (f, lo, hi, xtol, maxiter) draws from a fixed seed: tanh, cubic,
     exp and atan families, some scaled by 10^U(-250, 250) (products of
@@ -630,8 +634,6 @@ def test_curve_from_samples_needs_a_present_value():
 def test_infinite_grid_points_are_rejected():
     with pytest.raises(MathValidityError, match="finite"):
         curve_from_samples([0.5, np.inf], [0.0, 1.0])
-    with pytest.raises(MathValidityError, match="finite"):
-        LogDensity([0.5, np.inf], [0.5, 1.0])
 
 
 # a curve checks its own shape when made, so check_admissible never sees
@@ -667,18 +669,6 @@ def test_admissibility_reports_a_curve_with_no_present_values():
 # ---------------------------------------------------------------------------
 # density -> spectrum map
 
-def test_spectrum_identity_on_admissible_curve():
-    # an admissible d is a fixed point: d(h) = h sup_{a<=h} d(a)/a
-    curve = parabola_curve()
-    density = LogDensity(curve.h_grid, curve.d_values)
-    out = spectrum_from_rho(density)
-    src = np.searchsorted(out.h_grid, curve.h_grid)
-    err = float(np.nanmax(np.abs(out.d_values[src] - curve.d_values)))
-    assert err < 1e-9
-    assert abs(out.h_max - 1.5) < 1e-12
-    assert abs(out.h_min - 0.5) < 1e-12
-
-
 def test_spectrum_dominates_density():
     # d(h) >= rho(h) wherever both are present
     for kernel in (
@@ -686,7 +676,7 @@ def test_spectrum_dominates_density():
         ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
         ShiftedPoissonKernel(alpha0=0.3, c=1.0),
     ):
-        out = spectrum_from_rho(LogDensity.from_kernel(kernel))
+        out = spectrum_from_rho(kernel)
         present = out.present()
         rho = kernel.rho(out.h_grid[present])
         assert np.all(out.d_values[present] >= rho - 1e-9)
@@ -698,7 +688,7 @@ def test_spectrum_endpoint_values():
         ShiftedGammaKernel(alpha0=0.1, nu=1.5, beta=4.0),
         ShiftedPoissonKernel(alpha0=0.3, c=1.0),
     ):
-        out = spectrum_from_rho(LogDensity.from_kernel(kernel))
+        out = spectrum_from_rho(kernel)
         i_max = int(np.argmin(np.abs(out.h_grid - out.h_max)))
         assert abs(out.d_values[i_max] - 1.0) < 1e-9
         i_min = int(np.argmin(np.abs(out.h_grid - out.h_min)))
@@ -724,7 +714,7 @@ def test_kernel_grid_stops_at_the_step_bound():
 def test_spectrum_matches_dense_grid_construction():
     # independent evaluation: brute-force running sup on a 10x finer grid
     kernel = GaussianKernel(m=1.0, sigma=0.5)
-    out = spectrum_from_rho(LogDensity.from_kernel(kernel))
+    out = spectrum_from_rho(kernel)
     fine = np.arange(1, 12001) * 0.0005
     ratios = kernel.rho(fine) / fine
     run = np.maximum.accumulate(ratios)
@@ -737,7 +727,7 @@ def test_spectrum_matches_dense_grid_construction():
 
 
 def test_spectrum_of_dirac_kernel_is_single_point():
-    out = spectrum_from_rho(LogDensity.from_kernel(DiracKernel(H=0.7)))
+    out = spectrum_from_rho(DiracKernel(H=0.7))
     present = out.present()
     assert present.sum() == 1
     assert abs(out.h_grid[present][0] - 0.7) < 1e-12
@@ -748,7 +738,7 @@ def test_spectrum_of_dirac_kernel_is_single_point():
 @pytest.mark.parametrize("H", [0.7000000005, 0.70000000001, 2.0000000015])
 def test_dirac_spectrum_keeps_h_near_a_grid_point(H):
     # H lies within the 1e-9 snapping distance of a step-grid point
-    out = spectrum_from_rho(LogDensity.from_kernel(DiracKernel(H=H)))
+    out = spectrum_from_rho(DiracKernel(H=H))
     present = out.present()
     assert out.h_grid[present].tolist() == [H]
     assert out.d_values[present].tolist() == [1.0]
@@ -761,80 +751,6 @@ def test_spectrum_rejects_density_reaching_zero():
     # for c <= ln 2 that is alpha0 <= alpha* = 0, refused by validity
     with pytest.raises(KernelValidityError, match="alpha0 <= alpha"):
         spectrum_from_rho(ShiftedPoissonKernel(alpha0=0.0, c=0.5))
-
-
-@st.composite
-def peaked_samples(draw):
-    """2-11 increasing alpha in (0.05, 3), rounded to 2 decimals in some
-    draws, rho in [-1, 1], and one sample at 1 + delta for a delta at or
-    inside the 1e-9 slack that ``LogDensity`` accepts."""
-    n = draw(st.integers(2, 11))
-    a = sorted(draw(st.lists(st.floats(0.05, 3.0, exclude_min=True, exclude_max=True),
-                             min_size=n, max_size=n, unique=True)))
-    if draw(st.booleans()):
-        a = np.round(a, 2).tolist()   # duplicates are refused by LogDensity
-    r = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
-    r[draw(st.integers(0, n - 1))] = 1.0 + draw(
-        st.sampled_from([0.0, 1e-15, -1e-15, 5e-13, 3e-10, -3e-10, 9e-10]))
-    return a, r
-
-
-@given(peaked_samples())
-def test_sampled_density_spectrum_is_admissible_or_raises(sample):
-    try:
-        out = spectrum_from_rho(LogDensity(*sample))
-    except MathValidityError:
-        return
-    assert check_admissible(out) == []
-    assert out.d_values[out.present()][-1] == 1.0
-
-
-@pytest.mark.parametrize(("a", "r", "span"), [
-    # h_max = 1 - 2e-12 snaps onto the sample 1.0, which ends the curve
-    ([0.3, 0.5, 0.8, 1.0], [-0.5, 0.1, 0.6, 1.0 + 2e-12], (0.5, 1.0)),
-    # h_max = 0.49999999985 snaps onto h_min = 0.5: a single point
-    ([0.5, 1.25], [1.0 + 3e-10, 0.3], (0.5, 0.5)),
-    # d(h) = h / 0.06 to 9 digits: h_max = 0.05999999997 snaps up onto 0.06,
-    # and rho(0.04) is capped so that d(h)/h stays non-decreasing
-    ([0.02, 0.04, 0.06], [0.333333333, 0.666666667, 1.0], (0.02, 0.06)),
-])
-def test_sampled_h_max_is_the_sample_it_snaps_onto(a, r, span):
-    out = spectrum_from_rho(LogDensity(a, r))
-    assert (out.h_min, out.h_max) == span
-    assert out.d_values[out.present()][-1] == 1.0
-    assert check_admissible(out) == []
-
-
-def test_sampled_density_everywhere_negative_is_empty():
-    a = np.linspace(0.5, 1.5, 11)
-    with pytest.raises(EmptySpectrumError):
-        spectrum_from_rho(LogDensity(a, np.full(11, -0.5)))
-
-
-def test_sampled_density_touching_zero_is_flat():
-    a = np.linspace(0.5, 1.5, 11)
-    r = np.full(11, -1.0)
-    r[5] = 0.0
-    with pytest.raises(FlatSpectrumError):
-        spectrum_from_rho(LogDensity(a, r))
-
-
-def test_log_density_sample_validation():
-    with pytest.raises(MathValidityError):
-        LogDensity(np.array([0.5, 0.4]), np.array([0.1, 0.1]))
-    with pytest.raises(MathValidityError):
-        LogDensity(np.array([0.5, 1.0]), np.array([0.5, 1.5]))
-    d = LogDensity(np.array([0.5, 1.0]), np.array([np.nan, 0.5]))
-    assert d.rho_values[0] == -np.inf
-
-
-def test_log_density_h_min_returns_first_nonnegative_alpha():
-    a = np.array([0.4, 0.6, 0.8])
-    assert spectrum_from_rho(LogDensity(a, np.array([-0.2, 0.0, 0.5]))).h_min == 0.6
-    kernel = GaussianKernel(m=1.0, sigma=0.5)
-    assert LogDensity.from_kernel(kernel) is kernel
-    with pytest.raises(EmptySpectrumError):
-        spectrum_from_rho(LogDensity(a, np.array([-1.0, -1.0, -1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -854,19 +770,6 @@ def raw_samples(draw):
     if draw(st.integers(0, 9)) < 3:
         return x, y
     return np.array(x), np.array(y)
-
-
-@given(raw_samples())
-@example(([2.225073858507203e-309], [1.0]))   # 1/h_max overflows: refused, no warning
-@example(([1e-320, 0.5], [-0.5, 1.0]))   # rho/alpha passes -(largest float) left of h_min
-@example(([1e-308, 2.9], [1.0, 0.5]))    # the cap alpha/h_max passes the largest float
-def test_a_log_density_is_made_well_formed_or_refused(sample):
-    try:
-        out = spectrum_from_rho(LogDensity(*sample))
-    except MathValidityError:
-        return
-    assert check_admissible(out) == []
-    assert out.d_values[out.present()][-1] == 1.0
 
 
 @given(raw_samples())
@@ -970,8 +873,6 @@ def _strict_spectrum(kernel):
 
 # a density at unit scale and rescaled by s in alpha: rho_s(s a) = rho(a)
 SCALED_DENSITIES = {
-    "samples": lambda s: LogDensity(s * np.array([0.3, 0.5, 0.8, 1.1, 1.6]),
-                                    [-0.5, 0.2, 0.9, 1.0, 0.4]),
     "gaussian": lambda s: GaussianKernel(m=s * 1.0, sigma=s * 0.5),
     "gamma": lambda s: ShiftedGammaKernel(alpha0=s * 0.1, nu=1.5, beta=4.0 / s),
     "dirac": lambda s: DiracKernel(H=s * 0.8),

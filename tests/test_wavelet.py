@@ -147,6 +147,14 @@ def test_forward_rejects_bad_shapes():
         forward_dwt(np.zeros((4, 4)), f)
 
 
+def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    # where the OS has no affinity call, every CPU counts, and at least one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert wavelet._worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert wavelet._worker_count() == 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_forward_rejects_non_finite_samples(bad):
     x = np.ones(64)
