@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, FormatError, MathValidityError
+from .errors import ConfigError, FormatError, MathValidityError, NonFiniteSampleError
 from .estimation import DEFAULT_SCALE_COUNT, LambdaCurve, analyze_pyramid, large_deviation_spectrum
 from .spectra import (
     DEFAULT_GRID_STEP,
@@ -126,11 +126,15 @@ def cmd_synth(args) -> int:
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     # no local holds the signal or the pyramid, so each is freed as soon as
-    # the stage it feeds has read it (see forward_dwt and analyze_pyramid)
-    result = analyze_pyramid(
-        forward_dwt(fileio.read_signal(args.signal), parse_wavelet_name(args.wavelet)),
-        scale_count=args.scales, grid_step=args.grid_step,
-    )
+    # the stage it feeds has read it (see forward_dwt and analyze_pyramid);
+    # forward_dwt alone checks that every sample is finite
+    try:
+        result = analyze_pyramid(
+            forward_dwt(fileio.read_signal(args.signal), parse_wavelet_name(args.wavelet)),
+            scale_count=args.scales, grid_step=args.grid_step,
+        )
+    except NonFiniteSampleError as exc:
+        raise FormatError(f"{args.signal}: {exc}") from None
     _start_bundle(args)
     fileio.write_lambda_csv(
         os.path.join(args.out, "lambda.csv"), result.lambda_curve, result.closed_curve

@@ -87,8 +87,7 @@ class AlphaField:
             if not nonzero.all():
                 alpha = alpha[nonzero]
             np.log2(alpha, out=alpha)
-            np.negative(alpha, out=alpha)
-            alpha /= j
+            alpha /= -j   # -log2|C| / j: IEEE division is sign-symmetric
             levels[j] = alpha
         return cls(J=pyramid.J, levels=levels)
 
@@ -369,9 +368,9 @@ def analyze_pyramid(
     out of the last ratio and would fabricate spectrum mass.
 
     The pyramid is released as soon as the alpha field is made: a pyramid
-    that only the call holds (a temporary argument, on CPython >= 3.11)
-    is freed before the fits run, unless a wrapper keeps the call's
-    arguments.  ``spectrum.meta["J"]`` keeps its J.
+    that only the call holds (a temporary argument) is freed before the
+    fits run, unless a wrapper keeps the call's arguments.
+    ``spectrum.meta["J"]`` keeps its J.
 
     Raises ConfigError unless scale_count is an integer of at least 3
     and grid_step is positive and finite.

@@ -5,9 +5,10 @@ little-endian uint32 header words: version = 1, J, reserved = 0, then
 2**J float64 samples, little-endian, J <= 30) or as plain text with one
 sample per line.  Readers sniff the magic, so either format can be
 handed to any command.  The writer takes a power of two of at least 2
-samples (``dyadic_exponent``); both readers take only what the transforms
-take (``wavelet._signal_exponent``): that many samples, every one finite.
-Each such refusal is a FormatError starting with the file's path.
+samples (``dyadic_exponent``), and both readers take only that many
+samples; each such refusal is a FormatError starting with the file's
+path.  Whether every sample is finite is ``forward_dwt``'s check, which
+``rws analyze`` frames with the path.
 
 Tabular outputs are comment-headed CSV: a single ``# col,col`` line
 followed by one row per grid point, each number written with 12
@@ -42,7 +43,7 @@ from .spectra import (
     curve_from_samples,
 )
 from .synthesis import FlatLaw, SynthesisConfig
-from .wavelet import _signal_exponent, dyadic_exponent, parse_wavelet_name
+from .wavelet import dyadic_exponent, parse_wavelet_name
 
 _MAGIC = b"RWS1"
 _HEADER = struct.Struct("<4sIII")
@@ -100,7 +101,7 @@ def write_signal(path: str, samples: np.ndarray) -> None:
 def read_signal(path: str) -> np.ndarray:
     """The samples of a signal file, either format; a binary payload is
     read straight into the returned array.  Both formats are held to the
-    transforms' sample rule (``wavelet._signal_exponent``)."""
+    transforms' length rule (``dyadic_exponent``)."""
     try:
         with open(path, "rb") as f:
             blob = f.read(_HEADER.size)
@@ -116,7 +117,7 @@ def read_signal(path: str) -> np.ndarray:
         except UnicodeDecodeError:
             raise FormatError(f"{path}: neither rws-sig binary nor text") from None
         x = np.array([_parse_cell(line, path, ln) for ln, line in _records(text)], dtype=np.float64)
-    _framed(path, _signal_exponent, x)
+    _framed(path, dyadic_exponent, x.size)
     return x
 
 

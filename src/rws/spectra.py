@@ -52,20 +52,21 @@ and the synthesis regularity warning, and refuses a span that floats
 cannot resolve (the peak on or below h_min, alpha_t below h_min, or
 h_max below h_min or not finite); dirac's span is the one point H.  The
 gaussian alpha_t is closed form; the shifted families solve alpha* and
-alpha_t through one bracketed solver, ``_root``, to a tolerance relative
-to the kernel's own scale, and where their rho(a)/a falls from alpha0
-on, alpha_t is alpha0.
+alpha_t through one bracketed solver, ``_root``, to one ulp at any scale,
+and where their rho(a)/a falls from alpha0 on, alpha_t is alpha0.
 
-Roots are solved in-package (``_root``, a port of scipy's brentq).  The
-one scipy module loaded is scipy.special, on a kernel's first scale-j
-quantile, in the ``scale_quantile`` of the gaussian (ndtr, ndtri), gamma
-(gammaincinv) and poisson (gammaincc) families.  Kernel spectra, spectrum
-curves, flat laws and the estimators never load scipy; loading
-scipy.optimize as well would cost about 23 MB of RSS and 0.1-0.2 s.
+Roots are solved in-package (``_root``, a bisection on the float lattice,
+which needs no tolerance).  The one scipy module loaded is scipy.special,
+on a kernel's first scale-j quantile, in the ``scale_quantile`` of the
+gaussian (ndtr, ndtri), gamma (gammaincinv) and poisson (gammaincc)
+families.  Kernel spectra, spectrum curves, flat laws and the estimators
+never load scipy; loading scipy.optimize as well would cost about 23 MB
+of RSS and 0.1-0.2 s.
 """
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -88,99 +89,71 @@ DEFAULT_GRID_STEP = 0.005   # h grid step of kernel spectra, analyses and sample
 # points (an analysis) or under 1,000 (a kernel); an analysis at the bound
 # builds a 1.3 GB (h x q) Legendre table.
 MAX_GRID_STEPS = 2**20
-# ``_root``'s relative tolerance (just above 4 eps, the least scipy's brentq
-# accepts) and its step cap
-_ROOT_RTOL = 8.9e-16
-_ROOT_MAXITER = 3000
-# The least absolute tolerance a caller gives ``_root``: two least subnormals,
-# so that half of it, Brent's step floor, is still one and not 0
-_ROOT_XTOL_MIN = 1e-323
+# a float and its bits as a signed integer, for ``_key`` and ``_float``
+_FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 
 
 # ---------------------------------------------------------------------------
 # kernel laws
 
-def _root(f, lo, hi, xtol):
-    """The zero of f bracketed by [lo, hi], by Brent's method to within
-    xtol or 8.9e-16 of the zero, whichever is larger.  Callers give xtol
-    relative to the kernel's own scale, so a zero is found to the same
-    digits at any scale: 1e-15 of the bracket, or 1e-15 of lo > 0 where
-    the zero lies right of lo, but never below _ROOT_XTOL_MIN, on which
-    a subnormal bracket still converges.  A zero that lies far nearer lo than hi (a
-    gamma that rises steeply against its mode offset) can take some
-    1,500 steps; the cap leaves room for that.
+def _key(x):
+    """The ordered integer key of a float: consecutive floats have
+    consecutive keys, and -0.0 and 0.0 share the key 0."""
+    i = _BITS.unpack(_FLOAT.pack(x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
 
-    A line-for-line port of scipy's ``brentq`` (scipy/optimize/Zeros/
-    brentq.c, BSD-3-Clause; R. P. Brent, Algorithms for Minimization
-    Without Derivatives, 1973): the same float for every input, and its
-    refusals with the same exception classes, ValueError for xtol <= 0,
-    a NaN value of f or f(lo), f(hi) of one sign, and RuntimeError after
-    _ROOT_MAXITER steps.  Every value of f is taken as a Python float, as
-    scipy's C callback does, so numpy scalars raise no overflow warning;
-    a division by zero, which in C gives an infinite or NaN trial step
-    and so a bisection, bisects."""
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
 
-    def value(x):
+def _float(k):
+    """The float of an ordered key; the key 0 is 0.0."""
+    return _FLOAT.unpack(_BITS.pack(k if k >= 0 else -k | -0x8000000000000000))[0]
+
+
+def _root(f, lo, hi):
+    """The zero of f bracketed by [lo, hi], to one ulp: a bisection on the
+    ordered integer keys of the floats (``_key``), which halves the count
+    of floats in the bracket at each step, so any bracket, subnormal or
+    not, closes in at most 64 steps, with no tolerance.  It stops at a
+    float where f is 0, or at two adjacent floats where f changes sign,
+    and returns the one where |f| is smaller.  ValueError where a value of
+    f is NaN or f(lo) and f(hi) have one sign.  Every value of f is taken
+    as a Python float, so numpy scalars raise no overflow warning."""
+    lo, hi = float(lo), float(hi)
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise ValueError(f"f is NaN at an end of [{lo!r}, {hi!r}]")
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError(f"f has one sign on [{lo!r}, {hi!r}]: f(lo) = {f_lo!r}, f(hi) = {f_hi!r}")
+    # the values and keys of the ends where f < 0 and where f > 0
+    (f_neg, neg), (f_pos, pos) = sorted([(f_lo, _key(lo)), (f_hi, _key(hi))])
+    while abs(pos - neg) > 1:
+        k = (neg + pos) // 2
+        x = _float(k)
         fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the value of f at {x!r} is NaN")
-        return fx
-
-    xpre, xcur = float(lo), float(hi)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(lo) and f(hi) must have different signs")
-    for _ in range(_ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf   # bisect unless an interpolation step is taken
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:   # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:              # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                if den != 0.0:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
-            spre, scur = scur, stry
+        if fx < 0.0:
+            neg, f_neg = k, fx
+        elif fx > 0.0:
+            pos, f_pos = k, fx
+        elif fx == 0.0:
+            return x
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"no convergence after {_ROOT_MAXITER} steps, value is {xcur!r}")
+            raise ValueError(f"the value of f at {x!r} is NaN")
+    return _float(neg if -f_neg <= f_pos else pos)
 
 
 def _left_zero(f, peak):
     """The zero of f between 0 (excluded) and peak, where f >= 0: the
     bracket starts just right of 0 and walks toward it while f >= 0, and
     once the walk has moved the zero lies between its last two steps,
-    a bracket about as wide as the zero is far from 0.  A zero nearer 0
-    than the least subnormal is 0 itself; a subnormal zero is solved to
-    the tolerance floor, where 1e-15 of its bracket would round to 0."""
+    which ``_root`` closes to one ulp, subnormal or not.  A zero nearer 0
+    than the least subnormal is 0 itself."""
     hi, step = peak, peak * 1e-12
     while f(step) >= 0.0:
         hi, step = step, step / 2.0
         if step == 0.0:   # f(0) may be log2(0); not evaluated
             return 0.0
-    return _root(f, step, hi, max(1e-15 * (hi - step), _ROOT_XTOL_MIN))
+    return _root(f, step, hi)
 
 
 def gaussian_threshold(sigma: float) -> float:
@@ -300,15 +273,17 @@ class _ShiftedKernel(Kernel):
         # falling).  Where h_min is the shift point alpha0 (a poisson with
         # c <= ln 2), rho' is infinite there, so the bracket starts inside,
         # at least one ulp; rho is concave, so f falls, and where f <= 0
-        # there already rho(a)/a only falls and its sup is at h_min itself
+        # there already rho(a)/a only falls and its sup is at h_min itself.
+        # The bracket lies right of alpha0, where rho is the shifted density:
+        # f reads it as a scalar, without rho's array and masks
         lo = h_min
         if h_min == self.alpha0:
             lo = max(h_min + (peak - h_min) * 1e-12, np.nextafter(h_min, peak))
-        f = lambda a: self.rho_prime(a) * a - self.rho(a)
+        f = lambda a: self.rho_prime(a) * a - self._rho_shifted(a - self.alpha0)
         f_lo = f(lo)
         if f_lo > 0.0 and f(peak) > 0.0:
             return None
-        return h_min if f_lo <= 0.0 else _root(f, lo, peak, max(1e-15 * lo, _ROOT_XTOL_MIN))
+        return h_min if f_lo <= 0.0 else _root(f, lo, peak)
 
 
 @dataclass(frozen=True)

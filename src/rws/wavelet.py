@@ -303,19 +303,6 @@ def dyadic_exponent(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _signal_exponent(s) -> int:
-    """J of a sample array the transforms take: one-dimensional, 2**J >= 2
-    samples, every sample finite; InvalidLengthError or NonFiniteSampleError
-    (naming the first bad sample's index) otherwise."""
-    if s.ndim != 1:
-        raise InvalidLengthError("signal must be one-dimensional")
-    J = dyadic_exponent(s.size)
-    if not np.isfinite(s).all():
-        i = int(np.argmin(np.isfinite(s)))
-        raise NonFiniteSampleError(f"sample {i} is {float(s[i])}; samples must be finite")
-    return J
-
-
 def _down_corr(s, lo, hi, scale=1.0):
     # (approx, detail) with y[k] = sum_m taps[m] * (scale * s)[(2k+m) mod n],
     # n even.  Tap m reads the even (m even) or odd row of the block's
@@ -396,19 +383,25 @@ def forward_dwt(signal, filt: WaveletFilter) -> CoefficientPyramid:
 
     Boundary handling is circular at every level, so the transform is
     exactly orthogonal for any order (filters longer than a level wrap).
-    A NaN or infinite sample raises NonFiniteSampleError.
+    A signal that is not one-dimensional with 2**J >= 2 samples raises
+    InvalidLengthError, and a NaN or infinite sample NonFiniteSampleError,
+    naming the first one's index.
 
     The finiteness mask is dropped once checked, and the function keeps
     no reference to its input past the top level: a signal that only the
-    call holds (a temporary argument, on CPython >= 3.11) is freed there,
-    so the levels below run beside the pyramid alone.  A wrapper that
-    keeps its call's arguments (a tracer, say) keeps the signal alive for
-    the whole call.
+    call holds (a temporary argument) is freed there, so the levels below
+    run beside the pyramid alone.  A wrapper that keeps its call's
+    arguments (a tracer, say) keeps the signal alive for the whole call.
     """
     # s alone holds the input, until the top level's approx replaces it
     s = np.asarray(signal, dtype=np.float64)
     del signal
-    J = _signal_exponent(s)
+    if s.ndim != 1:
+        raise InvalidLengthError("signal must be one-dimensional")
+    J = dyadic_exponent(s.size)
+    if not np.isfinite(s).all():
+        i = int(np.argmin(np.isfinite(s)))
+        raise NonFiniteSampleError(f"sample {i} is {float(s[i])}; samples must be finite")
     scale = 2.0 ** (-0.5 * J)  # the top level scales its input per block
     levels = [None] * J
     for j in range(J - 1, -1, -1):

@@ -668,8 +668,8 @@ KERNEL_CSV_DIGESTS = {
         "b477f515d2dc33e5fb5b2306f3312e9b42be4f668529f2ccf1cc1fb78e84998a",
     ),
     ("poisson", "alpha0=0.3", "c=1"): (
-        "f9e984f3c617ec8619e81c1fbf1e46878926193fa9780db0cf758cc8971a14d5",
-        "c0d978a488016eb7ec056e21ac921c1e7db711c4e5eacedee5117b0cd2c328a0",
+        "88da9d23dfa3307b0bad7cb99ff55dd0d39523354c7201dc73cfcbc363cbccfe",
+        "fa75dc01b593377f288a5e2b2548778e78e53223707bb82a5aa11ec0ffb290fd",
     ),
     ("poisson", "alpha0=0.5", "c=0.6"): (
         "f4e54a15b577f32f663b2b310e5e65115b5197c480e1a2658e506b4524637d44",

@@ -8,7 +8,6 @@ per worker.  numpy reports its array buffers to tracemalloc, from every
 thread.
 """
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -111,7 +110,6 @@ def test_read_signal_memory_budget(tmp_path):
     assert _traced_peak(read_signal, path) <= 1.25 * 8 * 2**J
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="the caller keeps a temporary argument")
 @pytest.mark.filterwarnings("ignore:tau\\(q\\) has no sign change:UserWarning")  # white noise
 def test_analyze_command_memory_budget(tmp_path):
     # measured 2.09 signals with up to two workers: the top forward level

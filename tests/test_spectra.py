@@ -386,37 +386,51 @@ def test_kernel_h_min_poisson_small_c_is_shift_point():
 
 
 # ---------------------------------------------------------------------------
-# in-package roots: spectra._root is scipy's brentq, bit for bit
+# in-package roots: spectra._root closes its bracket to one ulp
 
-def _outcome(solve, f, lo, hi, xtol):
-    """The root's type and bits, or the class of the exception raised."""
+def _checked_root(f, lo, hi):
+    """``_root(f, lo, hi)``, or None where it raises ValueError, once its
+    outcome is checked: at most 66 values of f (the two ends and 64
+    halvings); ValueError exactly where f(lo) and f(hi) are nonzero and
+    of one sign or a value of f is NaN; otherwise a float of the bracket
+    where f is 0, or where f changes sign against a neighbouring float of
+    the bracket and |f| is no larger there."""
+    values = []
     try:
-        x = solve(f, lo, hi, xtol)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
-    return type(x), x.hex()
-
-
-def _brentq(f, lo, hi, xtol):
-    from scipy.optimize import brentq
-
-    return brentq(f, lo, hi, xtol=xtol, rtol=spectra._ROOT_RTOL, maxiter=spectra._ROOT_MAXITER)
+        x = spectra._root(lambda x: values.append(float(f(x))) or values[-1], lo, hi)
+    except ValueError:
+        x = None
+    one_sign = 0.0 not in values[:2] and (values[0] < 0.0) == (values[1] < 0.0)
+    assert (x is None) == (any(map(math.isnan, values)) or one_sign) and len(values) <= 66, (lo, hi)
+    if x is not None:
+        assert type(x) is float and min(lo, hi) <= x <= max(lo, hi)
+        fx = float(f(x))
+        neighbours = [float(f(np.nextafter(x, end))) for end in (lo, hi) if end != x]
+        assert fx == 0.0 or any((fy < 0.0) != (fx < 0.0) and abs(fx) <= abs(fy) for fy in neighbours), \
+            (lo, hi, x)
+    return x
 
 
 def test_root_returns_a_zero_at_the_low_end_of_its_bracket():
-    f = lambda x: x - 1.0
-    expected = _outcome(_brentq, f, 1.0, 3.0, 1e-12)
-    assert expected == (float, (1.0).hex())
-    assert _outcome(spectra._root, f, 1.0, 3.0, 1e-12) == expected
+    assert spectra._root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+
+
+@pytest.mark.parametrize(("f", "lo", "hi", "match"), [
+    (lambda x: x - 1.0, 2.0, 3.0, "one sign"),
+    (lambda x: math.nan if x else 0.0, 0.0, 1.0, "NaN at an end"),   # though f(lo) is 0
+    (lambda x: math.nan if 0.5 < x < 0.9 else x - 0.7, 0.45, 1.0, "at 0.7.* is NaN"),   # the first midpoint
+], ids=["one-sign", "nan-at-an-end", "nan-inside"])
+def test_root_refuses_a_nan_or_a_one_signed_bracket(f, lo, hi, match):
+    with pytest.raises(ValueError, match=match):
+        spectra._root(f, lo, hi)
 
 
 def _seeded_brackets(n):
-    """n (f, lo, hi, xtol, maxiter) draws from a fixed seed: tanh, cubic,
-    exp and atan families, some scaled by 10^U(-250, 250) (products of
-    their values under- or overflow), some returning numpy scalars or NaN
-    right of a point, brackets with and without a sign change, xtol
-    10^U(-300, -3), 10^U(-3, 0.5) or <= 0, and a step cap of 3000 or
-    1-19."""
+    """n (f, lo, hi) draws from a fixed seed: tanh, cubic, exp and atan
+    families, some scaled by 10^U(-250, 250) (products of their values
+    under- or overflow), some returning numpy scalars or NaN on an
+    interval, some squeezed into a subnormal bracket, and brackets with
+    and without a sign change."""
     rng = np.random.default_rng(27)
     for _ in range(n):
         r, w = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
@@ -424,38 +438,24 @@ def _seeded_brackets(n):
         g = [lambda x, w=w, r=r: math.tanh(w * (x - r)), lambda x, r=r: (x - r) ** 3 + 0.1 * (x - r),
              lambda x, r=r: math.exp(x - r) - 1.0, lambda x, r=r: math.atan(x - r)][rng.integers(4)]
         kind = rng.integers(10)
+        lo = rng.uniform(-10.0, 0.0) if rng.random() < 0.8 else rng.uniform(-3.0, 3.0)
+        hi = rng.uniform(0.0, 10.0)
         if kind == 0:
             f = lambda x, g=g, s=np.float64(scale): s * np.float64(g(x))
         elif kind == 1:
-            f = lambda x, g=g, s=scale, cut=rng.uniform(-10.0, 10.0): math.nan if x > cut else s * g(x)
+            f = lambda x, g=g, s=scale, cut=rng.uniform(-10.0, 10.0), w=rng.uniform(0.0, 5.0): \
+                math.nan if cut < x < cut + w else s * g(x)
+        elif kind == 2:
+            tiny = 10.0 ** rng.uniform(-323.0, -309.0)
+            f, lo, hi = (lambda x, g=g, tiny=tiny: g(x / tiny)), lo * tiny, hi * tiny
         else:
             f = lambda x, g=g, s=scale: s * g(x)
-        lo = rng.uniform(-10.0, 0.0) if rng.random() < 0.8 else rng.uniform(-3.0, 3.0)
-        u = rng.random()
-        xtol = 10.0 ** (rng.uniform(-300.0, -3.0) if u < 0.7 else rng.uniform(-3.0, 0.5))
-        if u > 0.97:
-            xtol = float(rng.choice([0.0, -1.0]))
-        yield f, lo, rng.uniform(0.0, 10.0), xtol, 3000 if rng.random() < 0.8 else int(rng.integers(1, 20))
+        yield f, lo, hi
 
 
-def test_root_is_brentq_bit_for_bit_on_a_seeded_corpus(monkeypatch):
-    outcomes = set()
-    for f, lo, hi, xtol, maxiter in _seeded_brackets(10_000):
-        monkeypatch.setattr(spectra, "_ROOT_MAXITER", maxiter)
-        expected = _outcome(_brentq, f, lo, hi, xtol)
-        assert _outcome(spectra._root, f, lo, hi, xtol) == expected, (lo, hi, xtol, maxiter)
-        outcomes.add(expected if isinstance(expected, type) else float)
-    assert outcomes == {float, ValueError, RuntimeError}
-
-
-@pytest.mark.parametrize(("r", "lo", "hi", "xtol"), [
-    (-2.2, -8.7, 9.4, 0.99), (-2.32, -6.7, 3.0, 0.63), (-1.33, -3.4, 6.7, 0.2), (0.24, -8.5, 5.1, 1.5),
-])
-def test_root_is_brentq_where_a_coarse_tolerance_decides_the_step(r, lo, hi, xtol):
-    # brackets where the short-step test's margin, 3 |sbis| - delta, picks
-    # interpolation or bisection, which random brackets rarely meet
-    f = lambda x: math.exp(x - r) - 1.0
-    assert _outcome(spectra._root, f, lo, hi, xtol) == _outcome(_brentq, f, lo, hi, xtol)
+def test_root_is_one_ulp_on_a_seeded_corpus():
+    refusals = sum(_checked_root(f, lo, hi) is None for f, lo, hi in _seeded_brackets(5_000))
+    assert 0 < refusals < 5_000
 
 
 # every gamma and poisson kernel a test or the benchmark pins
@@ -478,15 +478,31 @@ PINNED_SHIFTED_KERNELS = [
 ]
 
 
-def test_root_is_brentq_bit_for_bit_on_every_pinned_kernel_solve(monkeypatch):
+def test_root_is_one_ulp_on_every_pinned_kernel_solve(monkeypatch):
     calls = []
     solve = spectra._root
     monkeypatch.setattr(spectra, "_root", lambda *args: calls.append(args) or solve(*args))
     for kernel in PINNED_SHIFTED_KERNELS:   # made again inside the recording: alpha* is solved when made
         spectrum_from_rho(dataclasses.replace(kernel))
+    monkeypatch.undo()
     assert len(calls) >= len(PINNED_SHIFTED_KERNELS)
-    for f, lo, hi, xtol in calls:
-        assert _outcome(solve, f, lo, hi, xtol) == _outcome(_brentq, f, lo, hi, xtol), (lo, hi, xtol)
+    for f, lo, hi in calls:
+        assert _checked_root(f, lo, hi) is not None, (lo, hi)
+
+
+@pytest.mark.parametrize("kernel", PINNED_SHIFTED_KERNELS, ids=repr)
+def test_alpha_t_equation_reads_the_shifted_density_bit_for_bit(kernel, monkeypatch):
+    # right of alpha0, _alpha_t's f(a) = rho'(a) a - rho_shifted(a - alpha0)
+    # is rho'(a) a - rho(a) to the bit, on 1,000 points of its bracket
+    # [lo, peak]; lo is the first point f is taken at
+    seen = []
+    rho_prime = type(kernel).rho_prime
+    monkeypatch.setattr(type(kernel), "rho_prime", lambda self, a: seen.append(a) or rho_prime(self, a))
+    kernel.ratio_max()
+    points = np.linspace(seen[0], kernel.peak(), 1_000).tolist()
+    slopes = [rho_prime(kernel, a) * a for a in points]
+    shifted = [float(s - kernel._rho_shifted(a - kernel.alpha0)).hex() for s, a in zip(slopes, points)]
+    assert shifted == [float(s - kernel.rho(a)).hex() for s, a in zip(slopes, points)]
 
 
 def _run_kernel_command(kernel, tmp_path):
